@@ -297,13 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = parse_matrix(_read_input(args.matrix))
+        if args.command in ("table", "verify") and args.n_max < 1:
+            raise MatrixParseError("--n-max must be positive")
         if args.command == "table":
-            if args.n_max < 1:
-                raise MatrixParseError("--n-max must be positive")
             out, code = run_table(doc, args.n_max, args.format, args.factor, args.column)
         elif args.command == "verify":
-            if args.n_max < 1:
-                raise MatrixParseError("--n-max must be positive")
             out, code = run_verify(doc, args.n_max, args.format)
         elif args.command == "charpoly":
             out, code = run_charpoly(doc, args.format)

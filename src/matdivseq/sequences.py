@@ -23,7 +23,7 @@ difference as informational rather than as a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .factorint import Factorization, factorize
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map
@@ -186,11 +186,7 @@ def generate_sequence(x: IntMatrix, n_max: int,
     for n in range(1, n_max + 1):
         entry = _entry(x, spectral, n)
         if with_factorization and entry.reduced is not None:
-            entry = SequenceEntry(n=entry.n, jacobian_det=entry.jacobian_det,
-                                  reduced=entry.reduced,
-                                  n_squared_value=entry.n_squared_value,
-                                  fallback_used=entry.fallback_used,
-                                  factorization=factorize(entry.reduced))
+            entry = replace(entry, factorization=factorize(entry.reduced))
         entries.append(entry)
     return entries
 

@@ -223,4 +223,5 @@ def test_main_rejects_bad_n(tmp_path):
     path = tmp_path / "x3.json"
     path.write_text(X3_JSON, encoding="utf-8")
     assert main(["table", str(path), "--n-max", "0"]) == 2
+    assert main(["verify", str(path), "--n-max", "-1"]) == 2
     assert main(["jacobian", str(path), "--n", "0"]) == 2

@@ -1,8 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+from math import prod
+from pathlib import Path
 
 import pytest
 
+import matdivseq
 from matdivseq import Factorization, factorize, is_prime
+
+# Values at the trial-division bound of 10^6 and their factorizations:
+# 999983 is the largest prime below it, 1000003 the smallest above it, and
+# 999953..999983 are the five consecutive primes that end the range.
+_TOP = (999953, 999959, 999961, 999979, 999983)
+_BOUNDARY = [
+    (999983, ((999983, 1),)),
+    (999983 ** 2, ((999983, 2),)),
+    (999983 * 1000003, ((999983, 1), (1000003, 1))),
+    (1000003 ** 2, ((1000003, 2),)),
+    (prod(_TOP), tuple((p, 1) for p in _TOP)),
+]
 
 
 def _trial_division(n):
@@ -68,12 +86,15 @@ def test_factorize_spot_values():
     assert factorize(193600).factors == ((2, 6), (5, 2), (11, 2))
     f = factorize(-12)
     assert f.sign == -1 and f.factors == ((2, 2), (3, 1))
+    for n, factors in _BOUNDARY:
+        assert factorize(n) == Factorization(sign=1, factors=factors), n
 
 
 def test_factorize_reconstruction():
     rng = random.Random(151)
     samples = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(40)]
     samples += [2 ** 64 + 1, 10 ** 18 + 9, -(3 ** 40), 4295229439 ** 2 * 17489 ** 2]
+    samples += [n for n, _factors in _BOUNDARY]
     for n in samples:
         f = factorize(n)
         assert f.value() == n
@@ -106,6 +127,23 @@ def test_factorize_budget_exhaustion_leaves_cofactor():
     full = factorize(hard)
     assert full.complete
     assert full.factors == ((1000000000039, 1), (1000000000061, 1))
+    # Trial division still strips the small primes when rho gets no steps.
+    f = factorize(2 ** 5 * 999983 * hard, rho_steps=0)
+    assert f == Factorization(sign=1, factors=((2, 5), (999983, 1)), cofactor=hard)
+
+
+def test_import_builds_no_prime_table():
+    # The trial-division primes are sieved on the first factorize call only.
+    src = str(Path(matdivseq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import matdivseq\n"
+            "from matdivseq.factorint import _prime_runs\n"
+            "print(_prime_runs.cache_info().currsize)\n"
+            "matdivseq.factorize(10 ** 12 + 39)\n"
+            "print(_prime_runs.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == ["0", "1"]
 
 
 def test_factorize_perfect_powers():
