@@ -19,10 +19,10 @@ import sys
 from dataclasses import dataclass
 
 from .factorint import Factorization, factorize
-from .linalg import IntMatrix, jacobian_power_map
+from .linalg import IntMatrix, det_bareiss, jacobian_power_map
 from .polynomials import char_poly
 from .sequences import (SequenceEntry, VerificationReport, generate_sequence,
-                        jacobian_determinant, verify_closed_form, verify_divisibility)
+                        verify_closed_form, verify_divisibility)
 
 
 class MatrixParseError(ValueError):
@@ -62,6 +62,8 @@ def parse_matrix(text: str) -> MatrixDocument:
         except json.JSONDecodeError as exc:
             raise MatrixParseError(
                 f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # oversized integer, deep nesting
+            raise MatrixParseError(f"parse error: {exc}") from exc
         if not isinstance(obj, dict) or "matrix" not in obj:
             raise MatrixParseError('expected an object with a "matrix" key')
         name = obj.get("name")
@@ -82,9 +84,7 @@ def parse_matrix(text: str) -> MatrixDocument:
         rows.append(row)
     if not rows:
         raise MatrixParseError("empty input")
-    if any(len(r) != len(rows) for r in rows):
-        raise MatrixParseError("matrix must be square")
-    return MatrixDocument(matrix=IntMatrix(tuple(tuple(r) for r in rows)))
+    return MatrixDocument(matrix=_matrix_from_rows(rows))
 
 
 def _matrix_rows(x: IntMatrix) -> list[list[int]]:
@@ -108,17 +108,14 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
               factor: bool = False, column: str = "reduced") -> tuple[str, int]:
     """Render the sequence table for n = 1..n_max in the requested format."""
     x = doc.matrix
-    entries = generate_sequence(x, n_max, with_factorization=factor and column == "reduced")
+    entries = generate_sequence(x, n_max)
 
     def cell(e: SequenceEntry) -> int | None:
         return e.reduced if column == "reduced" else e.jacobian_det
 
     def factor_cell(e: SequenceEntry) -> Factorization | None:
-        if not factor:
-            return None
-        if column == "jacobian":
-            return factorize(e.jacobian_det)
-        return e.factorization
+        v = cell(e)
+        return factorize(v) if factor and v is not None else None
 
     if fmt == "json":
         payload = {
@@ -178,8 +175,7 @@ def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str,
     """Closed-form and divisibility verification; exit 1 on any hard failure."""
     x = doc.matrix
     cf = verify_closed_form(x, n_max)
-    entries = generate_sequence(x, n_max)
-    div_reports = [verify_divisibility(entries, col, x.fingerprint())
+    div_reports = [verify_divisibility(cf.entries, col, x.fingerprint())
                    for col in ("jacobian", "reduced")]
     passed = cf.passed and all(r.passed for r in div_reports)
     code = 0 if passed else 1
@@ -233,7 +229,7 @@ def run_charpoly(doc: MatrixDocument, fmt: str = "text") -> tuple[str, int]:
 def run_jacobian(doc: MatrixDocument, n: int, fmt: str = "text") -> tuple[str, int]:
     """Render the power-map derivative matrix at n and its determinant."""
     j = jacobian_power_map(doc.matrix, n)
-    det = jacobian_determinant(doc.matrix, n)
+    det = det_bareiss(j)
     if fmt == "json":
         payload = {
             "n": n,
@@ -251,10 +247,13 @@ def run_jacobian(doc: MatrixDocument, n: int, fmt: str = "text") -> tuple[str, i
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"input is not UTF-8 text: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -72,7 +72,8 @@ class VerificationReport:
 
     ``mismatches`` are hard failures (the closed form disagreeing with the
     Jacobian determinant); ``notes`` are informational only and never fail
-    the report.
+    the report. ``entries`` are the sequence entries that were checked, as
+    :func:`generate_sequence` returned them (empty for divisibility reports).
     """
 
     fingerprint: str
@@ -81,6 +82,7 @@ class VerificationReport:
     pairs: tuple[PairCheck, ...] = ()
     mismatches: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
+    entries: tuple[SequenceEntry, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -198,8 +200,8 @@ def _divides(a: int, b: int) -> bool:
     return b % a == 0
 
 
-def verify_divisibility(entries: list[SequenceEntry], column: str = "reduced",
-                        fingerprint: str = "") -> VerificationReport:
+def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
+                        column: str = "reduced", fingerprint: str = "") -> VerificationReport:
     """Check d_n | d_m for every pair n | m covered by ``entries``.
 
     ``column`` selects which value is checked: "reduced" or "jacobian".
@@ -227,28 +229,26 @@ def verify_divisibility(entries: list[SequenceEntry], column: str = "reduced",
 
 
 def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
-    """Compare the closed form against the Jacobian determinant for n <= n_max.
+    """Check the entries of :func:`generate_sequence` against the Jacobian determinant.
 
-    A disagreement of the n^s form is a hard mismatch. The n^2 variant is
-    compared as well; for dimensions other than 2 its disagreement is
-    expected and recorded as an informational note.
+    The determinant is taken once per closed-form n (a fallback entry already
+    holds it); a disagreement of the n^s form is a hard mismatch. For
+    dimensions other than 2 the n^2 variant's disagreement is expected and
+    recorded as an informational note. The report carries the checked entries.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    entries = tuple(generate_sequence(x, n_max))
     s = x.dim
-    spectral = _spectral(x)
-    _f, _disc, _det, distinct = spectral
     mismatches = []
     notes = []
-    if not distinct:
+    if any(e.fallback_used for e in entries):
         notes.append("repeated eigenvalues: closed form unavailable, "
                      "entries use the Jacobian determinant directly")
     n_squared_note_done = False
-    for n in range(1, n_max + 1):
-        oracle = jacobian_determinant(x, n)
-        if not distinct:
+    for entry in entries:
+        if entry.fallback_used:
             continue
-        entry = _entry(x, spectral, n)
+        n = entry.n
+        oracle = jacobian_determinant(x, n)
         if entry.jacobian_det != oracle:
             mismatches.append(f"n={n}: closed form {entry.jacobian_det} "
                               f"!= Jacobian determinant {oracle}")
@@ -258,4 +258,5 @@ def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
                          f"(dim {s} carries n^{s})")
             n_squared_note_done = True
     return VerificationReport(fingerprint=x.fingerprint(), n_max=n_max,
-                              mismatches=tuple(mismatches), notes=tuple(notes))
+                              mismatches=tuple(mismatches), notes=tuple(notes),
+                              entries=entries)

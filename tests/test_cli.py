@@ -3,7 +3,10 @@ import json
 
 import pytest
 
-from matdivseq import IntMatrix
+import matdivseq.cli
+import matdivseq.linalg
+import matdivseq.sequences
+from matdivseq import IntMatrix, generate_sequence, verify_closed_form
 from matdivseq.cli import (MatrixDocument, MatrixParseError, main, parse_matrix,
                            run_charpoly, run_jacobian, run_table, run_verify)
 
@@ -90,6 +93,8 @@ def test_run_table_jacobian_column():
     out, _ = run_table(doc, 3, "text", column="jacobian")
     values = [int(line.split(" | ")[1]) for line in out.splitlines()]
     assert values == [1, 8 * 100, 27 * 6561]
+    out, _ = run_table(doc, 3, "text", factor=True, column="jacobian")
+    assert out.splitlines() == ["1 | 1 | 1", "2 | 800 | 2^5 5^2", "3 | 177147 | 3^11"]
 
 
 def test_run_table_formats_agree():
@@ -156,6 +161,43 @@ def test_run_verify_failure_exit_code(monkeypatch):
     assert "result: FAIL" in out
 
 
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("x, per_n", [
+    (X3, {"jacobian_determinant": 1, "power_polynomial": 1}),
+    (IntMatrix([[1, 1], [0, 1]]), {"jacobian_determinant": 1}),  # repeated eigenvalue
+])
+def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
+    counts = {}
+    for name in ("jacobian_determinant", "power_polynomial"):
+        _count_calls(monkeypatch, matdivseq.sequences, name, counts)
+    _out, code = run_verify(MatrixDocument(matrix=x), 6)
+    assert code == 0
+    assert counts == {name: 6 * k for name, k in per_n.items()}
+
+
+def test_verify_closed_form_reports_the_generated_entries():
+    for x in (X3, IntMatrix([[1, 1], [0, 1]])):
+        assert verify_closed_form(x, 5).entries == tuple(generate_sequence(x, 5))
+
+
+def test_run_jacobian_builds_the_matrix_once(monkeypatch):
+    counts = {}
+    for module in (matdivseq.cli, matdivseq.sequences, matdivseq.linalg):
+        _count_calls(monkeypatch, module, "jacobian_power_map", counts)
+    out, _ = run_jacobian(parse_matrix(X3_JSON), 2)
+    assert out.splitlines()[-1] == "det: 800"
+    assert counts == {"jacobian_power_map": 1}
+
+
 def test_run_charpoly():
     out, code = run_charpoly(parse_matrix(X3_JSON))
     assert code == 0
@@ -217,6 +259,16 @@ def test_main_input_errors(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "square" in err
+    hostile = {
+        "not_utf8.json": b'{"matrix": [[1]]}\xff',
+        "huge_int.json": b'{"matrix": [[' + b"9" * 5000 + b']]}',  # past the str digit limit
+        "deep.json": b'{"matrix": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    }
+    for name, content in hostile.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["table", str(path)]) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
 
 
 def test_main_rejects_bad_n(tmp_path):
