@@ -78,9 +78,12 @@ def parse_matrix(text: str) -> MatrixDocument:
         for token in line.split():
             try:
                 row.append(int(token, 10))
-            except ValueError:
-                raise MatrixParseError(
-                    f"integer entries required (line {lineno}: {token!r})") from None
+            except ValueError as exc:
+                # CPython's int-from-str digit limit; an invalid literal says otherwise.
+                reason = ("integer exceeds the digit limit" if "Exceeds the limit" in str(exc)
+                          else "integer entries required")
+                shown = token if len(token) <= 20 else token[:20] + "..."  # keep the line short
+                raise MatrixParseError(f"{reason} (line {lineno}: {shown!r})") from None
         rows.append(row)
     if not rows:
         raise MatrixParseError("empty input")

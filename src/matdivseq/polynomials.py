@@ -2,7 +2,9 @@
 
 Everything here stays in exact integer arithmetic. Eigenvalues are never
 materialized: symmetric functions of the roots are pushed around instead,
-via Newton's identities and resultants.
+via Newton's identities. The discriminant is the determinant of the d x d
+Hankel matrix of power sums; the Sylvester resultant is kept as the
+reference it is checked against.
 
 Coefficients are stored leading-first, so ``(1, -3, -3, -1)`` is
 ``x^3 - 3x^2 - 3x - 1``.
@@ -124,21 +126,19 @@ def char_poly(x: IntMatrix) -> MonicIntPolynomial:
 def power_sums(f: MonicIntPolynomial, count: int) -> PowerSums:
     """Power sums p_0..p_count of the roots of ``f`` via Newton's identities.
 
-    For k beyond the degree the linear recurrence given by the coefficients
-    takes over; all values are integers, no division occurs.
+    With ``f = x^d + a_1 x^(d-1) + ... + a_d`` and ``a_k = 0`` for k > d,
+    ``p_k = -(a_1 p_(k-1) + ... + a_(k-1) p_1) - k a_k``: all values are
+    integers, no division occurs.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     d = f.degree
-    # e[i] = i-th elementary symmetric function = (-1)^i * coefficient
-    e = [(-1) ** i * f.coefficients[i] for i in range(d + 1)]
+    a = f.coefficients
     p = [d]
     for k in range(1, count + 1):
+        acc = -sum(a[i] * p[k - i] for i in range(1, min(k, d + 1)))
         if k <= d:
-            acc = sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, k))
-            acc += (-1) ** (k - 1) * k * e[k]
-        else:
-            acc = sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, d + 1))
+            acc -= k * a[k]
         p.append(acc)
     return PowerSums(tuple(p))
 
@@ -165,18 +165,34 @@ def poly_from_power_sums(p: PowerSums, degree: int) -> MonicIntPolynomial:
     return MonicIntPolynomial(tuple((-1) ** i * e[i] for i in range(degree + 1)))
 
 
-def power_polynomial(f: MonicIntPolynomial, n: int) -> MonicIntPolynomial:
+def _checked_sums(f: MonicIntPolynomial, sums: PowerSums | None, count: int) -> PowerSums:
+    """``sums`` when they are f's power sums through at least p_count, else computed."""
+    if sums is None:
+        return power_sums(f, count)
+    if sums.degree != f.degree:
+        raise ValueError(f"power sums of a degree-{sums.degree} polynomial given "
+                         f"for degree {f.degree}")
+    if sums.count < count:
+        raise ValueError(f"power sums through p_{count} required, got p_{sums.count}")
+    return sums
+
+
+def power_polynomial(f: MonicIntPolynomial, n: int,
+                     sums: PowerSums | None = None) -> MonicIntPolynomial:
     """Monic polynomial whose roots are the n-th powers of the roots of ``f``.
 
     The power sums of the new roots are p_n, p_2n, ..., p_dn of the old
     ones, so this is power sum extraction followed by inverse Newton.
+    ``sums`` are f's power sums through at least p_dn when the caller
+    already has them (one pass serves every n up to a bound); without
+    them they are computed here. Sums of the wrong degree or too short
+    raise :class:`ValueError`.
     """
     if n < 1:
         raise ValueError("n must be positive")
     d = f.degree
-    p = power_sums(f, d * n)
-    picked = PowerSums((d,) + tuple(p.values[k * n] for k in range(1, d + 1)))
-    return poly_from_power_sums(picked, d)
+    p = _checked_sums(f, sums, d * n).values
+    return poly_from_power_sums(PowerSums((d,) + p[n:d * n + 1:n]), d)
 
 
 def sylvester_matrix(f: Sequence[int], g: Sequence[int]) -> IntMatrix:
@@ -211,14 +227,20 @@ def resultant(f: MonicIntPolynomial, g) -> int:
     return det_bareiss(sylvester_matrix(f.coefficients, _coefficients_of(g)))
 
 
-def discriminant(f: MonicIntPolynomial) -> int:
+def discriminant(f: MonicIntPolynomial, sums: PowerSums | None = None) -> int:
     """Discriminant of monic ``f``: the squared product of root differences.
 
-    Zero exactly when ``f`` has a repeated root. Sign convention:
-    ``(-1)^(d(d-1)/2) * resultant(f, f')``.
+    Zero exactly when ``f`` has a repeated root. With V the Vandermonde
+    matrix ``V[k][i] = a_i^k`` of the roots a_i, ``prod_(i<j) (a_i - a_j)^2
+    = det(V)^2 = det(V V^T)``, and ``V V^T`` is the d x d Hankel matrix
+    ``[p_(j+k)]`` of the power sums p_0..p_(2d-2), so the value is a Bareiss
+    determinant of that integer matrix. It equals
+    ``(-1)^(d(d-1)/2) * resultant(f, f')``, the Sylvester form. ``sums`` are
+    f's power sums through at least p_(2d-2) when the caller already has
+    them, as in :func:`power_polynomial`.
     """
     d = f.degree
     if d < 2:
         raise ValueError("discriminant requires degree at least 2")
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative())
+    p = _checked_sums(f, sums, 2 * d - 2).values
+    return det_bareiss(IntMatrix(tuple(p[i:i + d] for i in range(d))))

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 from .factorint import Factorization, factorize
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map
-from .polynomials import MonicIntPolynomial, char_poly, discriminant, power_polynomial
+from .polynomials import (MonicIntPolynomial, PowerSums, char_poly, discriminant,
+                          power_polynomial, power_sums)
 
 
 class RepeatedEigenvalueError(ValueError):
@@ -94,21 +95,27 @@ def jacobian_determinant(x: IntMatrix, n: int) -> int:
     return det_bareiss(jacobian_power_map(x, n))
 
 
-def _spectral(x: IntMatrix) -> tuple[MonicIntPolynomial, int | None, int, bool]:
-    """Characteristic polynomial, its discriminant, det(x), eigenvalue distinctness."""
+def _spectral(x: IntMatrix, n_max: int) -> tuple[MonicIntPolynomial, PowerSums | None,
+                                                 int | None, int, bool]:
+    """Characteristic polynomial f, its power sums, its discriminant, det(x), distinctness.
+
+    One pass of power sums serves the discriminant of f and the power
+    polynomial of every n <= n_max; both are None for a 1x1 matrix.
+    """
     f = char_poly(x)
     s = x.dim
     det_x = (-1) ** s * f.coefficients[-1]
     if s == 1:
-        return f, None, det_x, True
-    disc_f = discriminant(f)
-    return f, disc_f, det_x, disc_f != 0
+        return f, None, None, det_x, True
+    sums = power_sums(f, max(2 * s - 2, s * n_max))
+    disc_f = discriminant(f, sums)
+    return f, sums, disc_f, det_x, disc_f != 0
 
 
-def _ratio(f: MonicIntPolynomial, disc_f: int | None, n: int) -> int:
+def _ratio(f: MonicIntPolynomial, sums: PowerSums | None, disc_f: int | None, n: int) -> int:
     if f.degree == 1:
         return 1
-    g = power_polynomial(f, n)
+    g = power_polynomial(f, n, sums)
     q, r = divmod(discriminant(g), disc_f)
     if r:
         raise AssertionError("discriminant ratio is not an integer")
@@ -124,20 +131,20 @@ def discriminant_ratio(x: IntMatrix, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    f, disc_f, _, distinct = _spectral(x)
+    f, sums, disc_f, _, distinct = _spectral(x, n)
     if not distinct:
         raise RepeatedEigenvalueError(
             "characteristic polynomial has a repeated root; "
             "compute via jacobian_determinant instead")
-    return _ratio(f, disc_f, n)
+    return _ratio(f, sums, disc_f, n)
 
 
 def _entry(x: IntMatrix, spectral, n: int) -> SequenceEntry:
-    f, disc_f, det_x, distinct = spectral
+    f, sums, disc_f, det_x, distinct = spectral
     s = x.dim
     if distinct:
         # det_x ** 0 == 1 even for singular x, so n = 1 is always safe.
-        reduced = det_x ** (n - 1) * _ratio(f, disc_f, n)
+        reduced = det_x ** (n - 1) * _ratio(f, sums, disc_f, n)
         return SequenceEntry(n=n, jacobian_det=n ** s * reduced, reduced=reduced,
                              n_squared_value=n * n * reduced, fallback_used=False)
     d = jacobian_determinant(x, n)
@@ -156,7 +163,7 @@ def closed_form_entry(x: IntMatrix, n: int) -> SequenceEntry:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _entry(x, _spectral(x), n)
+    return _entry(x, _spectral(x, n), n)
 
 
 def lucas_2x2(x: IntMatrix, n: int) -> int:
@@ -183,7 +190,7 @@ def generate_sequence(x: IntMatrix, n_max: int,
     """Entries for n = 1..n_max, optionally with the reduced value factorized."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    spectral = _spectral(x)
+    spectral = _spectral(x, n_max)
     entries = []
     for n in range(1, n_max + 1):
         entry = _entry(x, spectral, n)

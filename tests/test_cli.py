@@ -263,12 +263,17 @@ def test_main_input_errors(tmp_path, capsys):
         "not_utf8.json": b'{"matrix": [[1]]}\xff',
         "huge_int.json": b'{"matrix": [[' + b"9" * 5000 + b']]}',  # past the str digit limit
         "deep.json": b'{"matrix": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+        "huge_int.txt": b"9" * 5000 + b"\n",
+        "long_token.txt": b"1 " + b"x" * 5000 + b"\n3 4\n",
     }
     for name, content in hostile.items():
         path = tmp_path / name
         path.write_bytes(content)
         assert main(["table", str(path)]) == 2, name
-        assert capsys.readouterr().err.startswith("error: "), name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200, name
+    main(["table", str(tmp_path / "huge_int.txt")])
+    assert "exceeds the digit limit" in capsys.readouterr().err
 
 
 def test_main_rejects_bad_n(tmp_path):

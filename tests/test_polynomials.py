@@ -139,6 +139,26 @@ def test_power_polynomial_composition():
         assert power_polynomial(power_polynomial(f, n), m) == power_polynomial(f, n * m)
 
 
+def test_power_polynomial_takes_precomputed_sums():
+    rng = random.Random(109)
+    for _ in range(15):
+        d = rng.randint(1, 5)
+        f = MonicIntPolynomial((1,) + tuple(rng.randint(-5, 5) for _ in range(d)))
+        n = rng.randint(1, 9)
+        expected = power_polynomial(f, n)
+        assert power_polynomial(f, n, power_sums(f, d * n)) == expected
+        assert power_polynomial(f, n, power_sums(f, d * n + 7)) == expected
+
+
+def test_power_polynomial_rejects_unusable_sums():
+    with pytest.raises(ValueError, match="through p_9"):
+        power_polynomial(X3_POLY, 3, power_sums(X3_POLY, 8))
+    with pytest.raises(ValueError, match="degree"):
+        power_polynomial(X3_POLY, 2, power_sums(FIB_POLY, 10))
+    with pytest.raises(ValueError, match="through p_4"):
+        discriminant(X3_POLY, power_sums(X3_POLY, 3))
+
+
 def test_power_polynomial_constant_term_norm():
     rng = random.Random(107)
     for _ in range(15):
@@ -201,3 +221,34 @@ def test_discriminant_zero_iff_repeated_root():
             assert discriminant(f) == 0
         else:
             assert discriminant(f) != 0
+
+
+def _sylvester_discriminant(f):
+    d = f.degree
+    return (-1) ** (d * (d - 1) // 2) * resultant(f, f.derivative())
+
+
+def test_discriminant_matches_sylvester_form():
+    rng = random.Random(131)
+    polys = []
+    for d in range(2, 9):
+        for _ in range(6):
+            polys.append((1,) + tuple(rng.randint(-7, 7) for _ in range(d)))
+        roots = [rng.randint(-4, 4) for _ in range(d - 1)]
+        coeffs = [1]
+        for r in roots + roots[:1]:  # a double root: the discriminant is 0
+            coeffs = _poly_mul(coeffs, [1, -r])
+        polys.append(tuple(coeffs))
+        # p_1 = p_2 = 0 makes the Hankel pivot at (1, 1) vanish: Bareiss swaps rows.
+        polys.append((1, 0, 0) + tuple(rng.randint(-7, 7) for _ in range(d - 2)))
+        polys.append((1,) + (0,) * (d - 1) + (rng.choice((-3, -1, 1, 2)),))
+    seen_zero = seen_swap = False
+    for coeffs in polys:
+        f = MonicIntPolynomial(coeffs)
+        p = power_sums(f, 2)
+        seen_swap |= f.degree > 2 and p.values[0] * p.values[2] == p.values[1] ** 2
+        value = discriminant(f)
+        seen_zero |= value == 0
+        assert value == _sylvester_discriminant(f), coeffs
+        assert discriminant(f, power_sums(f, 2 * f.degree)) == value
+    assert seen_zero and seen_swap

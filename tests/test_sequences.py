@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import matdivseq
 from matdivseq import (IntMatrix, RepeatedEigenvalueError, SequenceEntry, char_poly,
                        closed_form_entry, det_bareiss, discriminant, discriminant_ratio,
                        generate_sequence, jacobian_determinant, jacobian_power_map,
@@ -131,6 +132,24 @@ def test_generate_sequence_x4_first_three():
     entries = generate_sequence(X4, 3)
     assert [e.reduced for e in entries] == [1, 65536, 1]
     assert all(e.factorization is None for e in entries)
+
+
+def test_generate_sequence_takes_one_power_sum_pass(monkeypatch):
+    f = char_poly(X4)
+    monkeypatch.setattr(matdivseq.sequences, "char_poly", lambda x: f)
+    original = matdivseq.polynomials.power_sums
+    calls = []
+
+    def counted(g, count):
+        if g is f:  # not g_1, which equals f; its sums serve disc(g_1)
+            calls.append(count)
+        return original(g, count)
+
+    for module in (matdivseq.sequences, matdivseq.polynomials):
+        monkeypatch.setattr(module, "power_sums", counted, raising=False)
+    entries = generate_sequence(X4, 12)
+    assert not any(e.fallback_used for e in entries)
+    assert calls == [4 * 12]
 
 
 def test_generate_sequence_identity_fallback():
