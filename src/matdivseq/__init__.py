@@ -7,8 +7,8 @@ verifies the two against each other, and factors the results.
 """
 
 from .factorint import Factorization, factorize, is_prime
-from .linalg import (IntMatrix, det_bareiss, jacobian_power_map, kronecker, mat_add,
-                     mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
+from .linalg import (IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps,
+                     kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
 from .polynomials import (MonicIntPolynomial, NotRealizableError, PowerSums, char_poly,
                           discriminant, poly_from_power_sums, power_polynomial,
                           power_sums, resultant, sylvester_matrix)
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Factorization", "factorize", "is_prime",
-    "IntMatrix", "det_bareiss", "jacobian_power_map", "kronecker", "mat_add",
-    "mat_mul", "mat_pow", "mat_vec", "power_map_derivative", "vec",
+    "IntMatrix", "det_bareiss", "jacobian_power_map", "jacobian_power_maps", "kronecker",
+    "mat_add", "mat_mul", "mat_pow", "mat_vec", "power_map_derivative", "vec",
     "MonicIntPolynomial", "NotRealizableError", "PowerSums", "char_poly",
     "discriminant", "poly_from_power_sums", "power_polynomial", "power_sums",
     "resultant", "sylvester_matrix",

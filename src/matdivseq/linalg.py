@@ -8,7 +8,8 @@ no modular shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,9 @@ def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
     ``sum_{k=0}^{n-1} (X^T)^k (x) X^(n-1-k)``; with the column-stacking
     ``vec`` convention this matrix satisfies
     ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``.
+
+    This is the single-n reference: at one n it is cheaper than stepping
+    :func:`jacobian_power_maps`, which builds every J_n of a table.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -168,6 +172,40 @@ def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
     for k in range(1, n):
         total = mat_add(total, kronecker(xt_pows[k], x_pows[n - 1 - k]))
     return total
+
+
+def jacobian_power_maps(x: IntMatrix, n_max: int) -> Iterator[IntMatrix]:
+    """Lazily yield J_1, ..., J_(n_max), equal to :func:`jacobian_power_map` at each n.
+
+    Steps ``J_1 = I`` and ``J_(n+1) = (I (x) X) J_n + (X^T)^n (x) I``:
+    block (i, j) of the next J is ``X . block_ij + (X^n)_ji * I``, s^5
+    multiplications per step. Only the current J_n and X^n are held, so
+    memory does not grow with ``n_max``.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    return _jacobian_steps(x.entries, n_max)
+
+
+def _jacobian_steps(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[IntMatrix]:
+    s = len(x)
+    size = s * s
+    x_cols = tuple(zip(*x))
+    j = [[int(r == c) for c in range(size)] for r in range(size)]
+    yield IntMatrix(j)
+    x_pow = x
+    for _ in range(n_max - 1):
+        nxt = []
+        for i in range(s):
+            block_cols = list(zip(*j[i * s:(i + 1) * s]))
+            for p in range(s):
+                row = [sum(map(mul, x[p], col)) for col in block_cols]
+                for jb in range(s):  # (X^n)_(jb, i) on the diagonal of block (i, jb)
+                    row[jb * s + p] += x_pow[jb][i]
+                nxt.append(row)
+        j = nxt
+        yield IntMatrix(j)
+        x_pow = [[sum(map(mul, row, col)) for col in x_cols] for row in x_pow]
 
 
 def power_map_derivative(x: IntMatrix, e: IntMatrix, n: int) -> IntMatrix:

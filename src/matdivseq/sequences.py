@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .factorint import Factorization, factorize
-from .linalg import IntMatrix, det_bareiss, jacobian_power_map
+from .linalg import IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps
 from .polynomials import (MonicIntPolynomial, PowerSums, char_poly, discriminant,
                           power_polynomial, power_sums)
 
@@ -139,15 +139,15 @@ def discriminant_ratio(x: IntMatrix, n: int) -> int:
     return _ratio(f, sums, disc_f, n)
 
 
-def _entry(x: IntMatrix, spectral, n: int) -> SequenceEntry:
-    f, sums, disc_f, det_x, distinct = spectral
-    s = x.dim
-    if distinct:
-        # det_x ** 0 == 1 even for singular x, so n = 1 is always safe.
-        reduced = det_x ** (n - 1) * _ratio(f, sums, disc_f, n)
-        return SequenceEntry(n=n, jacobian_det=n ** s * reduced, reduced=reduced,
-                             n_squared_value=n * n * reduced, fallback_used=False)
-    d = jacobian_determinant(x, n)
+def _closed_form(s: int, spectral, n: int) -> SequenceEntry:
+    f, sums, disc_f, det_x, _ = spectral
+    # det_x ** 0 == 1 even for singular x, so n = 1 is always safe.
+    reduced = det_x ** (n - 1) * _ratio(f, sums, disc_f, n)
+    return SequenceEntry(n=n, jacobian_det=n ** s * reduced, reduced=reduced,
+                         n_squared_value=n * n * reduced, fallback_used=False)
+
+
+def _fallback(s: int, n: int, d: int) -> SequenceEntry:
     q, r = divmod(d, n ** s)
     return SequenceEntry(n=n, jacobian_det=d, reduced=q if r == 0 else None,
                          n_squared_value=None, fallback_used=True)
@@ -163,7 +163,10 @@ def closed_form_entry(x: IntMatrix, n: int) -> SequenceEntry:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _entry(x, _spectral(x, n), n)
+    spectral = _spectral(x, n)
+    if spectral[-1]:
+        return _closed_form(x.dim, spectral, n)
+    return _fallback(x.dim, n, jacobian_determinant(x, n))
 
 
 def lucas_2x2(x: IntMatrix, n: int) -> int:
@@ -187,16 +190,23 @@ def lucas_2x2(x: IntMatrix, n: int) -> int:
 
 def generate_sequence(x: IntMatrix, n_max: int,
                       with_factorization: bool = False) -> list[SequenceEntry]:
-    """Entries for n = 1..n_max, optionally with the reduced value factorized."""
+    """Entries for n = 1..n_max, optionally with the reduced value factorized.
+
+    With a repeated eigenvalue every d_n is the determinant of the J_n that
+    :func:`jacobian_power_maps` steps to, one recurrence over the table.
+    """
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    s = x.dim
     spectral = _spectral(x, n_max)
-    entries = []
-    for n in range(1, n_max + 1):
-        entry = _entry(x, spectral, n)
-        if with_factorization and entry.reduced is not None:
-            entry = replace(entry, factorization=factorize(entry.reduced))
-        entries.append(entry)
+    if spectral[-1]:
+        entries = [_closed_form(s, spectral, n) for n in range(1, n_max + 1)]
+    else:
+        entries = [_fallback(s, n, det_bareiss(j))
+                   for n, j in enumerate(jacobian_power_maps(x, n_max), 1)]
+    if with_factorization:
+        entries = [e if e.reduced is None else replace(e, factorization=factorize(e.reduced))
+                   for e in entries]
     return entries
 
 
@@ -238,10 +248,11 @@ def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...]
 def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
     """Check the entries of :func:`generate_sequence` against the Jacobian determinant.
 
-    The determinant is taken once per closed-form n (a fallback entry already
-    holds it); a disagreement of the n^s form is a hard mismatch. For
-    dimensions other than 2 the n^2 variant's disagreement is expected and
-    recorded as an informational note. The report carries the checked entries.
+    The determinant is taken once per closed-form n, of the J_n that
+    :func:`jacobian_power_maps` steps to (fallback entries already hold it);
+    a disagreement of the n^s form is a hard mismatch. For dimensions other
+    than 2 the n^2 variant's disagreement is expected and recorded as an
+    informational note. The report carries the checked entries.
     """
     entries = tuple(generate_sequence(x, n_max))
     s = x.dim
@@ -250,12 +261,13 @@ def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
     if any(e.fallback_used for e in entries):
         notes.append("repeated eigenvalues: closed form unavailable, "
                      "entries use the Jacobian determinant directly")
+        checked = ()
+    else:
+        checked = zip(entries, jacobian_power_maps(x, n_max))
     n_squared_note_done = False
-    for entry in entries:
-        if entry.fallback_used:
-            continue
+    for entry, j in checked:
         n = entry.n
-        oracle = jacobian_determinant(x, n)
+        oracle = det_bareiss(j)
         if entry.jacobian_det != oracle:
             mismatches.append(f"n={n}: closed form {entry.jacobian_det} "
                               f"!= Jacobian determinant {oracle}")

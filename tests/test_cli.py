@@ -5,6 +5,7 @@ import pytest
 
 import matdivseq.cli
 import matdivseq.linalg
+import matdivseq.polynomials
 import matdivseq.sequences
 from matdivseq import IntMatrix, generate_sequence, verify_closed_form
 from matdivseq.cli import (MatrixDocument, MatrixParseError, main, parse_matrix,
@@ -172,16 +173,30 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 @pytest.mark.parametrize("x, per_n", [
-    (X3, {"jacobian_determinant": 1, "power_polynomial": 1}),
-    (IntMatrix([[1, 1], [0, 1]]), {"jacobian_determinant": 1}),  # repeated eigenvalue
+    (X3, {"jacobian_det": 1, "power_polynomial": 1}),
+    (IntMatrix([[1, 1], [0, 1]]), {"jacobian_det": 1}),  # repeated eigenvalue
 ])
 def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
     counts = {}
-    for name in ("jacobian_determinant", "power_polynomial"):
-        _count_calls(monkeypatch, matdivseq.sequences, name, counts)
+    _count_calls(monkeypatch, matdivseq.sequences, "power_polynomial", counts)
+    det = matdivseq.sequences.det_bareiss
+
+    def counted_det(a):
+        if a.dim == x.dim ** 2:
+            counts["jacobian_det"] = counts.get("jacobian_det", 0) + 1
+        return det(a)
+
+    monkeypatch.setattr(matdivseq.sequences, "det_bareiss", counted_det)
+    building = {}
+    _count_calls(monkeypatch, matdivseq.linalg, "kronecker", building)
+    for module in (matdivseq.linalg, matdivseq.polynomials):
+        _count_calls(monkeypatch, module, "mat_mul", building)
     _out, code = run_verify(MatrixDocument(matrix=x), 6)
     assert code == 0
     assert counts == {name: 6 * k for name, k in per_n.items()}
+    # The table's Jacobians come from one recurrence, not a Kronecker sum per n.
+    assert "kronecker" not in building
+    assert building.get("mat_mul", 0) <= 6
 
 
 def test_verify_closed_form_reports_the_generated_entries():

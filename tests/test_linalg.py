@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from matdivseq import (IntMatrix, det_bareiss, jacobian_power_map, kronecker, mat_add,
-                       mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
+from matdivseq import (IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps,
+                       kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative,
+                       vec)
 
 from golden_tables import X3
 from helpers import det_cofactor, random_matrix
@@ -153,6 +154,40 @@ def test_jacobian_recurrence():
             expected = mat_add(kronecker(ident, mat_pow(x, n - 1)),
                                mat_mul(kronecker(xt, ident), jacobian_power_map(x, n - 1)))
             assert jacobian_power_map(x, n) == expected
+
+
+def _special_matrices(dim):
+    """Singular, nilpotent, Jordan-block and negative-determinant matrices of one size."""
+    ones = IntMatrix([[1] * dim for _ in range(dim)])  # rank 1
+    shift = IntMatrix([[int(j == i + 1) for j in range(dim)] for i in range(dim)])
+    jordan = IntMatrix([[2 if i == j else int(j == i + 1) for j in range(dim)]
+                        for i in range(dim)])
+    flip = IntMatrix([[-1 if i == j == 0 else int(i == j) for j in range(dim)]
+                      for i in range(dim)])
+    return [ones, shift, jordan, mat_mul(flip, jordan)]
+
+
+def test_jacobian_power_maps_match_the_kronecker_sum():
+    rng = random.Random(97)
+    for dim in range(1, 6):
+        cases = [random_matrix(rng, dim) for _ in range(2)] + _special_matrices(dim)
+        assert det_bareiss(cases[-1]) < 0
+        for x in cases:
+            for n, j in enumerate(jacobian_power_maps(x, 12), 1):
+                assert j == jacobian_power_map(x, n), (x.fingerprint(), n)
+
+
+def test_jacobian_power_maps_yields_n_max_matrices():
+    for n_max in (1, 2, 7):
+        assert len(list(jacobian_power_maps(X3, n_max))) == n_max
+    with pytest.raises(ValueError, match="n_max"):
+        jacobian_power_maps(X3, 0)
+    with pytest.raises(ValueError, match="n_max"):
+        jacobian_power_maps(X3, -3)
+
+
+def test_jacobian_power_maps_is_lazy():
+    assert next(jacobian_power_maps(X3, 10 ** 9)) == IntMatrix.identity(9)
 
 
 def test_jacobian_transpose_invariance():
