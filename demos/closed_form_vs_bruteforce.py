@@ -2,8 +2,11 @@
 
 The brute-force route builds the s^2 x s^2 derivative matrix of X -> X^n
 and takes its determinant. The closed form stays in degree-s polynomial
-land: n^s * det(X)^(n-1) * disc(g_n)/disc(f), where f is the
-characteristic polynomial and g_n has the n-th powers of its roots.
+land: n^s * det(X)^(n-1) * u_n^2, where u_n, the product of
+(a_i^n - a_j^n)/(a_i - a_j) over pairs of eigenvalues, is one
+(s-1) x (s-1) determinant of the complete homogeneous sums of the roots
+of the characteristic polynomial f. u_n^2 is the discriminant ratio
+disc(g_n)/disc(f), where g_n has the n-th powers of the roots of f.
 
 Both are exact; this script checks they agree and times them as n grows.
 It also prints the n^2 variant of the formula, which matches the true

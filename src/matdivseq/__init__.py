@@ -10,8 +10,8 @@ from .factorint import Factorization, factorize, is_prime
 from .linalg import (IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps,
                      kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
 from .polynomials import (MonicIntPolynomial, NotRealizableError, PowerSums, char_poly,
-                          discriminant, poly_from_power_sums, power_polynomial,
-                          power_sums, resultant, sylvester_matrix)
+                          discriminant, generalized_lucas, poly_from_power_sums,
+                          power_polynomial, power_sums, resultant, sylvester_matrix)
 from .sequences import (PairCheck, RepeatedEigenvalueError, SequenceEntry,
                         VerificationReport, closed_form_entry, discriminant_ratio,
                         generate_sequence, jacobian_determinant, lucas_2x2,
@@ -24,8 +24,8 @@ __all__ = [
     "IntMatrix", "det_bareiss", "jacobian_power_map", "jacobian_power_maps", "kronecker",
     "mat_add", "mat_mul", "mat_pow", "mat_vec", "power_map_derivative", "vec",
     "MonicIntPolynomial", "NotRealizableError", "PowerSums", "char_poly",
-    "discriminant", "poly_from_power_sums", "power_polynomial", "power_sums",
-    "resultant", "sylvester_matrix",
+    "discriminant", "generalized_lucas", "poly_from_power_sums", "power_polynomial",
+    "power_sums", "resultant", "sylvester_matrix",
     "PairCheck", "RepeatedEigenvalueError", "SequenceEntry", "VerificationReport",
     "closed_form_entry", "discriminant_ratio", "generate_sequence",
     "jacobian_determinant", "lucas_2x2", "verify_closed_form", "verify_divisibility",

@@ -1,10 +1,11 @@
-"""Characteristic polynomials, power sums, resultants and discriminants.
+"""Characteristic polynomials, power sums, resultants, discriminants and Lucas numbers.
 
 Everything here stays in exact integer arithmetic. Eigenvalues are never
 materialized: symmetric functions of the roots are pushed around instead,
 via Newton's identities. The discriminant is the determinant of the d x d
-Hankel matrix of power sums; the Sylvester resultant is kept as the
-reference it is checked against.
+Hankel matrix of power sums, checked against the Sylvester resultant. The
+generalized Lucas numbers are Jacobi-Trudi determinants of complete
+homogeneous sums, checked against discriminants of power polynomials.
 
 Coefficients are stored leading-first, so ``(1, -3, -3, -1)`` is
 ``x^3 - 3x^2 - 3x - 1``.
@@ -13,6 +14,7 @@ Coefficients are stored leading-first, so ``(1, -3, -3, -1)`` is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .linalg import IntMatrix, det_bareiss, mat_mul
@@ -96,10 +98,6 @@ class PowerSums:
     def count(self) -> int:
         return len(self.values) - 1
 
-    @property
-    def degree(self) -> int:
-        return self.values[0]
-
 
 def char_poly(x: IntMatrix) -> MonicIntPolynomial:
     """Characteristic polynomial det(tI - X), monic of degree ``x.dim``.
@@ -165,33 +163,16 @@ def poly_from_power_sums(p: PowerSums, degree: int) -> MonicIntPolynomial:
     return MonicIntPolynomial(tuple((-1) ** i * e[i] for i in range(degree + 1)))
 
 
-def _checked_sums(f: MonicIntPolynomial, sums: PowerSums | None, count: int) -> PowerSums:
-    """``sums`` when they are f's power sums through at least p_count, else computed."""
-    if sums is None:
-        return power_sums(f, count)
-    if sums.degree != f.degree:
-        raise ValueError(f"power sums of a degree-{sums.degree} polynomial given "
-                         f"for degree {f.degree}")
-    if sums.count < count:
-        raise ValueError(f"power sums through p_{count} required, got p_{sums.count}")
-    return sums
-
-
-def power_polynomial(f: MonicIntPolynomial, n: int,
-                     sums: PowerSums | None = None) -> MonicIntPolynomial:
+def power_polynomial(f: MonicIntPolynomial, n: int) -> MonicIntPolynomial:
     """Monic polynomial whose roots are the n-th powers of the roots of ``f``.
 
     The power sums of the new roots are p_n, p_2n, ..., p_dn of the old
     ones, so this is power sum extraction followed by inverse Newton.
-    ``sums`` are f's power sums through at least p_dn when the caller
-    already has them (one pass serves every n up to a bound); without
-    them they are computed here. Sums of the wrong degree or too short
-    raise :class:`ValueError`.
     """
     if n < 1:
         raise ValueError("n must be positive")
     d = f.degree
-    p = _checked_sums(f, sums, d * n).values
+    p = power_sums(f, d * n).values
     return poly_from_power_sums(PowerSums((d,) + p[n:d * n + 1:n]), d)
 
 
@@ -227,7 +208,7 @@ def resultant(f: MonicIntPolynomial, g) -> int:
     return det_bareiss(sylvester_matrix(f.coefficients, _coefficients_of(g)))
 
 
-def discriminant(f: MonicIntPolynomial, sums: PowerSums | None = None) -> int:
+def discriminant(f: MonicIntPolynomial) -> int:
     """Discriminant of monic ``f``: the squared product of root differences.
 
     Zero exactly when ``f`` has a repeated root. With V the Vandermonde
@@ -235,12 +216,39 @@ def discriminant(f: MonicIntPolynomial, sums: PowerSums | None = None) -> int:
     = det(V)^2 = det(V V^T)``, and ``V V^T`` is the d x d Hankel matrix
     ``[p_(j+k)]`` of the power sums p_0..p_(2d-2), so the value is a Bareiss
     determinant of that integer matrix. It equals
-    ``(-1)^(d(d-1)/2) * resultant(f, f')``, the Sylvester form. ``sums`` are
-    f's power sums through at least p_(2d-2) when the caller already has
-    them, as in :func:`power_polynomial`.
+    ``(-1)^(d(d-1)/2) * resultant(f, f')``, the Sylvester form.
     """
     d = f.degree
     if d < 2:
         raise ValueError("discriminant requires degree at least 2")
-    p = _checked_sums(f, sums, 2 * d - 2).values
+    p = power_sums(f, 2 * d - 2).values
     return det_bareiss(IntMatrix(tuple(p[i:i + d] for i in range(d))))
+
+
+def generalized_lucas(f: MonicIntPolynomial, ns: Sequence[int]) -> tuple[int, ...]:
+    """u_n = prod_(i<j) (a_i^n - a_j^n)/(a_i - a_j) over the roots a_i of ``f``, per n in ``ns``.
+
+    An integer: the Lucas U_n for degree 2, 1 for degree 1, and 0 exactly
+    when two n-th powers of roots coincide. With distinct roots u_n^2 is
+    ``discriminant(power_polynomial(f, n)) // discriminant(f)``.
+
+    u_n is the Schur polynomial s_((n-1)(d-1, ..., 1, 0)) of the roots
+    (bialternant formula), so by Jacobi-Trudi it is the (d-1) x (d-1)
+    determinant with rows ``h_(n r - d + 1), ..., h_(n r - 1)`` for
+    r = d-1 down to 1, h_k the complete homogeneous sums (0 for k < 0).
+    With ``f = x^d + c_1 x^(d-1) + ... + c_d``, h_0 = 1 and
+    ``h_k = -(c_1 h_(k-1) + ... + c_d h_(k-d))``: one division-free pass
+    serves every n, and no discriminant is involved.
+    """
+    ns = tuple(ns)
+    if any(n < 1 for n in ns):
+        raise ValueError("n must be positive")
+    d = f.degree
+    if d == 1:
+        return (1,) * len(ns)
+    c = f.coefficients[1:]
+    h = [0] * (d - 1) + [1]  # h[k + d - 1] is h_k
+    for _ in range(1, (d - 1) * max(ns, default=0)):
+        h.append(-sum(map(mul, c, reversed(h[-d:]))))
+    return tuple(det_bareiss(IntMatrix([h[n * r:n * r + d - 1] for r in range(d - 1, 0, -1)]))
+                 for n in ns)

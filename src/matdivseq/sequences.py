@@ -7,11 +7,11 @@ three ways and cross-checks them:
 
 * :func:`jacobian_determinant` takes the exact determinant of the
   s^2 x s^2 derivative matrix. Brute force, valid for every integer X.
-* :func:`closed_form_entry` evaluates ``n^s * det(X)^(n-1) * R_n`` where
-  ``R_n = discriminant(g_n) / discriminant(f)``, f the characteristic
-  polynomial and g_n its power polynomial. Requires distinct eigenvalues
-  (nonzero discriminant); otherwise it falls back to the brute-force route
-  and flags the entry.
+* :func:`closed_form_entry` evaluates ``n^s * det(X)^(n-1) * u_n^2``, u_n
+  the generalized Lucas number of the characteristic polynomial f; u_n^2
+  is disc(g_n)/disc(f), g_n the power polynomial. Requires distinct
+  eigenvalues (nonzero discriminant); otherwise it falls back to the
+  brute-force route and flags the entry.
 * :func:`lucas_2x2` is the classical Lucas-sequence form, 2x2 only:
   ``n^2 * det(X)^(n-1) * U_n^2``.
 
@@ -27,8 +27,7 @@ from dataclasses import dataclass, replace
 
 from .factorint import Factorization, factorize
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps
-from .polynomials import (MonicIntPolynomial, PowerSums, char_poly, discriminant,
-                          power_polynomial, power_sums)
+from .polynomials import MonicIntPolynomial, char_poly, discriminant, generalized_lucas
 
 
 class RepeatedEigenvalueError(ValueError):
@@ -95,56 +94,46 @@ def jacobian_determinant(x: IntMatrix, n: int) -> int:
     return det_bareiss(jacobian_power_map(x, n))
 
 
-def _spectral(x: IntMatrix, n_max: int) -> tuple[MonicIntPolynomial, PowerSums | None,
-                                                 int | None, int, bool]:
-    """Characteristic polynomial f, its power sums, its discriminant, det(x), distinctness.
+def _spectral(x: IntMatrix) -> tuple[MonicIntPolynomial, int, bool]:
+    """Characteristic polynomial f, det(x), and whether f's roots are distinct.
 
-    One pass of power sums serves the discriminant of f and the power
-    polynomial of every n <= n_max; both are None for a 1x1 matrix.
+    The discriminant of f only decides between the closed form and the
+    Jacobian fallback; the closed form itself never divides by it.
     """
     f = char_poly(x)
     s = x.dim
     det_x = (-1) ** s * f.coefficients[-1]
-    if s == 1:
-        return f, None, None, det_x, True
-    sums = power_sums(f, max(2 * s - 2, s * n_max))
-    disc_f = discriminant(f, sums)
-    return f, sums, disc_f, det_x, disc_f != 0
-
-
-def _ratio(f: MonicIntPolynomial, sums: PowerSums | None, disc_f: int | None, n: int) -> int:
-    if f.degree == 1:
-        return 1
-    g = power_polynomial(f, n, sums)
-    q, r = divmod(discriminant(g), disc_f)
-    if r:
-        raise AssertionError("discriminant ratio is not an integer")
-    return q
+    return f, det_x, s == 1 or discriminant(f) != 0
 
 
 def discriminant_ratio(x: IntMatrix, n: int) -> int:
     """The squared product of (a_i^n - a_j^n)/(a_i - a_j) over eigenvalue pairs.
 
-    Evaluated exactly as discriminant(g_n) / discriminant(f) without ever
-    touching the eigenvalues; the quotient is always an exact integer.
-    Raises :class:`RepeatedEigenvalueError` when f has a repeated root.
+    Equal to discriminant(g_n) / discriminant(f), an exact integer, and
+    evaluated as u_n^2, u_n the generalized Lucas number of f, without ever
+    touching the eigenvalues. Raises :class:`RepeatedEigenvalueError` when
+    f has a repeated root.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    f, sums, disc_f, _, distinct = _spectral(x, n)
+    f, _, distinct = _spectral(x)
     if not distinct:
         raise RepeatedEigenvalueError(
             "characteristic polynomial has a repeated root; "
             "compute via jacobian_determinant instead")
-    return _ratio(f, sums, disc_f, n)
+    (u,) = generalized_lucas(f, (n,))
+    return u * u
 
 
-def _closed_form(s: int, spectral, n: int) -> SequenceEntry:
-    f, sums, disc_f, det_x, _ = spectral
-    # det_x ** 0 == 1 even for singular x, so n = 1 is always safe.
-    reduced = det_x ** (n - 1) * _ratio(f, sums, disc_f, n)
-    return SequenceEntry(n=n, jacobian_det=n ** s * reduced, reduced=reduced,
-                         n_squared_value=n * n * reduced, fallback_used=False)
+def _closed_forms(s: int, spectral, ns) -> list[SequenceEntry]:
+    f, det_x, _ = spectral
+    entries = []
+    for n, u in zip(ns, generalized_lucas(f, ns)):
+        # det_x ** 0 == 1 even for singular x, so n = 1 is always safe.
+        reduced = det_x ** (n - 1) * u * u
+        entries.append(SequenceEntry(n=n, jacobian_det=n ** s * reduced, reduced=reduced,
+                                     n_squared_value=n * n * reduced, fallback_used=False))
+    return entries
 
 
 def _fallback(s: int, n: int, d: int) -> SequenceEntry:
@@ -156,16 +145,16 @@ def _fallback(s: int, n: int, d: int) -> SequenceEntry:
 def closed_form_entry(x: IntMatrix, n: int) -> SequenceEntry:
     """Compute d_n by the closed form, falling back to brute force if needed.
 
-    With distinct eigenvalues the entry is built from the discriminant
-    ratio and never touches the s^2 x s^2 matrix. With a repeated
+    With distinct eigenvalues the entry is built from the generalized
+    Lucas number u_n and never touches the s^2 x s^2 matrix. With a repeated
     eigenvalue the Jacobian determinant is computed directly and
     ``fallback_used`` is set.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    spectral = _spectral(x, n)
+    spectral = _spectral(x)
     if spectral[-1]:
-        return _closed_form(x.dim, spectral, n)
+        return _closed_forms(x.dim, spectral, (n,))[0]
     return _fallback(x.dim, n, jacobian_determinant(x, n))
 
 
@@ -198,9 +187,9 @@ def generate_sequence(x: IntMatrix, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be positive")
     s = x.dim
-    spectral = _spectral(x, n_max)
+    spectral = _spectral(x)
     if spectral[-1]:
-        entries = [_closed_form(s, spectral, n) for n in range(1, n_max + 1)]
+        entries = _closed_forms(s, spectral, range(1, n_max + 1))
     else:
         entries = [_fallback(s, n, det_bareiss(j))
                    for n, j in enumerate(jacobian_power_maps(x, n_max), 1)]

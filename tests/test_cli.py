@@ -173,20 +173,25 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 @pytest.mark.parametrize("x, per_n", [
-    (X3, {"jacobian_det": 1, "power_polynomial": 1}),
+    (X3, {"jacobian_det": 1, "lucas_u": 1}),
     (IntMatrix([[1, 1], [0, 1]]), {"jacobian_det": 1}),  # repeated eigenvalue
 ])
 def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
     counts = {}
-    _count_calls(monkeypatch, matdivseq.sequences, "power_polynomial", counts)
-    det = matdivseq.sequences.det_bareiss
 
-    def counted_det(a):
-        if a.dim == x.dim ** 2:
-            counts["jacobian_det"] = counts.get("jacobian_det", 0) + 1
-        return det(a)
+    def count_dets(module, name, dim):
+        det = module.det_bareiss
 
-    monkeypatch.setattr(matdivseq.sequences, "det_bareiss", counted_det)
+        def counted_det(a):
+            if a.dim == dim:
+                counts[name] = counts.get(name, 0) + 1
+            return det(a)
+
+        monkeypatch.setattr(module, "det_bareiss", counted_det)
+
+    count_dets(matdivseq.sequences, "jacobian_det", x.dim ** 2)
+    # The closed form's u_n is one (s-1) x (s-1) determinant in polynomials.
+    count_dets(matdivseq.polynomials, "lucas_u", x.dim - 1)
     building = {}
     _count_calls(monkeypatch, matdivseq.linalg, "kronecker", building)
     for module in (matdivseq.linalg, matdivseq.polynomials):

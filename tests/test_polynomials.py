@@ -3,7 +3,7 @@ import random
 import pytest
 
 from matdivseq import (IntMatrix, MonicIntPolynomial, NotRealizableError, PowerSums,
-                       char_poly, det_bareiss, discriminant, mat_mul,
+                       char_poly, det_bareiss, discriminant, generalized_lucas, mat_mul,
                        poly_from_power_sums, power_polynomial, power_sums, resultant)
 
 from golden_tables import X3
@@ -139,26 +139,6 @@ def test_power_polynomial_composition():
         assert power_polynomial(power_polynomial(f, n), m) == power_polynomial(f, n * m)
 
 
-def test_power_polynomial_takes_precomputed_sums():
-    rng = random.Random(109)
-    for _ in range(15):
-        d = rng.randint(1, 5)
-        f = MonicIntPolynomial((1,) + tuple(rng.randint(-5, 5) for _ in range(d)))
-        n = rng.randint(1, 9)
-        expected = power_polynomial(f, n)
-        assert power_polynomial(f, n, power_sums(f, d * n)) == expected
-        assert power_polynomial(f, n, power_sums(f, d * n + 7)) == expected
-
-
-def test_power_polynomial_rejects_unusable_sums():
-    with pytest.raises(ValueError, match="through p_9"):
-        power_polynomial(X3_POLY, 3, power_sums(X3_POLY, 8))
-    with pytest.raises(ValueError, match="degree"):
-        power_polynomial(X3_POLY, 2, power_sums(FIB_POLY, 10))
-    with pytest.raises(ValueError, match="through p_4"):
-        discriminant(X3_POLY, power_sums(X3_POLY, 3))
-
-
 def test_power_polynomial_constant_term_norm():
     rng = random.Random(107)
     for _ in range(15):
@@ -250,5 +230,39 @@ def test_discriminant_matches_sylvester_form():
         value = discriminant(f)
         seen_zero |= value == 0
         assert value == _sylvester_discriminant(f), coeffs
-        assert discriminant(f, power_sums(f, 2 * f.degree)) == value
     assert seen_zero and seen_swap
+
+
+def test_generalized_lucas_squares_to_the_discriminant_ratio():
+    rng = random.Random(163)
+    polys = []
+    for d in range(2, 9):
+        for _ in range(4):
+            polys.append((1,) + tuple(rng.randint(-5, 5) for _ in range(d)))
+        # p_1 = p_2 = 0: zero pivots in the Hankel and Jacobi-Trudi eliminations.
+        polys.append((1, 0, 0) + tuple(rng.randint(-5, 5) for _ in range(d - 2)))
+    polys += [(1, 0, 1), (1, 0, -1)]  # x^2 + 1 (u_4 = 0) and diag(1, -1)'s x^2 - 1 (u_2 = 0)
+    checked = set()
+    for coeffs in polys:
+        f = MonicIntPolynomial(coeffs)
+        disc_f = discriminant(f)
+        if disc_f == 0:
+            continue
+        checked.add(f.degree)
+        us = generalized_lucas(f, range(1, 13))
+        assert us[0] == 1
+        for n, u in enumerate(us, 1):
+            q, r = divmod(discriminant(power_polynomial(f, n)), disc_f)
+            assert r == 0 and u * u == q, (coeffs, n)
+        # A single n, or any order of ns, gives the same values.
+        assert generalized_lucas(f, (12, 5)) == (us[11], us[4])
+    assert checked == set(range(2, 9))
+    assert generalized_lucas(MonicIntPolynomial((1, 0, 1)), (4,)) == (0,)
+    assert generalized_lucas(MonicIntPolynomial((1, 0, -1)), (2,)) == (0,)
+
+
+def test_generalized_lucas_degree_one_and_bad_n():
+    assert generalized_lucas(MonicIntPolynomial((1, -7)), range(1, 6)) == (1,) * 5
+    assert generalized_lucas(X3_POLY, ()) == ()
+    with pytest.raises(ValueError, match="positive"):
+        generalized_lucas(X3_POLY, (3, 0))

@@ -5,8 +5,9 @@ import pytest
 import matdivseq
 from matdivseq import (IntMatrix, RepeatedEigenvalueError, SequenceEntry, char_poly,
                        closed_form_entry, det_bareiss, discriminant, discriminant_ratio,
-                       generate_sequence, jacobian_determinant, jacobian_power_map,
-                       lucas_2x2, mat_mul, verify_closed_form, verify_divisibility)
+                       generalized_lucas, generate_sequence, jacobian_determinant,
+                       jacobian_power_map, lucas_2x2, mat_mul, verify_closed_form,
+                       verify_divisibility)
 
 from golden_tables import X3, X4, X3_TABLE
 from helpers import random_matrix, unimodular_pair
@@ -115,6 +116,39 @@ def test_lucas_2x2_matches_oracle():
             assert lucas_2x2(x, n) == jacobian_determinant(x, n)
 
 
+def test_generalized_lucas_is_the_lucas_sequence_at_s2():
+    rng = random.Random(151)
+    for x in [FIB, JORDAN_2] + [random_matrix(rng, 2) for _ in range(25)]:
+        a, q = x.trace, det_bareiss(x)
+        us = generalized_lucas(char_poly(x), range(1, 13))
+        u_prev, u = 0, 1
+        for n in range(1, 13):
+            assert us[n - 1] == u, (x.fingerprint(), n)
+            assert lucas_2x2(x, n) == n * n * q ** (n - 1) * u * u
+            u_prev, u = u, a * u - q * u_prev
+
+
+def test_generalized_lucas_matches_jacobian_for_every_matrix():
+    # Repeated eigenvalues included: the identity d_n = n^s det^(n-1) u_n^2
+    # holds without the discriminant.
+    rng = random.Random(157)
+    unimodular, _ = unimodular_pair(rng, 3)
+    cases = [
+        JORDAN_2, JORDAN_3,
+        IntMatrix([[-3, 1, 0, 0], [0, -3, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]),
+        IntMatrix.identity(3), IntMatrix([[4, 0], [0, 4]]), IntMatrix([[-2]]),
+        IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), IntMatrix([[0, 1], [0, 0]]),
+        IntMatrix([[1, 2], [2, 4]]), IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        IntMatrix([[0, 0], [0, 0]]), IntMatrix([[1, 0], [0, -1]]), unimodular,
+    ]
+    for x in cases:
+        s, detx = x.dim, det_bareiss(x)
+        us = generalized_lucas(char_poly(x), range(1, 10))
+        for n, u in enumerate(us, 1):
+            assert jacobian_determinant(x, n) == n ** s * detx ** (n - 1) * u * u, \
+                (x.fingerprint(), n)
+
+
 def test_lucas_2x2_rejects_other_dims():
     with pytest.raises(ValueError):
         lucas_2x2(X3, 2)
@@ -137,19 +171,31 @@ def test_generate_sequence_x4_first_three():
 def test_generate_sequence_takes_one_power_sum_pass(monkeypatch):
     f = char_poly(X4)
     monkeypatch.setattr(matdivseq.sequences, "char_poly", lambda x: f)
-    original = matdivseq.polynomials.power_sums
     calls = []
 
-    def counted(g, count):
-        if g is f:  # not g_1, which equals f; its sums serve disc(g_1)
-            calls.append(count)
-        return original(g, count)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    for module in (matdivseq.sequences, matdivseq.polynomials):
-        monkeypatch.setattr(module, "power_sums", counted, raising=False)
+        def counted(*args):
+            calls.append((name,) + args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(matdivseq.polynomials, "power_sums")
+    for name in ("discriminant", "generalized_lucas"):
+        counting(matdivseq.sequences, name)
+
+    def no_power_polynomial(*args):
+        raise AssertionError("the closed form builds no power polynomial")
+
+    monkeypatch.setattr(matdivseq.polynomials, "power_polynomial", no_power_polynomial)
     entries = generate_sequence(X4, 12)
     assert not any(e.fallback_used for e in entries)
-    assert calls == [4 * 12]
+    # disc(f) alone decides the route: power sums of f to p_(2s-2), no disc(g_n);
+    # one pass of complete homogeneous sums then serves every u_n of the table.
+    assert calls == [("discriminant", f), ("power_sums", f, 6),
+                     ("generalized_lucas", f, range(1, 13))]
 
 
 def test_generate_sequence_identity_fallback():
