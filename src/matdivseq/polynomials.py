@@ -228,8 +228,10 @@ def discriminant(f: MonicIntPolynomial) -> int:
 def generalized_lucas(f: MonicIntPolynomial, ns: Sequence[int]) -> tuple[int, ...]:
     """u_n = prod_(i<j) (a_i^n - a_j^n)/(a_i - a_j) over the roots a_i of ``f``, per n in ``ns``.
 
-    An integer: the Lucas U_n for degree 2, 1 for degree 1, and 0 exactly
-    when two n-th powers of roots coincide. With distinct roots u_n^2 is
+    An integer: the Lucas U_n for degree 2 and 1 for degree 1. A pair of
+    equal roots a contributes the factor n a^(n-1), so u_n is 0 exactly
+    when a_i^n = a_j^n for two unequal roots, or when 0 is a repeated root
+    and n >= 2. With distinct roots u_n^2 is
     ``discriminant(power_polynomial(f, n)) // discriminant(f)``.
 
     u_n is the Schur polynomial s_((n-1)(d-1, ..., 1, 0)) of the roots

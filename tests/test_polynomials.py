@@ -261,6 +261,20 @@ def test_generalized_lucas_squares_to_the_discriminant_ratio():
     assert generalized_lucas(MonicIntPolynomial((1, 0, -1)), (2,)) == (0,)
 
 
+def test_generalized_lucas_repeated_roots():
+    # Each pair of equal roots a gives the factor n a^(n-1).
+    ns = range(1, 9)
+    assert generalized_lucas(MonicIntPolynomial((1, -2, 1)), ns) == tuple(ns)  # (x-1)^2
+    assert generalized_lucas(MonicIntPolynomial((1, -3, 3, -1)), ns) == \
+        tuple(n ** 3 for n in ns)  # (x-1)^3: three pairs
+    assert generalized_lucas(MonicIntPolynomial((1, -4, 4)), ns) == \
+        tuple(n * 2 ** (n - 1) for n in ns)  # (x-2)^2
+    assert generalized_lucas(MonicIntPolynomial((1, 0, 0)), ns) == (1,) + (0,) * 7  # x^2
+    # (x-1)^2 (x+1): the pairs with the root -1 give (1 - (-1)^n)/2 each.
+    assert generalized_lucas(MonicIntPolynomial((1, -1, -1, 1)), ns) == \
+        tuple(n * ((1 - (-1) ** n) // 2) ** 2 for n in ns)
+
+
 def test_generalized_lucas_degree_one_and_bad_n():
     assert generalized_lucas(MonicIntPolynomial((1, -7)), range(1, 6)) == (1,) * 5
     assert generalized_lucas(X3_POLY, ()) == ()
