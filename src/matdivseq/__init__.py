@@ -14,7 +14,7 @@ from .polynomials import (MonicIntPolynomial, NotRealizableError, PowerSums, cha
                           power_polynomial, power_sums, resultant, sylvester_matrix)
 from .sequences import (PairCheck, RepeatedEigenvalueError, SequenceEntry,
                         VerificationReport, closed_form_entry, discriminant_ratio,
-                        generate_sequence, jacobian_determinant, lucas_2x2,
+                        factor_table, generate_sequence, jacobian_determinant, lucas_2x2,
                         verify_closed_form, verify_divisibility)
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     "discriminant", "generalized_lucas", "poly_from_power_sums", "power_polynomial",
     "power_sums", "resultant", "sylvester_matrix",
     "PairCheck", "RepeatedEigenvalueError", "SequenceEntry", "VerificationReport",
-    "closed_form_entry", "discriminant_ratio", "generate_sequence",
+    "closed_form_entry", "discriminant_ratio", "factor_table", "generate_sequence",
     "jacobian_determinant", "lucas_2x2", "verify_closed_form", "verify_divisibility",
     "__version__",
 ]

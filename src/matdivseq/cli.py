@@ -18,10 +18,10 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .factorint import Factorization, factorize
+from .factorint import Factorization
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map
 from .polynomials import char_poly
-from .sequences import (SequenceEntry, VerificationReport, generate_sequence,
+from .sequences import (SequenceEntry, VerificationReport, factor_table, generate_sequence,
                         verify_closed_form, verify_divisibility)
 
 
@@ -109,16 +109,17 @@ def _opt_str(v: int | None) -> str | None:
 
 def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
               factor: bool = False, column: str = "reduced") -> tuple[str, int]:
-    """Render the sequence table for n = 1..n_max in the requested format."""
+    """Render the sequence table for n = 1..n_max in the requested format.
+
+    With ``factor`` the printed column is factorized by
+    :func:`factor_table`, once per table from its primitive parts.
+    """
     x = doc.matrix
     entries = generate_sequence(x, n_max)
+    factors = factor_table(x, entries, column) if factor else [None] * len(entries)
 
     def cell(e: SequenceEntry) -> int | None:
         return e.reduced if column == "reduced" else e.jacobian_det
-
-    def factor_cell(e: SequenceEntry) -> Factorization | None:
-        v = cell(e)
-        return factorize(v) if factor and v is not None else None
 
     if fmt == "json":
         payload = {
@@ -127,7 +128,7 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
             "column": column,
             "entries": [],
         }
-        for e in entries:
+        for e, fc in zip(entries, factors):
             item = {
                 "n": e.n,
                 "reduced": _opt_str(e.reduced),
@@ -135,7 +136,6 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
                 "n_squared_value": _opt_str(e.n_squared_value),
                 "fallback_used": e.fallback_used,
             }
-            fc = factor_cell(e)
             if fc is not None:
                 item["factorization"] = _factorization_json(fc)
             payload["entries"].append(item)
@@ -143,10 +143,9 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
 
     lines = []
     sep = "," if fmt == "csv" else " | "
-    for e in entries:
+    for e, fc in zip(entries, factors):
         v = cell(e)
         parts = [str(e.n), str(v) if v is not None else ("-" if fmt == "text" else "")]
-        fc = factor_cell(e)
         if fc is not None:
             parts.append(str(fc))
         lines.append(sep.join(parts))

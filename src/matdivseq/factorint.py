@@ -13,14 +13,18 @@ Every prime factor below 3.3e24 is proven: by trial division, or by
 factor above it is only a strong probable prime; X4 at n = 19 already
 yields one, 888088211095373020531497427.
 
-Sequence values are near-perfect squares (the odd part of d_n / n^s is a
-square whenever det(X)^(n-1) > 0), so the perfect-power step routinely
-halves the digit count before rho has to do any work.
+Sequence tables are not factored term by term. Each reduced value splits
+algebraically as d_n / n^s = det(X)^(n-1) * u_n^2, and the generalized
+Lucas number u_n as the product of the primitive parts Psi_k over the
+divisors k >= 2 of n; :func:`matdivseq.sequences.factor_table` factors
+det(X) and each Psi_k once and merges them with
+:meth:`Factorization.product`.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
@@ -53,6 +57,30 @@ class Factorization:
             prev = p
         if self.cofactor is not None and self.cofactor <= 1:
             raise ValueError("cofactor must exceed 1")
+
+    @classmethod
+    def product(cls, powers: Iterable[tuple[Factorization, int]]) -> Factorization:
+        """Factorization of the product of ``f ** e`` over the ``(f, e)`` pairs.
+
+        Exponents of shared primes add, signs multiply and cofactors
+        multiply; ``e`` must be nonnegative, and ``f ** 0`` is 1 even for
+        ``f`` zero. No pair gives 1.
+        """
+        sign, counts, cofactor = 1, {}, 1
+        for f, e in powers:
+            if e < 0:
+                raise ValueError("exponents must be nonnegative")
+            if e == 0:
+                continue
+            if f.sign == 0:
+                return cls(sign=0)
+            sign *= f.sign ** e
+            for p, k in f.factors:
+                counts[p] = counts.get(p, 0) + k * e
+            if f.cofactor is not None:
+                cofactor *= f.cofactor ** e
+        return cls(sign=sign, factors=tuple(sorted(counts.items())),
+                   cofactor=cofactor if cofactor > 1 else None)
 
     @property
     def complete(self) -> bool:

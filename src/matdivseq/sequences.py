@@ -15,6 +15,9 @@ three ways and cross-checks them:
 * :func:`lucas_2x2` is the classical Lucas-sequence form, 2x2 only:
   ``n^2 * det(X)^(n-1) * U_n^2``.
 
+:func:`factor_table` factors a table through the algebraic split of u_n
+into primitive parts, one factorization per part instead of per term.
+
 An ``n^2`` variant of the closed form (same product but with ``n^2`` in
 place of ``n^s``) is carried alongside for comparison; it agrees with the
 Jacobian determinant only when s = 2, and verification reports record the
@@ -24,6 +27,7 @@ difference as informational rather than as a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isqrt, prod
 
 from .factorint import Factorization, factorize
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps
@@ -183,6 +187,8 @@ def generate_sequence(x: IntMatrix, n_max: int,
 
     With a repeated eigenvalue every d_n is the determinant of the J_n that
     :func:`jacobian_power_maps` steps to, one recurrence over the table.
+    The factorizations come from :func:`factor_table`, which factors the
+    table's primitive parts, not its terms.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -194,9 +200,60 @@ def generate_sequence(x: IntMatrix, n_max: int,
         entries = [_fallback(s, n, det_bareiss(j))
                    for n, j in enumerate(jacobian_power_maps(x, n_max), 1)]
     if with_factorization:
-        entries = [e if e.reduced is None else replace(e, factorization=factorize(e.reduced))
-                   for e in entries]
+        entries = [replace(e, factorization=f) for e, f in zip(entries, factor_table(x, entries))]
     return entries
+
+
+def _exact_quotient(a: int, b: int, what: str) -> int:
+    if b == 0 or a % b:
+        raise ArithmeticError(f"{what} is not an exact division")
+    return a // b
+
+
+def factor_table(x: IntMatrix, entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
+                 column: str = "reduced") -> list[Factorization]:
+    """Factorizations of one column of a table of x, from its primitive parts.
+
+    Every integer matrix has reduced_n = det(X)^(n-1) * u_n^2, and the
+    generalized Lucas number splits algebraically as
+    |u_n| = prod_(k | n, k >= 2) |Psi_k|, where the integer
+    Psi_k = prod_(i<j) Phi_k(a_i, a_j) multiplies homogeneous cyclotomic
+    values of eigenvalue pairs. So det(X) and each nonzero |Psi_k| are
+    factored once per table and merged; the "jacobian" column adds n^s.
+    |u_n| is the square root of reduced_n / det(X)^(n-1), and
+    |Psi_n| = |u_n| / prod_(k | n, 1 < k < n) |Psi_k|; a division that is
+    not exact or a quotient that is not a square raises ``ArithmeticError``.
+    A zero value factors to 0. ``entries`` must hold every divisor of each
+    of their n, as the n = 1..n_max of :func:`generate_sequence` do.
+    """
+    if column not in ("reduced", "jacobian"):
+        raise ValueError("column must be 'reduced' or 'jacobian'")
+    s, det_x = x.dim, det_bareiss(x)
+    det_f = factorize(det_x)
+    psi: dict[int, int] = {}  # Psi_k for each k >= 2 with u_k != 0
+    psi_f: dict[int, Factorization] = {}
+    out = []
+    for e in entries:
+        n = e.n
+        if e.reduced == 0:
+            out.append(Factorization(sign=0))
+            continue
+        u2 = _exact_quotient(e.reduced, det_x ** (n - 1), f"n={n}: reduced / det^(n-1)")
+        u = isqrt(max(u2, 0))
+        if u * u != u2:
+            raise ArithmeticError(f"n={n}: reduced / det^(n-1) is not a square")
+        parts = [k for k in range(2, n) if n % k == 0]
+        q = _exact_quotient(u, prod(psi.get(k, 0) for k in parts), f"n={n}: |u_n| / Psi")
+        if n > 1:
+            psi[n], psi_f[n] = q, factorize(q)
+            parts.append(n)
+        elif q != 1:
+            raise ArithmeticError("u_1 is not 1")
+        powers = [(det_f, n - 1)] + [(psi_f[k], 2) for k in parts]
+        if column == "jacobian":
+            powers.append((factorize(n), s))
+        out.append(Factorization.product(powers))
+    return out
 
 
 def _divides(a: int, b: int) -> bool:

@@ -174,3 +174,44 @@ def test_factorization_validation():
         Factorization(sign=1, factors=((2, 0),))
     with pytest.raises(ValueError):
         Factorization(sign=1, cofactor=1)
+
+
+def test_product_signs():
+    minus_12 = factorize(-12)
+    assert Factorization.product([(minus_12, 3)]) == Factorization(
+        sign=-1, factors=((2, 6), (3, 3)))
+    assert Factorization.product([(minus_12, 2)]) == Factorization(
+        sign=1, factors=((2, 4), (3, 2)))
+    assert Factorization.product([(minus_12, 1), (factorize(-5), 1)]) == factorize(60)
+    assert Factorization.product([(factorize(-1), 7)]) == factorize(-1)
+
+
+def test_product_zero_and_one():
+    zero, one = factorize(0), factorize(1)
+    assert Factorization.product([]) == one
+    assert Factorization.product([(zero, 0)]) == one  # 0^0 = 1, as det^(n-1) at n = 1
+    assert Factorization.product([(zero, 0), (factorize(-7), 1)]) == factorize(-7)
+    assert Factorization.product([(factorize(-12), 3), (zero, 2)]) == zero
+    assert Factorization.product([(one, 5), (factorize(97), 1)]) == factorize(97)
+    with pytest.raises(ValueError):
+        Factorization.product([(one, -1)])
+
+
+def test_product_merges_shared_primes():
+    got = Factorization.product([(factorize(12), 2), (factorize(18), 1), (factorize(35), 3)])
+    assert got == factorize(12 ** 2 * 18 * 35 ** 3)
+    assert got.factors == ((2, 5), (3, 4), (5, 3), (7, 3))
+    assert got.value() == 12 ** 2 * 18 * 35 ** 3
+
+
+def test_product_multiplies_cofactors():
+    hard = 1000000000039 * 1000000000061
+    partial = factorize(-6 * hard, rho_steps=64)
+    assert partial == Factorization(sign=-1, factors=((2, 1), (3, 1)), cofactor=hard)
+    got = Factorization.product([(partial, 2), (factorize(10), 1),
+                                 (Factorization(sign=1, cofactor=15), 1)])
+    # __post_init__ ran: ascending primes, positive exponents, cofactor > 1.
+    assert got == Factorization(sign=1, factors=((2, 3), (3, 2), (5, 1)),
+                                cofactor=hard ** 2 * 15)
+    assert got.value() == (6 * hard) ** 2 * 10 * 15
+    assert not got.complete

@@ -1,13 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 import matdivseq
 from matdivseq import (IntMatrix, RepeatedEigenvalueError, SequenceEntry, char_poly,
                        closed_form_entry, det_bareiss, discriminant, discriminant_ratio,
-                       generalized_lucas, generate_sequence, jacobian_determinant,
-                       jacobian_power_map, lucas_2x2, mat_mul, verify_closed_form,
-                       verify_divisibility)
+                       factor_table, factorize, generalized_lucas, generate_sequence,
+                       jacobian_determinant, jacobian_power_map, lucas_2x2, mat_mul,
+                       verify_closed_form, verify_divisibility)
 
 from golden_tables import X3, X4, X3_TABLE
 from helpers import random_matrix, unimodular_pair
@@ -308,3 +309,89 @@ def test_singular_matrix_is_accepted():
     assert not e.fallback_used
     assert e.jacobian_det == jacobian_determinant(x, 3) == 0
     assert closed_form_entry(x, 1).jacobian_det == 1
+
+
+def _assert_factor_table_matches_terms(x, n_max):
+    """factor_table against factorize of every term, on both columns.
+
+    A complete term factorization must come back identical; an incomplete one
+    may only get finer: same value, cofactor dividing the term's cofactor.
+    """
+    entries = generate_sequence(x, n_max)
+    for column in ("reduced", "jacobian"):
+        merged = factor_table(x, entries, column)
+        assert len(merged) == n_max
+        for e, f in zip(entries, merged):
+            value = e.reduced if column == "reduced" else e.jacobian_det
+            term = factorize(value)
+            if term.complete:
+                assert f == term, (x.fingerprint(), column, e.n)
+            else:
+                assert f.value() == value and term.cofactor % (f.cofactor or 1) == 0
+
+
+def test_factor_table_matches_term_factorizations():
+    _assert_factor_table_matches_terms(X3, 16)
+    rng = random.Random(163)
+    for dim in (2, 2, 3, 3, 3, 4, 4, 4):
+        _assert_factor_table_matches_terms(random_matrix(rng, dim, -2, 2), 16)
+
+
+def test_factor_table_special_matrices():
+    cases = [
+        IntMatrix([[1, 2], [2, 4]]), IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),  # singular
+        IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), IntMatrix([[0, 0], [0, 0]]),  # nilpotent
+        IntMatrix([[3, 0, 0], [0, 3, 0], [0, 0, 3]]), IntMatrix([[-2, 0], [0, -2]]),  # scalar
+        JORDAN_2, JORDAN_3,  # the Jacobian fallback
+        IntMatrix([[0, -1], [1, 0]]), IntMatrix([[1, 0], [0, -1]]),  # zero terms
+        IntMatrix([[0, 1], [1, 1]]),  # negative det
+        IntMatrix([[-7]]),
+    ]
+    for x in cases:
+        _assert_factor_table_matches_terms(x, 16)
+    rotation = IntMatrix([[0, -1], [1, 0]])  # u_n = 0 at every even n
+    merged = factor_table(rotation, generate_sequence(rotation, 6))
+    assert [str(f) for f in merged] == ["1", "0", "1", "0", "1", "0"]
+
+
+def test_factor_table_x4_factors_primitive_parts_not_terms(monkeypatch):
+    import matdivseq.sequences as sequences
+    inputs = []
+
+    def counting(n, *args):
+        inputs.append(n)
+        return factorize(n, *args)
+
+    monkeypatch.setattr(sequences, "factorize", counting)
+    entries = generate_sequence(X4, 20, with_factorization=True)
+    # det(X4) and Psi_2 .. Psi_20, each once; R_20 itself has 92 digits.
+    assert len(str(entries[-1].reduced)) == 92
+    assert len(inputs) <= 20
+    assert max(abs(v) for v in inputs) < 10 ** 45
+    for e in entries:
+        assert e.factorization == factorize(e.reduced), e.n
+    for e, f in zip(entries, factor_table(X4, entries, "jacobian")):
+        assert f == factorize(e.jacobian_det), e.n
+
+
+def test_factor_table_raises_on_broken_identity():
+    entries = generate_sequence(X3, 6)
+    with pytest.raises(ValueError):
+        factor_table(X3, entries, "nope")
+    # u_1 = 2, not 1.
+    with pytest.raises(ArithmeticError):
+        factor_table(X3, [replace(entries[0], reduced=4)])
+    # 101 = reduced_2 / det^1 is no square.
+    with pytest.raises(ArithmeticError):
+        factor_table(X3, [entries[0], replace(entries[1], reduced=101)])
+    # u_4 = 3 is a square root, but Psi_2 = 10 does not divide it.
+    with pytest.raises(ArithmeticError):
+        factor_table(X3, [*entries[:3], replace(entries[3], reduced=9)])
+    # A missing divisor cannot be recovered: n = 4 needs Psi_2.
+    with pytest.raises(ArithmeticError):
+        factor_table(X3, [entries[0], entries[3]])
+    # det(diag(2, 3)) = 6 does not divide reduced_2 = 5.
+    x = IntMatrix([[2, 0], [0, 3]])
+    with pytest.raises(ArithmeticError):
+        factor_table(x, [replace(e, reduced=5) if e.n == 2 else e
+                         for e in generate_sequence(x, 2)])
