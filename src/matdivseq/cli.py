@@ -52,7 +52,11 @@ def _matrix_from_rows(rows) -> IntMatrix:
 
 
 def parse_matrix(text: str) -> MatrixDocument:
-    """Parse a matrix document in JSON or plain-text row format."""
+    """Parse a matrix document in JSON or plain-text row format.
+
+    One leading byte-order mark (U+FEFF), as some editors write, is dropped.
+    """
+    text = text.removeprefix("\ufeff")
     stripped = text.lstrip()
     if not stripped:
         raise MatrixParseError("empty input")
@@ -103,10 +107,6 @@ def _factorization_json(f: Factorization) -> dict:
     }
 
 
-def _opt_str(v: int | None) -> str | None:
-    return str(v) if v is not None else None
-
-
 def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
               factor: bool = False, column: str = "reduced") -> tuple[str, int]:
     """Render the sequence table for n = 1..n_max in the requested format.
@@ -118,7 +118,7 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
     entries = generate_sequence(x, n_max)
     factors = factor_table(x, entries, column) if factor else [None] * len(entries)
 
-    def cell(e: SequenceEntry) -> int | None:
+    def cell(e: SequenceEntry) -> int:
         return e.reduced if column == "reduced" else e.jacobian_det
 
     if fmt == "json":
@@ -131,9 +131,9 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
         for e, fc in zip(entries, factors):
             item = {
                 "n": e.n,
-                "reduced": _opt_str(e.reduced),
+                "reduced": str(e.reduced),
                 "jacobian_det": str(e.jacobian_det),
-                "n_squared_value": _opt_str(e.n_squared_value),
+                "n_squared_value": str(e.n_squared_value),
                 "fallback_used": e.fallback_used,
             }
             if fc is not None:
@@ -144,8 +144,7 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
     lines = []
     sep = "," if fmt == "csv" else " | "
     for e, fc in zip(entries, factors):
-        v = cell(e)
-        parts = [str(e.n), str(v) if v is not None else ("-" if fmt == "text" else "")]
+        parts = [str(e.n), str(cell(e))]
         if fc is not None:
             parts.append(str(fc))
         lines.append(sep.join(parts))

@@ -8,10 +8,11 @@ three ways and cross-checks them:
 * :func:`jacobian_determinant` takes the exact determinant of the
   s^2 x s^2 derivative matrix. Brute force, valid for every integer X.
 * :func:`closed_form_entry` evaluates ``n^s * det(X)^(n-1) * u_n^2``, u_n
-  the generalized Lucas number of the characteristic polynomial f; u_n^2
-  is disc(g_n)/disc(f), g_n the power polynomial. Requires distinct
-  eigenvalues (nonzero discriminant); otherwise it falls back to the
-  brute-force route and flags the entry.
+  the generalized Lucas number of the characteristic polynomial f. Valid
+  for every integer X, repeated eigenvalues included: J_n equals
+  q_n(X^T (x) I, I (x) X), q_n(a, b) = (a^n - b^n)/(a - b), whose two
+  arguments commute, and u_n divides by no discriminant. With distinct
+  eigenvalues u_n^2 is disc(g_n)/disc(f), g_n the power polynomial.
 * :func:`lucas_2x2` is the classical Lucas-sequence form, 2x2 only:
   ``n^2 * det(X)^(n-1) * U_n^2``.
 
@@ -31,15 +32,14 @@ from math import isqrt, prod
 
 from .factorint import Factorization, factorize
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps
-from .polynomials import MonicIntPolynomial, char_poly, discriminant, generalized_lucas
+from .polynomials import char_poly, discriminant, generalized_lucas
 
 
 class RepeatedEigenvalueError(ValueError):
     """The characteristic polynomial has a repeated root.
 
-    The discriminant-ratio closed form is undefined here; callers should
-    use :func:`jacobian_determinant` (as :func:`closed_form_entry` does
-    automatically).
+    The ratio disc(g_n)/disc(f) is 0/0 here, so :func:`discriminant_ratio`
+    is undefined; :func:`closed_form_entry` still holds.
     """
 
 
@@ -48,15 +48,16 @@ class SequenceEntry:
     """One row of a computed sequence.
 
     ``jacobian_det`` is the full determinant d_n. ``reduced`` is
-    d_n / n^s, the value the factor tables are built from; it is None only
-    when the fallback path ran and d_n was not divisible by n^s.
-    ``n_squared_value`` is the n^2 variant (None on the fallback path).
+    d_n / n^s, the value the factor tables are built from.
+    ``n_squared_value`` is the n^2 variant. ``fallback_used`` is always
+    False: every entry comes from the closed form. It is kept for the
+    ``fallback_used`` key of ``table --format json``.
     """
 
     n: int
     jacobian_det: int
-    reduced: int | None
-    n_squared_value: int | None
+    reduced: int
+    n_squared_value: int
     fallback_used: bool
     factorization: Factorization | None = None
 
@@ -98,18 +99,6 @@ def jacobian_determinant(x: IntMatrix, n: int) -> int:
     return det_bareiss(jacobian_power_map(x, n))
 
 
-def _spectral(x: IntMatrix) -> tuple[MonicIntPolynomial, int, bool]:
-    """Characteristic polynomial f, det(x), and whether f's roots are distinct.
-
-    The discriminant of f only decides between the closed form and the
-    Jacobian fallback; the closed form itself never divides by it.
-    """
-    f = char_poly(x)
-    s = x.dim
-    det_x = (-1) ** s * f.coefficients[-1]
-    return f, det_x, s == 1 or discriminant(f) != 0
-
-
 def discriminant_ratio(x: IntMatrix, n: int) -> int:
     """The squared product of (a_i^n - a_j^n)/(a_i - a_j) over eigenvalue pairs.
 
@@ -120,17 +109,18 @@ def discriminant_ratio(x: IntMatrix, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    f, _, distinct = _spectral(x)
-    if not distinct:
+    f = char_poly(x)
+    if x.dim > 1 and discriminant(f) == 0:
         raise RepeatedEigenvalueError(
             "characteristic polynomial has a repeated root; "
-            "compute via jacobian_determinant instead")
+            "compute via closed_form_entry instead")
     (u,) = generalized_lucas(f, (n,))
     return u * u
 
 
-def _closed_forms(s: int, spectral, ns) -> list[SequenceEntry]:
-    f, det_x, _ = spectral
+def _closed_forms(x: IntMatrix, ns) -> list[SequenceEntry]:
+    f, s = char_poly(x), x.dim
+    det_x = (-1) ** s * f.coefficients[-1]
     entries = []
     for n, u in zip(ns, generalized_lucas(f, ns)):
         # det_x ** 0 == 1 even for singular x, so n = 1 is always safe.
@@ -140,26 +130,15 @@ def _closed_forms(s: int, spectral, ns) -> list[SequenceEntry]:
     return entries
 
 
-def _fallback(s: int, n: int, d: int) -> SequenceEntry:
-    q, r = divmod(d, n ** s)
-    return SequenceEntry(n=n, jacobian_det=d, reduced=q if r == 0 else None,
-                         n_squared_value=None, fallback_used=True)
-
-
 def closed_form_entry(x: IntMatrix, n: int) -> SequenceEntry:
-    """Compute d_n by the closed form, falling back to brute force if needed.
+    """Compute d_n by the closed form ``n^s * det(X)^(n-1) * u_n^2``.
 
-    With distinct eigenvalues the entry is built from the generalized
-    Lucas number u_n and never touches the s^2 x s^2 matrix. With a repeated
-    eigenvalue the Jacobian determinant is computed directly and
-    ``fallback_used`` is set.
+    The entry is built from the generalized Lucas number u_n, for every
+    integer matrix, and never touches the s^2 x s^2 matrix.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    spectral = _spectral(x)
-    if spectral[-1]:
-        return _closed_forms(x.dim, spectral, (n,))[0]
-    return _fallback(x.dim, n, jacobian_determinant(x, n))
+    return _closed_forms(x, (n,))[0]
 
 
 def lucas_2x2(x: IntMatrix, n: int) -> int:
@@ -185,20 +164,14 @@ def generate_sequence(x: IntMatrix, n_max: int,
                       with_factorization: bool = False) -> list[SequenceEntry]:
     """Entries for n = 1..n_max, optionally with the reduced value factorized.
 
-    With a repeated eigenvalue every d_n is the determinant of the J_n that
-    :func:`jacobian_power_maps` steps to, one recurrence over the table.
-    The factorizations come from :func:`factor_table`, which factors the
-    table's primitive parts, not its terms.
+    Every entry comes from the closed form, one pass of generalized Lucas
+    numbers over the table; no Jacobian is built. The factorizations come
+    from :func:`factor_table`, which factors the table's primitive parts,
+    not its terms.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    s = x.dim
-    spectral = _spectral(x)
-    if spectral[-1]:
-        entries = _closed_forms(s, spectral, range(1, n_max + 1))
-    else:
-        entries = [_fallback(s, n, det_bareiss(j))
-                   for n, j in enumerate(jacobian_power_maps(x, n_max), 1)]
+    entries = _closed_forms(x, range(1, n_max + 1))
     if with_factorization:
         entries = [replace(e, factorization=f) for e, f in zip(entries, factor_table(x, entries))]
     return entries
@@ -268,50 +241,35 @@ def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...]
     """Check d_n | d_m for every pair n | m covered by ``entries``.
 
     ``column`` selects which value is checked: "reduced" or "jacobian".
-    Pairs with a missing reduced value are skipped and noted.
     """
     if column not in ("reduced", "jacobian"):
         raise ValueError("column must be 'reduced' or 'jacobian'")
-    values: dict[int, int | None] = {}
-    for e in entries:
-        values[e.n] = e.reduced if column == "reduced" else e.jacobian_det
+    values = {e.n: e.reduced if column == "reduced" else e.jacobian_det for e in entries}
     n_max = max(values) if values else 0
     pairs = []
-    notes = []
     for n in sorted(values):
         for m in range(2 * n, n_max + 1, n):
-            if m not in values:
-                continue
-            vn, vm = values[n], values[m]
-            if vn is None or vm is None:
-                notes.append(f"pair ({n}, {m}) skipped: value missing")
-                continue
-            pairs.append(PairCheck(n=n, m=m, passed=_divides(vn, vm)))
+            if m in values:
+                pairs.append(PairCheck(n=n, m=m, passed=_divides(values[n], values[m])))
     return VerificationReport(fingerprint=fingerprint, n_max=n_max, column=column,
-                              pairs=tuple(pairs), notes=tuple(notes))
+                              pairs=tuple(pairs))
 
 
 def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
     """Check the entries of :func:`generate_sequence` against the Jacobian determinant.
 
-    The determinant is taken once per closed-form n, of the J_n that
-    :func:`jacobian_power_maps` steps to (fallback entries already hold it);
-    a disagreement of the n^s form is a hard mismatch. For dimensions other
-    than 2 the n^2 variant's disagreement is expected and recorded as an
-    informational note. The report carries the checked entries.
+    The determinant is taken once per n, of the J_n that
+    :func:`jacobian_power_maps` steps to, for every matrix; a disagreement
+    of the n^s form is a hard mismatch. For dimensions other than 2 the n^2
+    variant's disagreement is expected and recorded as an informational
+    note. The report carries the checked entries.
     """
     entries = tuple(generate_sequence(x, n_max))
     s = x.dim
     mismatches = []
     notes = []
-    if any(e.fallback_used for e in entries):
-        notes.append("repeated eigenvalues: closed form unavailable, "
-                     "entries use the Jacobian determinant directly")
-        checked = ()
-    else:
-        checked = zip(entries, jacobian_power_maps(x, n_max))
     n_squared_note_done = False
-    for entry, j in checked:
+    for entry, j in zip(entries, jacobian_power_maps(x, n_max)):
         n = entry.n
         oracle = det_bareiss(j)
         if entry.jacobian_det != oracle:

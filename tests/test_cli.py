@@ -84,8 +84,8 @@ def test_run_table_json_identity():
         "n": 1,
         "reduced": "1",
         "jacobian_det": "1",
-        "n_squared_value": None,
-        "fallback_used": True,
+        "n_squared_value": "1",
+        "fallback_used": False,
     }]
 
 
@@ -174,7 +174,7 @@ def _count_calls(monkeypatch, module, name, counts):
 
 @pytest.mark.parametrize("x, per_n", [
     (X3, {"jacobian_det": 1, "lucas_u": 1}),
-    (IntMatrix([[1, 1], [0, 1]]), {"jacobian_det": 1}),  # repeated eigenvalue
+    (IntMatrix([[1, 1], [0, 1]]), {"jacobian_det": 1, "lucas_u": 1}),  # repeated eigenvalue
 ])
 def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
     counts = {}
@@ -294,6 +294,24 @@ def test_main_input_errors(tmp_path, capsys):
         assert err.startswith("error: ") and len(err) < 200, name
     main(["table", str(tmp_path / "huge_int.txt")])
     assert "exceeds the digit limit" in capsys.readouterr().err
+
+
+def test_main_accepts_a_byte_order_mark(tmp_path, monkeypatch, capsys):
+    bom = b"\xef\xbb\xbf"
+    for name, content in {"j2.json": b'{"matrix": [[1,1],[0,1]]}', "j2.txt": b"1 1\n0 1\n"}.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["table", str(path), "--n-max", "3"]) == 0
+        plain = capsys.readouterr().out
+        path.write_bytes(bom + content)
+        assert main(["table", str(path), "--n-max", "3"]) == 0, name
+        assert capsys.readouterr().out == plain == "1 | 1\n2 | 4\n3 | 9\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO((bom + content).decode("utf-8")))
+        assert main(["table", "-", "--n-max", "3"]) == 0, name
+        assert capsys.readouterr().out == plain
+    # Only one mark is dropped.
+    with pytest.raises(MatrixParseError):
+        parse_matrix("\ufeff\ufeff1 1\n0 1\n")
 
 
 def test_main_rejects_bad_n(tmp_path):

@@ -7,8 +7,8 @@ import matdivseq
 from matdivseq import (IntMatrix, RepeatedEigenvalueError, SequenceEntry, char_poly,
                        closed_form_entry, det_bareiss, discriminant, discriminant_ratio,
                        factor_table, factorize, generalized_lucas, generate_sequence,
-                       jacobian_determinant, jacobian_power_map, lucas_2x2, mat_mul,
-                       verify_closed_form, verify_divisibility)
+                       jacobian_determinant, jacobian_power_map, jacobian_power_maps,
+                       lucas_2x2, mat_mul, verify_closed_form, verify_divisibility)
 
 from golden_tables import X3, X4, X3_TABLE
 from helpers import random_matrix, unimodular_pair
@@ -73,11 +73,13 @@ def test_closed_form_entry_x3_n1():
 
 
 def test_closed_form_entry_identity_fallback():
-    e = closed_form_entry(IntMatrix.identity(2), 2)
-    assert e.fallback_used
-    assert e.jacobian_det == 16
+    x = IntMatrix.identity(2)
+    e = closed_form_entry(x, 2)
+    assert not e.fallback_used
+    assert e.jacobian_det == 16 == jacobian_determinant(x, 2)
     assert e.reduced == 4
-    assert e.n_squared_value is None
+    assert e.jacobian_det == 2 ** 2 * e.reduced
+    assert e.n_squared_value == 16
 
 
 def test_oracle_equivalence_random_sample():
@@ -193,16 +195,18 @@ def test_generate_sequence_takes_one_power_sum_pass(monkeypatch):
     monkeypatch.setattr(matdivseq.polynomials, "power_polynomial", no_power_polynomial)
     entries = generate_sequence(X4, 12)
     assert not any(e.fallback_used for e in entries)
-    # disc(f) alone decides the route: power sums of f to p_(2s-2), no disc(g_n);
-    # one pass of complete homogeneous sums then serves every u_n of the table.
-    assert calls == [("discriminant", f), ("power_sums", f, 6),
-                     ("generalized_lucas", f, range(1, 13))]
+    # No discriminant picks a route: one pass of complete homogeneous sums
+    # serves every u_n of the table.
+    assert calls == [("generalized_lucas", f, range(1, 13))]
 
 
 def test_generate_sequence_identity_fallback():
-    entries = generate_sequence(IntMatrix.identity(2), 3)
+    x = IntMatrix.identity(2)
+    entries = generate_sequence(x, 3)
     assert [e.jacobian_det for e in entries] == [1, 16, 81]
-    assert all(e.fallback_used for e in entries)
+    assert not any(e.fallback_used for e in entries)
+    for e in entries:
+        assert e.jacobian_det == jacobian_determinant(x, e.n) == e.n ** 2 * e.reduced
 
 
 def test_verify_divisibility_x3_reduced():
@@ -264,10 +268,27 @@ def test_verify_closed_form_eigenvalue_collision_passes():
     assert report.passed
 
 
-def test_verify_closed_form_repeated_eigenvalues_notes_fallback():
-    report = verify_closed_form(JORDAN_2, 4)
-    assert report.passed
-    assert any("repeated eigenvalues" in n for n in report.notes)
+def _record_sequence_dets(monkeypatch):
+    """The dimension of each matrix ``sequences`` takes a determinant of, in order."""
+    dets = []
+    det = matdivseq.sequences.det_bareiss
+
+    def counted(a):
+        dets.append(a.dim)
+        return det(a)
+
+    monkeypatch.setattr(matdivseq.sequences, "det_bareiss", counted)
+    return dets
+
+
+def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
+    dets = _record_sequence_dets(monkeypatch)
+    for x in (JORDAN_2, JORDAN_3):
+        dets.clear()
+        report = verify_closed_form(x, 4)
+        assert report.passed
+        assert not any("closed form unavailable" in n for n in report.notes)
+        assert dets == [x.dim ** 2] * 4
 
 
 def test_similarity_invariance_of_jacobian_determinant():
@@ -297,10 +318,63 @@ def test_fallback_jordan_blocks():
         s = x.dim
         for n in range(1, 7):
             e = closed_form_entry(x, n)
-            assert e.fallback_used
+            assert not e.fallback_used
             assert e.jacobian_det == det_bareiss(jacobian_power_map(x, n))
-            if e.reduced is not None:
-                assert e.jacobian_det == n ** s * e.reduced
+            assert e.jacobian_det == jacobian_determinant(x, n)
+            assert e.jacobian_det == n ** s * e.reduced
+
+
+def _jordan_sum(lam, k, block):
+    """J_k(lam) (+) block: lam is an eigenvalue of multiplicity at least k."""
+    s = k + len(block)
+    rows = [[0] * s for _ in range(s)]
+    for i in range(k):
+        rows[i][i] = lam
+        if i + 1 < k:
+            rows[i][i + 1] = 1
+    for i, row in enumerate(block):
+        rows[k + i][k:] = list(row)
+    return IntMatrix(rows)
+
+
+def _repeated_eigenvalue_cases():
+    rng = random.Random(167)
+    cases = []
+    for s in (3, 4, 5):
+        for k in (2, 3):
+            x = _jordan_sum(rng.choice((-2, -1, 1, 2)), k,
+                            random_matrix(rng, s - k, -1, 1).entries if s > k else ())
+            p, p_inv = unimodular_pair(rng, s, ops=s)
+            cases.append(mat_mul(mat_mul(p, x), p_inv))
+    cases += [
+        IntMatrix([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]),  # scalar
+        _jordan_sum(0, 4, ()),  # nilpotent
+        IntMatrix([[0, 0, 1], [0, 0, 2], [0, 0, 3]]),  # singular, eigenvalues 0, 0, 3
+    ]
+    return cases
+
+
+def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypatch):
+    dets = _record_sequence_dets(monkeypatch)
+
+    def no_jacobian(*args):
+        raise AssertionError("generate_sequence builds no Jacobian")
+
+    for x in _repeated_eigenvalue_cases():
+        assert not _distinct_eigenvalues(x), x.fingerprint()
+        with monkeypatch.context() as m:
+            m.setattr(matdivseq.sequences, "jacobian_power_maps", no_jacobian)
+            m.setattr(matdivseq.sequences, "jacobian_power_map", no_jacobian)
+            entries = generate_sequence(x, 20)
+        assert not any(e.fallback_used for e in entries)
+        stepped = [det_bareiss(j) for j in jacobian_power_maps(x, 20)]
+        assert [e.jacobian_det for e in entries] == stepped, x.fingerprint()
+        dets.clear()
+        report = verify_closed_form(x, 20)
+        # One s^2 x s^2 determinant per n, each equal to the closed form.
+        assert dets == [x.dim ** 2] * 20, x.fingerprint()
+        assert report.passed and not report.mismatches, x.fingerprint()
+        assert report.entries == tuple(entries)
 
 
 def test_singular_matrix_is_accepted():
