@@ -10,7 +10,7 @@ much smaller Psi_k are factored, each once per table.
 
 import time
 
-from matdivseq import IntMatrix, generate_sequence
+from matdivseq import IntMatrix, factor_table, generate_sequence
 
 MATRICES = [
     ("3x3 example", IntMatrix([[1, -2, -6], [0, 1, 3], [-1, 0, 1]])),
@@ -22,10 +22,11 @@ for name, x in MATRICES:
     print(f"== {name} ==")
     print(x)
     t0 = time.perf_counter()
-    entries = generate_sequence(x, 16, with_factorization=True)
+    entries = generate_sequence(x, 16)
+    factors = factor_table(x, entries)
     elapsed = time.perf_counter() - t0
     width = max(len(str(e.reduced)) for e in entries)
-    for e in entries:
-        print(f"{e.n:2d} | {str(e.reduced):>{width}} | {e.factorization}")
+    for e, fc in zip(entries, factors):
+        print(f"{e.n:2d} | {str(e.reduced):>{width}} | {fc}")
     print(f"(computed and factored in {elapsed:.2f}s)")
     print()

@@ -12,8 +12,7 @@ from .linalg import (IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_
 from .polynomials import (MonicIntPolynomial, NotRealizableError, PowerSums, char_poly,
                           discriminant, generalized_lucas, poly_from_power_sums,
                           power_polynomial, power_sums, resultant, sylvester_matrix)
-from .sequences import (PairCheck, RepeatedEigenvalueError, SequenceEntry,
-                        VerificationReport, closed_form_entry, discriminant_ratio,
+from .sequences import (PairCheck, SequenceEntry, VerificationReport, closed_form_entry,
                         factor_table, generate_sequence, jacobian_determinant, lucas_2x2,
                         verify_closed_form, verify_divisibility)
 
@@ -26,8 +25,8 @@ __all__ = [
     "MonicIntPolynomial", "NotRealizableError", "PowerSums", "char_poly",
     "discriminant", "generalized_lucas", "poly_from_power_sums", "power_polynomial",
     "power_sums", "resultant", "sylvester_matrix",
-    "PairCheck", "RepeatedEigenvalueError", "SequenceEntry", "VerificationReport",
-    "closed_form_entry", "discriminant_ratio", "factor_table", "generate_sequence",
-    "jacobian_determinant", "lucas_2x2", "verify_closed_form", "verify_divisibility",
+    "PairCheck", "SequenceEntry", "VerificationReport", "closed_form_entry",
+    "factor_table", "generate_sequence", "jacobian_determinant", "lucas_2x2",
+    "verify_closed_form", "verify_divisibility",
     "__version__",
 ]

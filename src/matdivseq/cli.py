@@ -3,8 +3,10 @@
 Subcommands: ``table``, ``verify``, ``charpoly``, ``jacobian``. Matrices
 are read from a file (or stdin with ``-``) in either of two formats:
 
-* JSON: ``{"matrix": [[1, -2, -6], [0, 1, 3], [-1, 0, 1]], "name": "X3"}``
-* plain text: one row per line, whitespace-separated integers
+* JSON: ``{"matrix": [[1, -2, -6], [0, 1, 3], [-1, 0, 1]], "name": "X3"}``;
+  the optional name holds no control characters
+* plain text: one row per line, whitespace-separated integers written
+  with ASCII digits and an optional sign
 
 Exit codes: 0 success, 1 verification failure, 2 input error. Large
 integers in JSON output are rendered as decimal strings so consumers do
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+import unicodedata
 from dataclasses import dataclass
 
 from .factorint import Factorization
@@ -37,10 +41,9 @@ class MatrixDocument:
     name: str | None = None
 
 
-def _require_int(v) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise MatrixParseError("integer entries required")
-    return v
+# A plain-text entry: ASCII digits with an optional sign. int() alone would
+# also take "1_0" and non-ASCII digits, which the JSON path rejects.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _matrix_from_rows(rows) -> IntMatrix:
@@ -48,7 +51,10 @@ def _matrix_from_rows(rows) -> IntMatrix:
         raise MatrixParseError("matrix must be a non-empty list of rows")
     if any(len(r) != len(rows) for r in rows):
         raise MatrixParseError("matrix must be square")
-    return IntMatrix(tuple(tuple(_require_int(v) for v in row) for row in rows))
+    try:
+        return IntMatrix(rows)
+    except ValueError as exc:  # IntMatrix checks the entries are integers
+        raise MatrixParseError(str(exc)) from exc
 
 
 def parse_matrix(text: str) -> MatrixDocument:
@@ -73,6 +79,9 @@ def parse_matrix(text: str) -> MatrixDocument:
         name = obj.get("name")
         if name is not None and not isinstance(name, str):
             raise MatrixParseError('"name" must be a string')
+        # The text report prints the name on a line of its own.
+        if name is not None and any(unicodedata.category(c) == "Cc" for c in name):
+            raise MatrixParseError('"name" must not contain control characters')
         return MatrixDocument(matrix=_matrix_from_rows(obj["matrix"]), name=name)
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -81,7 +90,9 @@ def parse_matrix(text: str) -> MatrixDocument:
         row = []
         for token in line.split():
             try:
-                row.append(int(token, 10))
+                if not _INTEGER.fullmatch(token):
+                    raise ValueError("invalid literal")
+                row.append(int(token))
             except ValueError as exc:
                 # CPython's int-from-str digit limit; an invalid literal says otherwise.
                 reason = ("integer exceeds the digit limit" if "Exceeds the limit" in str(exc)
@@ -176,8 +187,7 @@ def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str,
     """Closed-form and divisibility verification; exit 1 on any hard failure."""
     x = doc.matrix
     cf = verify_closed_form(x, n_max)
-    div_reports = [verify_divisibility(cf.entries, col, x.fingerprint())
-                   for col in ("jacobian", "reduced")]
+    div_reports = [verify_divisibility(cf.entries, col) for col in ("jacobian", "reduced")]
     passed = cf.passed and all(r.passed for r in div_reports)
     code = 0 if passed else 1
 

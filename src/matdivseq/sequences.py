@@ -16,8 +16,12 @@ three ways and cross-checks them:
 * :func:`lucas_2x2` is the classical Lucas-sequence form, 2x2 only:
   ``n^2 * det(X)^(n-1) * U_n^2``.
 
-:func:`factor_table` factors a table through the algebraic split of u_n
-into primitive parts, one factorization per part instead of per term.
+:func:`generate_sequence` builds the closed-form entries of a table,
+n = 1..n_max, in one pass. :func:`factor_table` factors one column of
+those entries through the algebraic split of u_n into primitive parts,
+one factorization per part instead of per term. :func:`verify_closed_form`
+checks the entries against the Jacobian determinant and
+:func:`verify_divisibility` checks d_n | d_m for every n | m.
 
 An ``n^2`` variant of the closed form (same product but with ``n^2`` in
 place of ``n^s``) is carried alongside for comparison; it agrees with the
@@ -27,20 +31,12 @@ difference as informational rather than as a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt, prod
 
 from .factorint import Factorization, factorize
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps
-from .polynomials import char_poly, discriminant, generalized_lucas
-
-
-class RepeatedEigenvalueError(ValueError):
-    """The characteristic polynomial has a repeated root.
-
-    The ratio disc(g_n)/disc(f) is 0/0 here, so :func:`discriminant_ratio`
-    is undefined; :func:`closed_form_entry` still holds.
-    """
+from .polynomials import char_poly, generalized_lucas
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ class SequenceEntry:
     """One row of a computed sequence.
 
     ``jacobian_det`` is the full determinant d_n. ``reduced`` is
-    d_n / n^s, the value the factor tables are built from.
+    d_n / n^s, the value :func:`factor_table` factors by default.
     ``n_squared_value`` is the n^2 variant. ``fallback_used`` is always
     False: every entry comes from the closed form. It is kept for the
     ``fallback_used`` key of ``table --format json``.
@@ -59,7 +55,6 @@ class SequenceEntry:
     reduced: int
     n_squared_value: int
     fallback_used: bool
-    factorization: Factorization | None = None
 
 
 @dataclass(frozen=True)
@@ -75,14 +70,14 @@ class PairCheck:
 class VerificationReport:
     """Outcome of closed-form and divisibility verification.
 
-    ``mismatches`` are hard failures (the closed form disagreeing with the
-    Jacobian determinant); ``notes`` are informational only and never fail
-    the report. ``entries`` are the sequence entries that were checked, as
+    ``column`` is the column a divisibility report checked, with its
+    ``pairs`` (None and empty for closed-form reports). ``mismatches`` are
+    hard failures (the closed form disagreeing with the Jacobian
+    determinant); ``notes`` are informational only and never fail the
+    report. ``entries`` are the sequence entries that were checked, as
     :func:`generate_sequence` returned them (empty for divisibility reports).
     """
 
-    fingerprint: str
-    n_max: int
     column: str | None = None
     pairs: tuple[PairCheck, ...] = ()
     mismatches: tuple[str, ...] = ()
@@ -97,25 +92,6 @@ class VerificationReport:
 def jacobian_determinant(x: IntMatrix, n: int) -> int:
     """Determinant of the power-map derivative, the ground-truth value d_n."""
     return det_bareiss(jacobian_power_map(x, n))
-
-
-def discriminant_ratio(x: IntMatrix, n: int) -> int:
-    """The squared product of (a_i^n - a_j^n)/(a_i - a_j) over eigenvalue pairs.
-
-    Equal to discriminant(g_n) / discriminant(f), an exact integer, and
-    evaluated as u_n^2, u_n the generalized Lucas number of f, without ever
-    touching the eigenvalues. Raises :class:`RepeatedEigenvalueError` when
-    f has a repeated root.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    f = char_poly(x)
-    if x.dim > 1 and discriminant(f) == 0:
-        raise RepeatedEigenvalueError(
-            "characteristic polynomial has a repeated root; "
-            "compute via closed_form_entry instead")
-    (u,) = generalized_lucas(f, (n,))
-    return u * u
 
 
 def _closed_forms(x: IntMatrix, ns) -> list[SequenceEntry]:
@@ -160,21 +136,16 @@ def lucas_2x2(x: IntMatrix, n: int) -> int:
     return n * n * q ** (n - 1) * u * u
 
 
-def generate_sequence(x: IntMatrix, n_max: int,
-                      with_factorization: bool = False) -> list[SequenceEntry]:
-    """Entries for n = 1..n_max, optionally with the reduced value factorized.
+def generate_sequence(x: IntMatrix, n_max: int) -> list[SequenceEntry]:
+    """Entries for n = 1..n_max.
 
     Every entry comes from the closed form, one pass of generalized Lucas
-    numbers over the table; no Jacobian is built. The factorizations come
-    from :func:`factor_table`, which factors the table's primitive parts,
-    not its terms.
+    numbers over the table; no Jacobian is built. Pass the entries to
+    :func:`factor_table` to factor a column.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    entries = _closed_forms(x, range(1, n_max + 1))
-    if with_factorization:
-        entries = [replace(e, factorization=f) for e, f in zip(entries, factor_table(x, entries))]
-    return entries
+    return _closed_forms(x, range(1, n_max + 1))
 
 
 def _exact_quotient(a: int, b: int, what: str) -> int:
@@ -237,7 +208,7 @@ def _divides(a: int, b: int) -> bool:
 
 
 def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
-                        column: str = "reduced", fingerprint: str = "") -> VerificationReport:
+                        column: str = "reduced") -> VerificationReport:
     """Check d_n | d_m for every pair n | m covered by ``entries``.
 
     ``column`` selects which value is checked: "reduced" or "jacobian".
@@ -251,8 +222,7 @@ def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...]
         for m in range(2 * n, n_max + 1, n):
             if m in values:
                 pairs.append(PairCheck(n=n, m=m, passed=_divides(values[n], values[m])))
-    return VerificationReport(fingerprint=fingerprint, n_max=n_max, column=column,
-                              pairs=tuple(pairs))
+    return VerificationReport(column=column, pairs=tuple(pairs))
 
 
 def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
@@ -280,6 +250,5 @@ def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
                          f"at n={n} but the Jacobian determinant is {oracle} "
                          f"(dim {s} carries n^{s})")
             n_squared_note_done = True
-    return VerificationReport(fingerprint=x.fingerprint(), n_max=n_max,
-                              mismatches=tuple(mismatches), notes=tuple(notes),
+    return VerificationReport(mismatches=tuple(mismatches), notes=tuple(notes),
                               entries=entries)

@@ -8,10 +8,10 @@ anywhere.
 import random
 import time
 
-from matdivseq import (IntMatrix, char_poly, det_bareiss, discriminant,
-                       discriminant_ratio, generate_sequence, jacobian_determinant,
-                       jacobian_power_map, lucas_2x2, mat_vec, power_map_derivative,
-                       power_polynomial, vec, verify_divisibility)
+from matdivseq import (IntMatrix, char_poly, closed_form_entry, det_bareiss, discriminant,
+                       factor_table, generate_sequence, jacobian_determinant, jacobian_power_map,
+                       lucas_2x2, mat_vec, power_map_derivative, power_polynomial, vec,
+                       verify_divisibility)
 from matdivseq.cli import MatrixDocument, run_verify
 
 from golden_tables import X3, X4, X3_TABLE, X4_TABLE
@@ -22,19 +22,15 @@ def _report(line):
     print(f"PASS  {line}")
 
 
-def _distinct_eigenvalues(x):
-    return x.dim == 1 or discriminant(char_poly(x)) != 0
-
-
 def test_criterion_1_example3_golden_table():
     t0 = time.perf_counter()
-    entries = generate_sequence(X3, 16, with_factorization=True)
-    for (n, value, factors), entry in zip(X3_TABLE, entries):
+    entries = generate_sequence(X3, 16)
+    for (n, value, factors), entry, f in zip(X3_TABLE, entries, factor_table(X3, entries)):
         assert entry.n == n
         assert entry.reduced == value
-        assert entry.factorization.factors == factors
-        assert entry.factorization.complete
-        assert entry.factorization.sign == 1
+        assert f.factors == factors
+        assert f.complete
+        assert f.sign == 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(f"criterion 1: 3x3 example table reproduced exactly, "
@@ -43,13 +39,13 @@ def test_criterion_1_example3_golden_table():
 
 def test_criterion_2_example4_golden_table():
     t0 = time.perf_counter()
-    entries = generate_sequence(X4, 16, with_factorization=True)
-    for (n, value, factors), entry in zip(X4_TABLE, entries):
+    entries = generate_sequence(X4, 16)
+    for (n, value, factors), entry, f in zip(X4_TABLE, entries, factor_table(X4, entries)):
         assert entry.n == n
         assert entry.reduced == value
-        assert entry.factorization.factors == factors
-        assert entry.factorization.complete
-        assert entry.factorization.sign == 1
+        assert f.factors == factors
+        assert f.complete
+        assert f.sign == 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report(f"criterion 2: 4x4 example table reproduced exactly, "
@@ -63,12 +59,8 @@ def test_criterion_3_oracle_equivalence():
     dims = (2, 3, 4)
     while checked < 200:
         x = random_matrix(rng, dims[checked % 3], -5, 5)
-        if not _distinct_eigenvalues(x):
-            continue
-        s = x.dim
-        detx = det_bareiss(x)
         for n in range(1, 11):
-            closed = n ** s * detx ** (n - 1) * discriminant_ratio(x, n)
+            closed = closed_form_entry(x, n).jacobian_det
             assert jacobian_determinant(x, n) == closed, (x.fingerprint(), n)
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -87,7 +79,7 @@ def test_criterion_4_divisibility_property():
     for x in matrices:
         entries = generate_sequence(x, 20)
         for column in ("jacobian", "reduced"):
-            report = verify_divisibility(entries, column, x.fingerprint())
+            report = verify_divisibility(entries, column)
             assert report.passed, (x.fingerprint(), column)
             assert not report.notes
             pairs_checked += len(report.pairs)
@@ -153,7 +145,7 @@ def test_criterion_9_repeated_eigenvalue_robustness():
             assert entry.jacobian_det == det_bareiss(jacobian_power_map(x, n))
         entries = generate_sequence(x, 12)
         for column in ("jacobian", "reduced"):
-            report = verify_divisibility(entries, column, x.fingerprint())
+            report = verify_divisibility(entries, column)
             assert report.passed, (x.fingerprint(), column)
     _report("criterion 9: on Jordan-block matrices the closed form equals the "
             "Jacobian determinant and divisibility holds for n | m <= 12")

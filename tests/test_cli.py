@@ -153,8 +153,7 @@ def test_run_verify_failure_exit_code(monkeypatch):
     import matdivseq.cli as cli_mod
 
     def fake_verify(x, n_max):
-        return VerificationReport(fingerprint=x.fingerprint(), n_max=n_max,
-                                  mismatches=("n=2: forced mismatch",))
+        return VerificationReport(mismatches=("n=2: forced mismatch",))
 
     monkeypatch.setattr(cli_mod, "verify_closed_form", fake_verify)
     out, code = run_verify(parse_matrix(X3_JSON), 3)
@@ -320,3 +319,34 @@ def test_main_rejects_bad_n(tmp_path):
     assert main(["table", str(path), "--n-max", "0"]) == 2
     assert main(["verify", str(path), "--n-max", "-1"]) == 2
     assert main(["jacobian", str(path), "--n", "0"]) == 2
+
+
+def test_main_plain_text_takes_only_ascii_decimal_integers(tmp_path, capsys):
+    # int() alone reads "1_0" as 10 and takes Arabic-Indic and full-width digits.
+    path = tmp_path / "rows.txt"
+    for line, token in [("1_0 0", "1_0"), ("١ 0", "١"), ("２ 0", "２")]:
+        path.write_text(f"{line}\n0 1\n", encoding="utf-8")
+        assert main(["charpoly", str(path)]) == 2, token
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: integer entries required (line 1: {token!r})\n"
+    path.write_text("+10 -0\n0 +1\n", encoding="utf-8")
+    assert main(["charpoly", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("characteristic polynomial: x^2 - 11x + 10\n")
+
+
+def test_main_rejects_a_name_with_control_characters(tmp_path, capsys):
+    path = tmp_path / "fib.json"
+    for name in ("fib\nresult: FAIL", "fib\rx", "fib\x00", "fib\x1b[2K", "fib\x85"):
+        path.write_text(json.dumps({"matrix": [[1, 1], [1, 0]], "name": name}), encoding="utf-8")
+        assert main(["verify", str(path), "--format", "text"]) == 2, repr(name)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'error: "name" must not contain control characters\n'
+    # Other non-ASCII text is a name like any other; non-strings keep their message.
+    path.write_text(json.dumps({"matrix": [[1, 1], [1, 0]], "name": "Fibonacci φ"}),
+                    encoding="utf-8")
+    assert main(["verify", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("matrix: Fibonacci φ\n")
+    with pytest.raises(MatrixParseError, match='"name" must be a string'):
+        parse_matrix('{"matrix": [[1]], "name": 5}')

@@ -4,11 +4,11 @@ from dataclasses import replace
 import pytest
 
 import matdivseq
-from matdivseq import (IntMatrix, RepeatedEigenvalueError, SequenceEntry, char_poly,
-                       closed_form_entry, det_bareiss, discriminant, discriminant_ratio,
-                       factor_table, factorize, generalized_lucas, generate_sequence,
-                       jacobian_determinant, jacobian_power_map, jacobian_power_maps,
-                       lucas_2x2, mat_mul, verify_closed_form, verify_divisibility)
+from matdivseq import (IntMatrix, SequenceEntry, char_poly, closed_form_entry, det_bareiss,
+                       discriminant, factor_table, factorize, generalized_lucas,
+                       generate_sequence, jacobian_determinant, jacobian_power_map,
+                       jacobian_power_maps, lucas_2x2, mat_mul, verify_closed_form,
+                       verify_divisibility)
 
 from golden_tables import X3, X4, X3_TABLE
 from helpers import random_matrix, unimodular_pair
@@ -35,27 +35,32 @@ def test_jacobian_determinant_fibonacci_n2():
     assert jacobian_determinant(FIB, 2) == -4
 
 
+def _u_squared(x, n):
+    """u_n^2 read off the closed form: reduced_n / det(X)^(n-1).
+
+    With distinct eigenvalues this is the discriminant ratio disc(g_n)/disc(f).
+    """
+    q, r = divmod(closed_form_entry(x, n).reduced, det_bareiss(x) ** (n - 1))
+    assert r == 0
+    return q
+
+
 def test_discriminant_ratio_n1():
     for x in (FIB, X3, X4):
-        assert discriminant_ratio(x, 1) == 1
+        assert _u_squared(x, 1) == 1
 
 
 def test_discriminant_ratio_x3():
-    assert discriminant_ratio(X3, 2) == 100
-    assert discriminant_ratio(X3, 3) == 6561
+    assert _u_squared(X3, 2) == 100
+    assert _u_squared(X3, 3) == 6561
 
 
 def test_discriminant_ratio_x4_n2():
-    assert discriminant_ratio(X4, 2) == 65536
-
-
-def test_discriminant_ratio_repeated_eigenvalues():
-    with pytest.raises(RepeatedEigenvalueError):
-        discriminant_ratio(IntMatrix.identity(2), 2)
+    assert _u_squared(X4, 2) == 65536
 
 
 def test_discriminant_ratio_1x1():
-    assert discriminant_ratio(IntMatrix([[7]]), 5) == 1
+    assert _u_squared(IntMatrix([[7]]), 5) == 1
 
 
 def test_closed_form_entry_x3_n2():
@@ -84,24 +89,17 @@ def test_closed_form_entry_identity_fallback():
 
 def test_oracle_equivalence_random_sample():
     rng = random.Random(131)
-    checked = 0
-    while checked < 30:
-        dim = rng.choice((2, 3, 4))
-        x = random_matrix(rng, dim)
-        if not _distinct_eigenvalues(x):
-            continue
-        detx = det_bareiss(x)
+    for _ in range(30):
+        x = random_matrix(rng, rng.choice((2, 3, 4)))
         for n in range(1, 7):
-            expected = n ** dim * detx ** (n - 1) * discriminant_ratio(x, n)
-            assert jacobian_determinant(x, n) == expected
-        checked += 1
+            assert closed_form_entry(x, n).jacobian_det == jacobian_determinant(x, n)
 
 
 def test_zero_propagation_on_eigenvalue_collision():
     # diag(1, -1): squares collide; rotation by 90 degrees: 4th powers collide.
     cases = [(IntMatrix([[1, 0], [0, -1]]), 2), (IntMatrix([[0, 1], [-1, 0]]), 4)]
     for x, n in cases:
-        assert discriminant_ratio(x, n) == 0
+        assert closed_form_entry(x, n).reduced == 0
         assert jacobian_determinant(x, n) == 0
 
 
@@ -158,17 +156,16 @@ def test_lucas_2x2_rejects_other_dims():
 
 
 def test_generate_sequence_x3_first_five():
-    entries = generate_sequence(X3, 5, with_factorization=True)
+    entries = generate_sequence(X3, 5)
     reduced = [e.reduced for e in entries]
     assert reduced == [1, 100, 6561, 193600, 808201]
-    rendered = [str(e.factorization) for e in entries]
+    rendered = [str(f) for f in factor_table(X3, entries)]
     assert rendered == ["1", "2^2 5^2", "3^8", "2^6 5^2 11^2", "29^2 31^2"]
 
 
 def test_generate_sequence_x4_first_three():
     entries = generate_sequence(X4, 3)
     assert [e.reduced for e in entries] == [1, 65536, 1]
-    assert all(e.factorization is None for e in entries)
 
 
 def test_generate_sequence_takes_one_power_sum_pass(monkeypatch):
@@ -185,9 +182,9 @@ def test_generate_sequence_takes_one_power_sum_pass(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(matdivseq.polynomials, "power_sums")
-    for name in ("discriminant", "generalized_lucas"):
-        counting(matdivseq.sequences, name)
+    for name in ("power_sums", "discriminant"):
+        counting(matdivseq.polynomials, name)
+    counting(matdivseq.sequences, "generalized_lucas")
 
     def no_power_polynomial(*args):
         raise AssertionError("the closed form builds no power polynomial")
@@ -211,7 +208,7 @@ def test_generate_sequence_identity_fallback():
 
 def test_verify_divisibility_x3_reduced():
     entries = generate_sequence(X3, 8)
-    report = verify_divisibility(entries, "reduced", X3.fingerprint())
+    report = verify_divisibility(entries, "reduced")
     assert report.passed
     pair24 = next(p for p in report.pairs if (p.n, p.m) == (2, 4))
     assert pair24.passed
@@ -437,13 +434,14 @@ def test_factor_table_x4_factors_primitive_parts_not_terms(monkeypatch):
         return factorize(n, *args)
 
     monkeypatch.setattr(sequences, "factorize", counting)
-    entries = generate_sequence(X4, 20, with_factorization=True)
+    entries = generate_sequence(X4, 20)
+    merged = factor_table(X4, entries)
     # det(X4) and Psi_2 .. Psi_20, each once; R_20 itself has 92 digits.
     assert len(str(entries[-1].reduced)) == 92
     assert len(inputs) <= 20
     assert max(abs(v) for v in inputs) < 10 ** 45
-    for e in entries:
-        assert e.factorization == factorize(e.reduced), e.n
+    for e, f in zip(entries, merged):
+        assert f == factorize(e.reduced), e.n
     for e, f in zip(entries, factor_table(X4, entries, "jacobian")):
         assert f == factorize(e.jacobian_det), e.n
 
@@ -469,3 +467,9 @@ def test_factor_table_raises_on_broken_identity():
     with pytest.raises(ArithmeticError):
         factor_table(x, [replace(e, reduced=5) if e.n == 2 else e
                          for e in generate_sequence(x, 2)])
+
+
+def test_every_exported_name_resolves():
+    for name in matdivseq.__all__:
+        assert getattr(matdivseq, name, None) is not None, name
+    assert len(set(matdivseq.__all__)) == len(matdivseq.__all__)
