@@ -21,6 +21,7 @@ import re
 import sys
 import unicodedata
 from dataclasses import dataclass
+from functools import cache
 
 from .factorint import Factorization
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map
@@ -79,8 +80,10 @@ def parse_matrix(text: str) -> MatrixDocument:
         name = obj.get("name")
         if name is not None and not isinstance(name, str):
             raise MatrixParseError('"name" must be a string')
-        # The text report prints the name on a line of its own.
-        if name is not None and any(unicodedata.category(c) == "Cc" for c in name):
+        # The text report prints the name on a line of its own; str.splitlines()
+        # also breaks lines at U+2028 and U+2029 (categories Zl and Zp).
+        if name is not None and any(unicodedata.category(c) in ("Cc", "Zl", "Zp")
+                                    for c in name):
             raise MatrixParseError('"name" must not contain control characters')
         return MatrixDocument(matrix=_matrix_from_rows(obj["matrix"]), name=name)
     rows = []
@@ -303,8 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = parse_matrix(_read_input(args.matrix))
         if args.command in ("table", "verify") and args.n_max < 1:

@@ -255,6 +255,19 @@ def test_main_table(tmp_path, capsys):
     assert "3 | 6561 | 3^8" in out
 
 
+def test_main_calls_do_not_share_options(tmp_path, capsys):
+    # main() reuses one parser; each call still starts from the defaults.
+    path = tmp_path / "x3.json"
+    path.write_text(X3_JSON, encoding="utf-8")
+    assert main(["table", str(path), "--n-max", "3", "--factor", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3,6561,3^8"
+    assert main(["table", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16 and lines[2] == "3 | 6561"
+    assert main(["charpoly", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("characteristic polynomial:")
+
+
 def test_main_verify_exit_zero(tmp_path, capsys):
     path = tmp_path / "x3.json"
     path.write_text(X3_JSON, encoding="utf-8")
@@ -350,3 +363,15 @@ def test_main_rejects_a_name_with_control_characters(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("matrix: Fibonacci φ\n")
     with pytest.raises(MatrixParseError, match='"name" must be a string'):
         parse_matrix('{"matrix": [[1]], "name": 5}')
+
+
+def test_main_rejects_a_name_with_unicode_line_separators(tmp_path, capsys):
+    # str.splitlines() breaks at U+2028 and U+2029, so such a name could forge
+    # a report line for a Python reader.
+    path = tmp_path / "fib.json"
+    for name in ("fib\u2028result: FAIL", "fib\u2029result: FAIL"):
+        path.write_text(json.dumps({"matrix": [[1, 1], [1, 0]], "name": name}), encoding="utf-8")
+        assert main(["verify", str(path), "--format", "text"]) == 2, repr(name)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'error: "name" must not contain control characters\n'

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import matdivseq
-from matdivseq import Factorization, factorize, is_prime
+from golden_tables import X4
+from matdivseq import Factorization, factor_table, factorize, generate_sequence, is_prime
+from matdivseq import factorint
 
 # Values at the trial-division bound of 10^6 and their factorizations:
 # 999983 is the largest prime below it, 1000003 the smallest above it, and
@@ -153,6 +155,28 @@ def test_factorize_perfect_powers():
     assert g.factors == ((2, 100),)
 
 
+def test_trial_division_stops_at_a_proven_prime(monkeypatch):
+    # What is left above 1e10 is tested for primality before the first run
+    # and after each run that divides it; a proven prime ends trial division.
+    screens = []
+    gcd = factorint.gcd
+
+    def counted(a, b):
+        screens.append(b)
+        return gcd(a, b)
+
+    monkeypatch.setattr(factorint, "gcd", counted)
+    assert factorize(1465126030367).factors == ((1465126030367, 1),)
+    assert screens == []
+    assert factorize(4643 * 535418597473).factors == ((4643, 1), (535418597473, 1))
+    assert len(screens) < 10
+    # Composites and leftovers too small for the test still run the screens.
+    assert factorize(3 * 999983 * 1465126030367).factors == (
+        (3, 1), (999983, 1), (1465126030367, 1))
+    assert factorize(7 * (10 ** 12 + 39) ** 2).factors == ((7, 1), (10 ** 12 + 39, 2))
+    assert factorize(999983 * 1000003).factors == ((999983, 1), (1000003, 1))
+
+
 def test_rendering():
     assert str(factorize(193600)) == "2^6 5^2 11^2"
     assert str(factorize(-12)) == "-2^2 3"
@@ -215,3 +239,92 @@ def test_product_multiplies_cofactors():
                                 cofactor=hard ** 2 * 15)
     assert got.value() == (6 * hard) ** 2 * 10 * 15
     assert not got.complete
+
+
+# Primes for the p-1/p+1 stages. 52574490667 - 1 = 2 3^4 17 53 360193 and
+# 525215252189 + 1 = 2 3 5 19 31 197 150881 (both divide primitive parts of
+# X4's table); each ROUGH prime q has a prime factor above STAGE2_BOUND in
+# both q - 1 and q + 1, so no seed of either stage reaches it.
+_SMOOTH_P_MINUS_1 = 52574490667
+_SMOOTH_P_PLUS_1 = 525215252189
+_ROUGH = (10001659, 10002547)
+
+
+def _seed(a, b, n):
+    return a * pow(b, -1, n) % n
+
+
+def _forbid_rho(monkeypatch):
+    def refuse(n, budget):
+        raise AssertionError(f"rho called on {n}")
+    monkeypatch.setattr(factorint, "_brent_rho", refuse)
+
+
+def test_lucas_v_matches_the_recurrence():
+    n = 10 ** 12 + 39
+    for v in (3, _seed(2, 7, n), n - 1):
+        seq = [2, v]
+        for _ in range(40):
+            seq.append((v * seq[-1] - seq[-2]) % n)
+        assert [factorint._lucas_v(v, k, n) for k in range(42)] == seq
+
+
+def test_p_minus_1_stage_splits_a_smooth_p_minus_1(monkeypatch):
+    n = _SMOOTH_P_MINUS_1 * _ROUGH[0]
+    assert factorint._lucas_split(n, _seed(10, 3, n)) == _SMOOTH_P_MINUS_1
+    _forbid_rho(monkeypatch)
+    assert factorize(n).factors == ((_ROUGH[0], 1), (_SMOOTH_P_MINUS_1, 1))
+
+
+def test_p_plus_1_stage_splits_a_smooth_p_plus_1(monkeypatch):
+    n = _SMOOTH_P_PLUS_1 * _ROUGH[0]
+    # p - 1 = 2^2 11 11936710277 is not smooth; p = 2 (mod 3) puts the 2/7
+    # seed in the p + 1 group.
+    assert factorint._lucas_split(n, _seed(10, 3, n)) is None
+    assert factorint._lucas_split(n, _seed(2, 7, n)) == _SMOOTH_P_PLUS_1
+    _forbid_rho(monkeypatch)
+    assert factorize(n).factors == ((_ROUGH[0], 1), (_SMOOTH_P_PLUS_1, 1))
+
+
+def test_rho_splits_what_neither_stage_does(monkeypatch):
+    n = _ROUGH[0] * _ROUGH[1]
+    for a, b in factorint._SEEDS:
+        assert factorint._lucas_split(n, _seed(a, b, n)) is None
+    calls = []
+    rho = factorint._brent_rho
+
+    def counted(m, budget):
+        calls.append(m)
+        return rho(m, budget)
+
+    monkeypatch.setattr(factorint, "_brent_rho", counted)
+    assert factorize(n).factors == ((_ROUGH[0], 1), (_ROUGH[1], 1))
+    assert calls == [n]
+
+
+def test_factorize_is_deterministic():
+    values = [_SMOOTH_P_MINUS_1 * _ROUGH[0], _SMOOTH_P_PLUS_1 * _ROUGH[1],
+              _ROUGH[0] * _ROUGH[1], _SMOOTH_P_MINUS_1 * _SMOOTH_P_PLUS_1 * _ROUGH[0] ** 2]
+    assert [factorize(v) for v in values] == [factorize(v) for v in values]
+
+
+def test_x4_table_splits_without_rho(monkeypatch):
+    entries = generate_sequence(X4, 20)
+    per_term = [factorize(e.reduced) for e in entries]
+    _forbid_rho(monkeypatch)
+    assert factor_table(X4, entries) == per_term
+    assert all(f.complete for f in per_term)
+
+
+def test_import_builds_no_stage_plan():
+    # The stage primes are sliced from the sieve on the first stage run only.
+    src = str(Path(matdivseq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import matdivseq\n"
+            "from matdivseq.factorint import _stage_plan\n"
+            "print(_stage_plan.cache_info().currsize)\n"
+            f"matdivseq.factorize({_ROUGH[0] * _ROUGH[1]})\n"
+            "print(_stage_plan.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == ["0", "1"]
