@@ -18,14 +18,13 @@ determinant only in dimension 2 (where n^s and n^2 coincide).
 import random
 import time
 
-from matdivseq import (IntMatrix, char_poly, closed_form_entry, discriminant,
-                       jacobian_determinant)
+from matdivseq import IntMatrix, char_poly, closed_form_entry, jacobian_determinant
 
 x = IntMatrix([[1, -2, -6], [0, 1, 3], [-1, 0, 1]])
 f = char_poly(x)
 print("X =")
 print(x)
-print(f"characteristic polynomial: {f}, discriminant {discriminant(f)}")
+print(f"characteristic polynomial: {f}")
 print()
 
 print(" n   n^2 variant        true determinant     brute (ms)  closed (ms)")

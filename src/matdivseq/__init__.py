@@ -9,9 +9,7 @@ verifies the two against each other, and factors the results.
 from .factorint import Factorization, factorize, is_prime
 from .linalg import (IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps,
                      kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
-from .polynomials import (MonicIntPolynomial, NotRealizableError, PowerSums, char_poly,
-                          discriminant, generalized_lucas, poly_from_power_sums,
-                          power_polynomial, power_sums, resultant, sylvester_matrix)
+from .polynomials import MonicIntPolynomial, char_poly, generalized_lucas
 from .sequences import (PairCheck, SequenceEntry, VerificationReport, closed_form_entry,
                         factor_table, generate_sequence, jacobian_determinant, lucas_2x2,
                         verify_closed_form, verify_divisibility)
@@ -22,9 +20,7 @@ __all__ = [
     "Factorization", "factorize", "is_prime",
     "IntMatrix", "det_bareiss", "jacobian_power_map", "jacobian_power_maps", "kronecker",
     "mat_add", "mat_mul", "mat_pow", "mat_vec", "power_map_derivative", "vec",
-    "MonicIntPolynomial", "NotRealizableError", "PowerSums", "char_poly",
-    "discriminant", "generalized_lucas", "poly_from_power_sums", "power_polynomial",
-    "power_sums", "resultant", "sylvester_matrix",
+    "MonicIntPolynomial", "char_poly", "generalized_lucas",
     "PairCheck", "SequenceEntry", "VerificationReport", "closed_form_entry",
     "factor_table", "generate_sequence", "jacobian_determinant", "lucas_2x2",
     "verify_closed_form", "verify_divisibility",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import unicodedata
@@ -331,7 +332,11 @@ def main(argv: list[str] | None = None) -> int:
     except (MatrixParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:  # the reader left early, as ``| head`` does
+        # Python flushes stdout again at exit; send that flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

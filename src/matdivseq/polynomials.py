@@ -1,11 +1,11 @@
-"""Characteristic polynomials, power sums, resultants, discriminants and Lucas numbers.
+"""Characteristic polynomials and generalized Lucas numbers.
 
 Everything here stays in exact integer arithmetic. Eigenvalues are never
-materialized: symmetric functions of the roots are pushed around instead,
-via Newton's identities. The discriminant is the determinant of the d x d
-Hankel matrix of power sums, checked against the Sylvester resultant. The
-generalized Lucas numbers are Jacobi-Trudi determinants of complete
-homogeneous sums, checked against discriminants of power polynomials.
+materialized: the characteristic polynomial comes from the
+Faddeev-LeVerrier recurrence, and the generalized Lucas numbers are
+Jacobi-Trudi determinants of the complete homogeneous sums of its roots.
+The power sums, power polynomials and discriminants those numbers are
+checked against live in ``tests/helpers.py`` as an independent oracle.
 
 Coefficients are stored leading-first, so ``(1, -3, -3, -1)`` is
 ``x^3 - 3x^2 - 3x - 1``.
@@ -18,10 +18,6 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import IntMatrix, det_bareiss, mat_mul
-
-
-class NotRealizableError(ValueError):
-    """Raised when power sums do not belong to any monic integer polynomial."""
 
 
 @dataclass(frozen=True)
@@ -45,17 +41,6 @@ class MonicIntPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in self.coefficients:
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> tuple[int, ...]:
-        """Leading-first coefficients of the derivative (not monic)."""
-        d = self.degree
-        return tuple(self.coefficients[i] * (d - i) for i in range(d))
-
     def __str__(self) -> str:
         parts = []
         d = self.degree
@@ -75,28 +60,6 @@ class MonicIntPolynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class PowerSums:
-    """Power sums p_0..p_N of the roots of a monic integer polynomial.
-
-    ``values[0]`` is p_0, the number of roots, i.e. the polynomial degree.
-    """
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals:
-            raise ValueError("p_0 is required")
-        if vals[0] < 1:
-            raise ValueError("p_0 must equal a positive degree")
-
-    @property
-    def count(self) -> int:
-        return len(self.values) - 1
 
 
 def char_poly(x: IntMatrix) -> MonicIntPolynomial:
@@ -121,118 +84,15 @@ def char_poly(x: IntMatrix) -> MonicIntPolynomial:
     return MonicIntPolynomial(tuple(coeffs))
 
 
-def power_sums(f: MonicIntPolynomial, count: int) -> PowerSums:
-    """Power sums p_0..p_count of the roots of ``f`` via Newton's identities.
-
-    With ``f = x^d + a_1 x^(d-1) + ... + a_d`` and ``a_k = 0`` for k > d,
-    ``p_k = -(a_1 p_(k-1) + ... + a_(k-1) p_1) - k a_k``: all values are
-    integers, no division occurs.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    d = f.degree
-    a = f.coefficients
-    p = [d]
-    for k in range(1, count + 1):
-        acc = -sum(a[i] * p[k - i] for i in range(1, min(k, d + 1)))
-        if k <= d:
-            acc -= k * a[k]
-        p.append(acc)
-    return PowerSums(tuple(p))
-
-
-def poly_from_power_sums(p: PowerSums, degree: int) -> MonicIntPolynomial:
-    """The unique monic polynomial of the given degree with power sums p_1..p_d.
-
-    Inverse Newton identities divide by k at step k; when that division is
-    not exact no monic integer polynomial has these power sums and
-    :class:`NotRealizableError` is raised.
-    """
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    if p.count < degree:
-        raise ValueError("need power sums up to the requested degree")
-    e = [1]
-    for k in range(1, degree + 1):
-        acc = sum((-1) ** (i - 1) * e[k - i] * p.values[i] for i in range(1, k + 1))
-        q, r = divmod(acc, k)
-        if r:
-            raise NotRealizableError(f"power sums are not realizable over the integers "
-                                     f"(division by {k} leaves remainder {r})")
-        e.append(q)
-    return MonicIntPolynomial(tuple((-1) ** i * e[i] for i in range(degree + 1)))
-
-
-def power_polynomial(f: MonicIntPolynomial, n: int) -> MonicIntPolynomial:
-    """Monic polynomial whose roots are the n-th powers of the roots of ``f``.
-
-    The power sums of the new roots are p_n, p_2n, ..., p_dn of the old
-    ones, so this is power sum extraction followed by inverse Newton.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    d = f.degree
-    p = power_sums(f, d * n).values
-    return poly_from_power_sums(PowerSums((d,) + p[n:d * n + 1:n]), d)
-
-
-def sylvester_matrix(f: Sequence[int], g: Sequence[int]) -> IntMatrix:
-    """Sylvester matrix of two leading-first coefficient sequences."""
-    m, n = len(f) - 1, len(g) - 1
-    if m < 1 or n < 1:
-        raise ValueError("both polynomials must have degree at least 1")
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append(tuple([0] * i + list(f) + [0] * (size - m - 1 - i)))
-    for j in range(m):
-        rows.append(tuple([0] * j + list(g) + [0] * (size - n - 1 - j)))
-    return IntMatrix(tuple(rows))
-
-
-def _coefficients_of(g) -> tuple[int, ...]:
-    coeffs = tuple(getattr(g, "coefficients", g))
-    if len(coeffs) < 2:
-        raise ValueError("degree must be at least 1")
-    if coeffs[0] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    return coeffs
-
-
-def resultant(f: MonicIntPolynomial, g) -> int:
-    """Exact resultant of ``f`` and ``g`` (a polynomial or coefficient sequence).
-
-    Computed as the determinant of the Sylvester matrix. For monic ``f``
-    this equals the product of ``g`` evaluated at the roots of ``f``.
-    """
-    return det_bareiss(sylvester_matrix(f.coefficients, _coefficients_of(g)))
-
-
-def discriminant(f: MonicIntPolynomial) -> int:
-    """Discriminant of monic ``f``: the squared product of root differences.
-
-    Zero exactly when ``f`` has a repeated root. With V the Vandermonde
-    matrix ``V[k][i] = a_i^k`` of the roots a_i, ``prod_(i<j) (a_i - a_j)^2
-    = det(V)^2 = det(V V^T)``, and ``V V^T`` is the d x d Hankel matrix
-    ``[p_(j+k)]`` of the power sums p_0..p_(2d-2), so the value is a Bareiss
-    determinant of that integer matrix. It equals
-    ``(-1)^(d(d-1)/2) * resultant(f, f')``, the Sylvester form.
-    """
-    d = f.degree
-    if d < 2:
-        raise ValueError("discriminant requires degree at least 2")
-    p = power_sums(f, 2 * d - 2).values
-    return det_bareiss(IntMatrix(tuple(p[i:i + d] for i in range(d))))
-
-
 def generalized_lucas(f: MonicIntPolynomial, ns: Sequence[int]) -> tuple[int, ...]:
     """u_n = prod_(i<j) (a_i^n - a_j^n)/(a_i - a_j) over the roots a_i of ``f``, per n in ``ns``.
 
     An integer: the Lucas U_n for degree 2 and 1 for degree 1. A pair of
     equal roots a contributes the factor n a^(n-1), so u_n is 0 exactly
     when a_i^n = a_j^n for two unequal roots, or when 0 is a repeated root
-    and n >= 2. With distinct roots u_n^2 is
-    ``discriminant(power_polynomial(f, n)) // discriminant(f)``.
+    and n >= 2. With distinct roots u_n^2 is the discriminant ratio
+    disc(g_n)/disc(f), g_n having the n-th powers of the roots of ``f``; the
+    tests check it against the power-sum oracle in ``tests/helpers.py``.
 
     u_n is the Schur polynomial s_((n-1)(d-1, ..., 1, 0)) of the roots
     (bialternant formula), so by Jacobi-Trudi it is the (d-1) x (d-1)

@@ -1,6 +1,18 @@
-"""Shared test utilities: independent oracles and random matrix generators."""
+"""Shared test utilities: independent oracles and random matrix generators.
 
-from matdivseq import IntMatrix, mat_mul
+The oracles are a cofactor-expansion determinant and the power-sum algebra
+the closed form's generalized Lucas numbers u_n are checked against: power
+sums by Newton's identities and their inverse, power polynomials (the n-th
+powers of the roots), discriminants as Hankel determinants of power sums,
+and Sylvester resultants. With distinct roots u_n^2 is the discriminant
+ratio ``discriminant(power_polynomial(f, n)) // discriminant(f)``. None of
+this runs in the package's routes.
+"""
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from matdivseq import IntMatrix, MonicIntPolynomial, det_bareiss, mat_mul
 
 
 def det_cofactor(rows):
@@ -59,3 +71,139 @@ def unimodular_pair(rng, dim, ops=8):
     qm = IntMatrix(tuple(tuple(r) for r in q))
     assert mat_mul(pm, qm) == IntMatrix.identity(dim)
     return pm, qm
+
+
+class NotRealizableError(ValueError):
+    """Raised when power sums do not belong to any monic integer polynomial."""
+
+
+@dataclass(frozen=True)
+class PowerSums:
+    """Power sums p_0..p_N of the roots of a monic integer polynomial.
+
+    ``values[0]`` is p_0, the number of roots, i.e. the polynomial degree.
+    """
+
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        vals = tuple(self.values)
+        object.__setattr__(self, "values", vals)
+        if not vals:
+            raise ValueError("p_0 is required")
+        if vals[0] < 1:
+            raise ValueError("p_0 must equal a positive degree")
+
+    @property
+    def count(self) -> int:
+        return len(self.values) - 1
+
+
+def derivative(f: MonicIntPolynomial) -> tuple[int, ...]:
+    """Leading-first coefficients of the derivative of ``f`` (not monic)."""
+    d = f.degree
+    return tuple(f.coefficients[i] * (d - i) for i in range(d))
+
+
+def power_sums(f: MonicIntPolynomial, count: int) -> PowerSums:
+    """Power sums p_0..p_count of the roots of ``f`` via Newton's identities.
+
+    With ``f = x^d + a_1 x^(d-1) + ... + a_d`` and ``a_k = 0`` for k > d,
+    ``p_k = -(a_1 p_(k-1) + ... + a_(k-1) p_1) - k a_k``: all values are
+    integers, no division occurs.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    d = f.degree
+    a = f.coefficients
+    p = [d]
+    for k in range(1, count + 1):
+        acc = -sum(a[i] * p[k - i] for i in range(1, min(k, d + 1)))
+        if k <= d:
+            acc -= k * a[k]
+        p.append(acc)
+    return PowerSums(tuple(p))
+
+
+def poly_from_power_sums(p: PowerSums, degree: int) -> MonicIntPolynomial:
+    """The unique monic polynomial of the given degree with power sums p_1..p_d.
+
+    Inverse Newton identities divide by k at step k; when that division is
+    not exact no monic integer polynomial has these power sums and
+    :class:`NotRealizableError` is raised.
+    """
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    if p.count < degree:
+        raise ValueError("need power sums up to the requested degree")
+    e = [1]
+    for k in range(1, degree + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * p.values[i] for i in range(1, k + 1))
+        q, r = divmod(acc, k)
+        if r:
+            raise NotRealizableError(f"power sums are not realizable over the integers "
+                                     f"(division by {k} leaves remainder {r})")
+        e.append(q)
+    return MonicIntPolynomial(tuple((-1) ** i * e[i] for i in range(degree + 1)))
+
+
+def power_polynomial(f: MonicIntPolynomial, n: int) -> MonicIntPolynomial:
+    """Monic polynomial whose roots are the n-th powers of the roots of ``f``.
+
+    The power sums of the new roots are p_n, p_2n, ..., p_dn of the old
+    ones, so this is power sum extraction followed by inverse Newton.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    d = f.degree
+    p = power_sums(f, d * n).values
+    return poly_from_power_sums(PowerSums((d,) + p[n:d * n + 1:n]), d)
+
+
+def sylvester_matrix(f: Sequence[int], g: Sequence[int]) -> IntMatrix:
+    """Sylvester matrix of two leading-first coefficient sequences."""
+    m, n = len(f) - 1, len(g) - 1
+    if m < 1 or n < 1:
+        raise ValueError("both polynomials must have degree at least 1")
+    size = m + n
+    rows = []
+    for i in range(n):
+        rows.append(tuple([0] * i + list(f) + [0] * (size - m - 1 - i)))
+    for j in range(m):
+        rows.append(tuple([0] * j + list(g) + [0] * (size - n - 1 - j)))
+    return IntMatrix(tuple(rows))
+
+
+def _coefficients_of(g) -> tuple[int, ...]:
+    coeffs = tuple(getattr(g, "coefficients", g))
+    if len(coeffs) < 2:
+        raise ValueError("degree must be at least 1")
+    if coeffs[0] == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    return coeffs
+
+
+def resultant(f: MonicIntPolynomial, g) -> int:
+    """Exact resultant of ``f`` and ``g`` (a polynomial or coefficient sequence).
+
+    Computed as the determinant of the Sylvester matrix. For monic ``f``
+    this equals the product of ``g`` evaluated at the roots of ``f``.
+    """
+    return det_bareiss(sylvester_matrix(f.coefficients, _coefficients_of(g)))
+
+
+def discriminant(f: MonicIntPolynomial) -> int:
+    """Discriminant of monic ``f``: the squared product of root differences.
+
+    Zero exactly when ``f`` has a repeated root. With V the Vandermonde
+    matrix ``V[k][i] = a_i^k`` of the roots a_i, ``prod_(i<j) (a_i - a_j)^2
+    = det(V)^2 = det(V V^T)``, and ``V V^T`` is the d x d Hankel matrix
+    ``[p_(j+k)]`` of the power sums p_0..p_(2d-2), so the value is a Bareiss
+    determinant of that integer matrix. It equals
+    ``(-1)^(d(d-1)/2) * resultant(f, derivative(f))``, the Sylvester form.
+    """
+    d = f.degree
+    if d < 2:
+        raise ValueError("discriminant requires degree at least 2")
+    p = power_sums(f, 2 * d - 2).values
+    return det_bareiss(IntMatrix(tuple(p[i:i + d] for i in range(d))))

@@ -8,14 +8,13 @@ anywhere.
 import random
 import time
 
-from matdivseq import (IntMatrix, char_poly, closed_form_entry, det_bareiss, discriminant,
-                       factor_table, generate_sequence, jacobian_determinant, jacobian_power_map,
-                       lucas_2x2, mat_vec, power_map_derivative, power_polynomial, vec,
-                       verify_divisibility)
+from matdivseq import (IntMatrix, char_poly, closed_form_entry, det_bareiss, factor_table,
+                       generate_sequence, jacobian_determinant, jacobian_power_map, lucas_2x2,
+                       mat_vec, power_map_derivative, vec, verify_divisibility)
 from matdivseq.cli import MatrixDocument, run_verify
 
 from golden_tables import X3, X4, X3_TABLE, X4_TABLE
-from helpers import random_matrix, unimodular_pair
+from helpers import discriminant, power_polynomial, random_matrix, unimodular_pair
 
 
 def _report(line):

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +285,22 @@ def test_main_stdin(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "det: -4" in out
+
+
+def test_main_exits_quietly_when_the_reader_closes_the_pipe():
+    # As with "| head -n 1": the reader takes one line and closes the pipe while
+    # the CLI still writes. Its 140 kB of output overfill the pipe, so the write fails.
+    env = dict(os.environ, PYTHONPATH=str(Path(matdivseq.cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "matdivseq.cli", "table", "-", "--n-max", "400"]
+    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdin.write(X3_JSON.encode())
+    proc.stdin.close()
+    assert proc.stdout.readline() == b"1 | 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_main_input_errors(tmp_path, capsys):

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from matdivseq import (IntMatrix, MonicIntPolynomial, NotRealizableError, PowerSums,
-                       char_poly, det_bareiss, discriminant, generalized_lucas, mat_mul,
-                       poly_from_power_sums, power_polynomial, power_sums, resultant)
+from matdivseq import (IntMatrix, MonicIntPolynomial, char_poly, det_bareiss, generalized_lucas,
+                       mat_mul)
 
 from golden_tables import X3
-from helpers import random_matrix, unimodular_pair
+from helpers import (NotRealizableError, PowerSums, derivative, discriminant,
+                     poly_from_power_sums, power_polynomial, power_sums, random_matrix, resultant,
+                     unimodular_pair)
 
 FIB_POLY = MonicIntPolynomial((1, -1, -1))
 X3_POLY = MonicIntPolynomial((1, -3, -3, -1))
@@ -161,7 +162,7 @@ def test_resultant_evaluation():
 
 
 def test_resultant_fibonacci_derivative():
-    assert resultant(FIB_POLY, FIB_POLY.derivative()) == -5
+    assert resultant(FIB_POLY, derivative(FIB_POLY)) == -5
 
 
 def test_resultant_accepts_polynomial_argument():
@@ -205,7 +206,7 @@ def test_discriminant_zero_iff_repeated_root():
 
 def _sylvester_discriminant(f):
     d = f.degree
-    return (-1) ** (d * (d - 1) // 2) * resultant(f, f.derivative())
+    return (-1) ** (d * (d - 1) // 2) * resultant(f, derivative(f))
 
 
 def test_discriminant_matches_sylvester_form():
