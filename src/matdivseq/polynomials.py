@@ -95,9 +95,12 @@ def generalized_lucas(f: MonicIntPolynomial, ns: Sequence[int]) -> tuple[int, ..
     tests check it against the power-sum oracle in ``tests/helpers.py``.
 
     u_n is the Schur polynomial s_((n-1)(d-1, ..., 1, 0)) of the roots
-    (bialternant formula), so by Jacobi-Trudi it is the (d-1) x (d-1)
-    determinant with rows ``h_(n r - d + 1), ..., h_(n r - 1)`` for
-    r = d-1 down to 1, h_k the complete homogeneous sums (0 for k < 0).
+    (bialternant formula), so by Jacobi-Trudi it is (-1)^((d-1)(d-2)/2),
+    the sign of reversing d-1 rows, times the (d-1) x (d-1) determinant with
+    rows ``h_(n r - d + 1), ..., h_(n r - 1)`` for r = 1, ..., d-1, h_k the
+    complete homogeneous sums (0 for k < 0). The smallest row leads because
+    after step k Bareiss holds (k+1)-minors of the leading rows: the largest
+    row, with the most digits, then enters only at the last step.
     With ``f = x^d + c_1 x^(d-1) + ... + c_d``, h_0 = 1 and
     ``h_k = -(c_1 h_(k-1) + ... + c_d h_(k-d))``: one division-free pass
     serves every n, and no discriminant is involved.
@@ -112,5 +115,6 @@ def generalized_lucas(f: MonicIntPolynomial, ns: Sequence[int]) -> tuple[int, ..
     h = [0] * (d - 1) + [1]  # h[k + d - 1] is h_k
     for _ in range(1, (d - 1) * max(ns, default=0)):
         h.append(-sum(map(mul, c, reversed(h[-d:]))))
-    return tuple(det_bareiss(IntMatrix([h[n * r:n * r + d - 1] for r in range(d - 1, 0, -1)]))
+    sign = (-1) ** ((d - 1) * (d - 2) // 2)
+    return tuple(sign * det_bareiss(IntMatrix([h[n * r:n * r + d - 1] for r in range(1, d)]))
                  for n in ns)

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -274,6 +276,38 @@ def test_generalized_lucas_repeated_roots():
     # (x-1)^2 (x+1): the pairs with the root -1 give (1 - (-1)^n)/2 each.
     assert generalized_lucas(MonicIntPolynomial((1, -1, -1, 1)), ns) == \
         tuple(n * ((1 - (-1) ** n) // 2) ** 2 for n in ns)
+
+
+def _q(n, a, b):
+    """(a^n - b^n)/(a - b) as the sum a^k b^(n-1-k), so also for a == b."""
+    return sum(a ** k * b ** (n - 1 - k) for k in range(n))
+
+
+def test_generalized_lucas_equals_the_product_over_integer_roots():
+    # The signed u_n, not just u_n^2: distinct, negative, zero and repeated roots.
+    # At even n a pair a < b with |a| > |b| contributes a negative factor, so
+    # degrees 2 and 4-8 reach u_n < 0; degree 9's pairs 1, -1 and 3, -3 give u_n = 0 there.
+    root_sets = [
+        (-3, 1),
+        (0, 2, -3),
+        (-3, 1, 2, 0),
+        (2, 2, -1, 3, 0),
+        (-1, 2, 2, -3, 4, 0),
+        (1, 1, -2, 3, -5, 0, 4),
+        (-2, 0, 3, 1, 1, -6, 4, 7),
+        (1, -1, 2, 2, 3, 0, 4, -3, 1),
+    ]
+    negative_at = set()
+    for roots in root_sets:
+        coeffs = [1]
+        for a in roots:
+            coeffs = _poly_mul(coeffs, [1, -a])
+        ns = range(1, 13)
+        expected = tuple(prod(_q(n, a, b) for a, b in combinations(roots, 2)) for n in ns)
+        assert generalized_lucas(MonicIntPolynomial(tuple(coeffs)), ns) == expected, roots
+        if min(expected) < 0:
+            negative_at.add(len(roots))
+    assert {4, 7, 8} <= negative_at
 
 
 def test_generalized_lucas_degree_one_and_bad_n():

@@ -366,6 +366,20 @@ def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypat
         assert report.entries == tuple(entries)
 
 
+def test_closed_form_matches_jacobian_at_dims_6_to_8():
+    # The Jacobi-Trudi determinant is 5x5 to 7x7 here, where its row order matters most.
+    rng = random.Random(173)
+    cases = [random_matrix(rng, s, -3, 3) for s in (6, 7, 8)]
+    jordan = _jordan_sum(rng.choice((-2, -1, 1, 2)), 2, random_matrix(rng, 4, -1, 1).entries)
+    p, p_inv = unimodular_pair(rng, 6, ops=6)
+    cases.append(mat_mul(mat_mul(p, jordan), p_inv))
+    assert not _distinct_eigenvalues(cases[-1])
+    for x in cases:
+        for n in range(1, 5):
+            assert closed_form_entry(x, n).jacobian_det == jacobian_determinant(x, n), \
+                (x.fingerprint(), n)
+
+
 def test_singular_matrix_is_accepted():
     x = IntMatrix([[1, 2], [2, 4]])  # det 0, eigenvalues 0 and 5
     e = closed_form_entry(x, 3)
