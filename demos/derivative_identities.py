@@ -4,7 +4,8 @@ Three facts carry the whole construction:
 
 1. the Kronecker mixed product (A x C)(B x D) = AB x CD,
 2. the derivative matrix of X -> X^n is the Kronecker sum
-   J_n = sum_k (X^T)^k x X^(n-1-k),
+   J_n = sum_k (X^T)^k x X^(n-1-k), which the package reaches by stepping
+   J_(n+1) = (I x X) J_n + (X^T)^n x I from J_1 = I,
 3. with column-stacking vec, J_n . vec(E) = vec(sum_k X^k E X^(n-1-k)),
    i.e. J_n really is the derivative in the usual directional sense.
 
@@ -31,15 +32,15 @@ for _ in range(40):
 print("   (A x C)(B x D) == AB x CD holds.")
 print()
 
-print("2. Kronecker-sum recurrence for the derivative matrix:")
+print("2. The stepped derivative matrix against the Kronecker sum:")
 x = rand(3)
-ident = IntMatrix.identity(3)
-for n in range(2, 7):
-    lhs = jacobian_power_map(x, n)
-    rhs = mat_add(kronecker(ident, mat_pow(x, n - 1)),
-                  mat_mul(kronecker(x.transpose(), ident), jacobian_power_map(x, n - 1)))
-    assert lhs == rhs
-print("   J_n == I x X^(n-1) + (X^T x I) J_(n-1) for n = 2..6.")
+xt = x.transpose()
+for n in range(1, 7):
+    kron_sum = kronecker(mat_pow(xt, 0), mat_pow(x, n - 1))
+    for k in range(1, n):
+        kron_sum = mat_add(kron_sum, kronecker(mat_pow(xt, k), mat_pow(x, n - 1 - k)))
+    assert jacobian_power_map(x, n) == kron_sum
+print("   jacobian_power_map(X, n) == sum_k (X^T)^k x X^(n-1-k) for n = 1..6.")
 print()
 
 print("3. vec consistency, 40 random (X, E, n) triples:")
@@ -48,5 +49,5 @@ for _ in range(40):
     x, e = rand(dim), rand(dim)
     n = rng.randint(1, 6)
     assert mat_vec(jacobian_power_map(x, n), vec(e)) == vec(power_map_derivative(x, e, n))
-print("   J_n . vec(E) == vec(d(X^n)[E]) holds, so the matrix built from")
-print("   Kronecker products is the honest Jacobian of the power map.")
+print("   J_n . vec(E) == vec(d(X^n)[E]) holds, so the stepped matrix, equal to")
+print("   the Kronecker sum, is the honest Jacobian of the power map.")

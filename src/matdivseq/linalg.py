@@ -152,30 +152,20 @@ def det_bareiss(a: IntMatrix) -> int:
 def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
     """Derivative of the power map X -> X^n as an s^2 x s^2 integer matrix.
 
-    Computed as the closed sum of Kronecker products
-    ``sum_{k=0}^{n-1} (X^T)^k (x) X^(n-1-k)``; with the column-stacking
-    ``vec`` convention this matrix satisfies
-    ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``.
-
-    This is the single-n reference: at one n it is cheaper than stepping
-    :func:`jacobian_power_maps`, which builds every J_n of a table.
+    The n-th step of the recurrence of :func:`jacobian_power_maps`; with the
+    column-stacking ``vec`` convention it satisfies
+    ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only one J is
+    held at a time, alongside the current power of X.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    xt = x.transpose()
-    xt_pows = [IntMatrix.identity(x.dim)]
-    x_pows = [IntMatrix.identity(x.dim)]
-    for _ in range(n - 1):
-        xt_pows.append(mat_mul(xt_pows[-1], xt))
-        x_pows.append(mat_mul(x_pows[-1], x))
-    total = kronecker(xt_pows[0], x_pows[n - 1])
-    for k in range(1, n):
-        total = mat_add(total, kronecker(xt_pows[k], x_pows[n - 1 - k]))
-    return total
+    for j in _jacobian_steps(x.entries, n):
+        pass
+    return j
 
 
 def jacobian_power_maps(x: IntMatrix, n_max: int) -> Iterator[IntMatrix]:
-    """Lazily yield J_1, ..., J_(n_max), equal to :func:`jacobian_power_map` at each n.
+    """Lazily yield the power-map derivatives J_1, ..., J_(n_max).
 
     Steps ``J_1 = I`` and ``J_(n+1) = (I (x) X) J_n + (X^T)^n (x) I``:
     block (i, j) of the next J is ``X . block_ij + (X^n)_ji * I``, s^5

@@ -65,19 +65,21 @@ class MonicIntPolynomial:
 def char_poly(x: IntMatrix) -> MonicIntPolynomial:
     """Characteristic polynomial det(tI - X), monic of degree ``x.dim``.
 
-    Uses the Faddeev-LeVerrier recurrence; the division by the step index
-    is exact for every integer matrix, so a remainder is a hard error.
+    Uses the Faddeev-LeVerrier recurrence ``M_(k+1) = X M_k + c_k I``,
+    ``c_(k+1) = -tr(X M_(k+1)) / (k+1)``: each step makes one product X M_k,
+    whose trace gives the coefficient and which starts the next M. The
+    division by the step index is exact for every integer matrix, so a
+    remainder is a hard error.
     """
     s = x.dim
     coeffs = [1]
-    m = IntMatrix(tuple(tuple(0 for _ in range(s)) for _ in range(s)))
+    xm = IntMatrix(tuple(tuple(0 for _ in range(s)) for _ in range(s)))  # X M_0
     for k in range(1, s + 1):
-        xm = mat_mul(x, m)
         m = IntMatrix(tuple(tuple(xm.entries[i][j] + (coeffs[k - 1] if i == j else 0)
                                   for j in range(s))
                             for i in range(s)))
-        t = mat_mul(x, m).trace
-        q, r = divmod(-t, k)
+        xm = mat_mul(x, m)
+        q, r = divmod(-xm.trace, k)
         if r:
             raise AssertionError("non-exact division in characteristic polynomial recurrence")
         coeffs.append(q)

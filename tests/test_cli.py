@@ -204,7 +204,7 @@ def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
     assert counts == {name: 6 * k for name, k in per_n.items()}
     # The table's Jacobians come from one recurrence, not a Kronecker sum per n.
     assert "kronecker" not in building
-    assert building.get("mat_mul", 0) <= 6
+    assert building.get("mat_mul", 0) <= x.dim  # one char_poly
 
 
 def test_verify_closed_form_reports_the_generated_entries():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -167,6 +168,15 @@ def _special_matrices(dim):
     return [ones, shift, jordan, mat_mul(flip, jordan)]
 
 
+def _kronecker_sum(x, n):
+    """sum_{k=0}^{n-1} (X^T)^k (x) X^(n-1-k), the derivative matrix by definition."""
+    xt = x.transpose()
+    total = kronecker(mat_pow(xt, 0), mat_pow(x, n - 1))
+    for k in range(1, n):
+        total = mat_add(total, kronecker(mat_pow(xt, k), mat_pow(x, n - 1 - k)))
+    return total
+
+
 def test_jacobian_power_maps_match_the_kronecker_sum():
     rng = random.Random(97)
     for dim in range(1, 6):
@@ -174,7 +184,34 @@ def test_jacobian_power_maps_match_the_kronecker_sum():
         assert det_bareiss(cases[-1]) < 0
         for x in cases:
             for n, j in enumerate(jacobian_power_maps(x, 12), 1):
-                assert j == jacobian_power_map(x, n), (x.fingerprint(), n)
+                assert j == _kronecker_sum(x, n), (x.fingerprint(), n)
+            assert jacobian_power_map(x, 12) == j
+
+
+def test_jacobian_columns_are_the_unit_directional_derivatives():
+    # Column q*s + p of J_n is vec(d(X^n)[E_pq]), E_pq the unit matrix at (p, q).
+    rng = random.Random(103)
+    for dim in range(1, 5):
+        for x in [random_matrix(rng, dim) for _ in range(2)] + _special_matrices(dim):
+            for n in range(1, 9):
+                columns = tuple(zip(*jacobian_power_map(x, n).entries))
+                for q in range(dim):
+                    for p in range(dim):
+                        e = IntMatrix([[int((i, k) == (p, q)) for k in range(dim)]
+                                       for i in range(dim)])
+                        assert columns[q * dim + p] == vec(power_map_derivative(x, e, n)), \
+                            (x.fingerprint(), n, p, q)
+
+
+def test_jacobian_power_map_holds_one_matrix():
+    # Holding the n powers of X and X^T, as a Kronecker sum does, peaks near 1.5 MiB here.
+    tracemalloc.start()
+    try:
+        jacobian_power_map(X3, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
 
 
 def test_jacobian_power_maps_yields_n_max_matrices():

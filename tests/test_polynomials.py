@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+import matdivseq.polynomials
 from matdivseq import (IntMatrix, MonicIntPolynomial, char_poly, det_bareiss, generalized_lucas,
                        mat_mul)
 
@@ -78,6 +79,24 @@ def test_char_poly_similarity_invariance():
         x = random_matrix(rng, dim)
         p, p_inv = unimodular_pair(rng, dim)
         assert char_poly(mat_mul(mat_mul(p, x), p_inv)) == char_poly(x)
+
+
+def test_char_poly_makes_one_product_per_step(monkeypatch):
+    calls = []
+    mul = matdivseq.polynomials.mat_mul
+
+    def counted(a, b):
+        calls.append(a.dim)
+        return mul(a, b)
+
+    monkeypatch.setattr(matdivseq.polynomials, "mat_mul", counted)
+    rng = random.Random(101)
+    for dim in range(1, 7):
+        x = random_matrix(rng, dim)
+        calls.clear()
+        f = char_poly(x)
+        assert calls == [dim] * dim
+        assert f.coefficients[-1] == (-1) ** dim * det_bareiss(x)
 
 
 def test_power_sums_fibonacci():
