@@ -320,8 +320,6 @@ def _lucas_split(n: int, v: int) -> int | None:
 
 def _exact_root(n: int, k: int) -> int:
     """Floor of the k-th root of ``n`` by bisection."""
-    if n < 2:
-        return n
     hi = 1 << (n.bit_length() // k + 2)
     lo = 0
     while lo < hi - 1:
@@ -333,21 +331,20 @@ def _exact_root(n: int, k: int) -> int:
     return lo
 
 
-def _factor_rough(m: int, mult: int, counts: dict[int, int],
-                  leftovers: list[int], budget: list[int]) -> None:
-    """Factor ``m`` (no prime factor <= TRIAL_LIMIT), adding ``mult`` per hit."""
-    if m == 1:
-        return
+def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int]) -> int:
+    """Factor ``m`` > 1, which has no prime factor <= TRIAL_LIMIT.
+
+    Adds ``mult`` to ``counts`` per prime found and returns the product of
+    the pieces the budget left unsplit, each to the power ``mult``: 1 when
+    ``m`` is factored completely.
+    """
     if is_prime(m):
         counts[m] = counts.get(m, 0) + mult
-        return
-    k = 2
-    while k <= m.bit_length():
+        return 1
+    for k in range(2, m.bit_length() + 1):
         root = _exact_root(m, k)
         if root ** k == m:
-            _factor_rough(root, mult * k, counts, leftovers, budget)
-            return
-        k += 1
+            return _factor_rough(root, mult * k, counts, budget)
     cost = _stage_plan()[2]
     d = None
     for a, b in _SEEDS:
@@ -360,10 +357,9 @@ def _factor_rough(m: int, mult: int, counts: dict[int, int],
     if d is None:
         d = _brent_rho(m, budget)
     if d is None:
-        leftovers.extend([m] * mult)
-        return
-    _factor_rough(d, mult, counts, leftovers, budget)
-    _factor_rough(m // d, mult, counts, leftovers, budget)
+        return m ** mult
+    return (_factor_rough(d, mult, counts, budget)
+            * _factor_rough(m // d, mult, counts, budget))
 
 
 def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
@@ -391,20 +387,16 @@ def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
         counts[2] = twos
         m >>= twos
     primes, products = _prime_runs()
-    # Every prime below p has been divided out of m once the loop ends.
-    p = TRIAL_LIMIT + 1
+    cofactor = 1
     untested = True  # is_prime has not seen m since it last changed
     for start, product in zip(range(0, len(primes), _RUN), products):
-        if primes[start] ** 2 > m:
-            p = primes[start]
+        if primes[start] ** 2 > m:  # so m is 1 or a prime, as after the break below
             break
         if untested and _PRIME_TEST_ABOVE < m < _DETERMINISTIC_BOUND:
             # A proven prime ends the search here instead of after the runs up
             # to its square root, which are all of them above TRIAL_LIMIT^2.
             untested = False
             if is_prime(m):
-                counts[m] = 1
-                m = 1
                 break
         g = gcd(m, product)
         if g == 1:
@@ -420,17 +412,12 @@ def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
                 counts[q] = e
                 if g == 1:
                     break
+    else:
+        # Every run was screened: below (TRIAL_LIMIT + 1)^2, m is 1 (the last
+        # run divided it out) or a prime, which is_prime need not see.
+        if isqrt(m) > TRIAL_LIMIT:
+            cofactor, m = _factor_rough(m, 1, counts, [rho_steps]), 1
     if m > 1:
-        if p * p > m:
-            # No divisor up to sqrt(m) exists, so the remainder is prime.
-            counts[m] = counts.get(m, 0) + 1
-        else:
-            leftovers: list[int] = []
-            _factor_rough(m, 1, counts, leftovers, [rho_steps])
-            if leftovers:
-                co = 1
-                for piece in leftovers:
-                    co *= piece
-                return Factorization(sign=sign, factors=tuple(sorted(counts.items())),
-                                     cofactor=co)
-    return Factorization(sign=sign, factors=tuple(sorted(counts.items())))
+        counts[m] = 1
+    return Factorization(sign=sign, factors=tuple(sorted(counts.items())),
+                         cofactor=cofactor if cofactor > 1 else None)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ import matdivseq.cli
 import matdivseq.linalg
 import matdivseq.polynomials
 import matdivseq.sequences
-from matdivseq import IntMatrix, generate_sequence, verify_closed_form
+from matdivseq import (Factorization, IntMatrix, generate_sequence, jacobian_power_map,
+                       verify_closed_form)
 from matdivseq.cli import (MatrixDocument, MatrixParseError, main, parse_matrix,
                            run_charpoly, run_jacobian, run_table, run_verify)
 
@@ -35,6 +37,7 @@ def test_parse_matrix_json_one_by_one():
 def test_parse_matrix_plain_text():
     doc = parse_matrix("1 -2 -6\n0 1 3\n-1 0 1\n")
     assert doc.matrix == X3
+    assert parse_matrix("1 -2 -6\n\n0 1 3\n   \n-1 0 1\n").matrix == X3  # blank lines
 
 
 def test_parse_matrix_not_square():
@@ -61,6 +64,13 @@ def test_parse_matrix_malformed_json_reports_position():
 def test_parse_matrix_empty():
     with pytest.raises(MatrixParseError):
         parse_matrix("   \n  ")
+
+
+def test_parse_matrix_json_needs_a_list_of_rows():
+    with pytest.raises(MatrixParseError, match='expected an object with a "matrix" key'):
+        parse_matrix('{"name": "x"}')
+    with pytest.raises(MatrixParseError, match="non-empty list of rows"):
+        parse_matrix('{"matrix": []}')
 
 
 def test_run_table_text_with_factors():
@@ -91,6 +101,31 @@ def test_run_table_json_identity():
         "n_squared_value": "1",
         "fallback_used": False,
     }]
+
+
+def test_run_table_json_factorizations_match_the_text_table():
+    doc = MatrixDocument(matrix=X4)
+    text, _ = run_table(doc, 12, "text", factor=True)
+    js, code = run_table(doc, 12, "json", factor=True)
+    assert code == 0
+    entries = json.loads(js)["entries"]
+    assert len(entries) == 12
+    for e, line in zip(entries, text.splitlines()):
+        f = e["factorization"]
+        assert f["sign"] == 1 and f["cofactor"] is None
+        assert all(isinstance(p, str) and isinstance(k, int) for p, k in f["factors"])
+        assert prod(int(p) ** k for p, k in f["factors"]) == int(e["reduced"])
+        assert f["display"] == line.split(" | ")[2]
+
+
+def test_run_table_json_renders_a_cofactor(monkeypatch):
+    hard = 1000000000039 * 1000000000061
+    monkeypatch.setattr(matdivseq.cli, "factor_table", lambda x, entries, column: [
+        Factorization(sign=1, factors=((2, 1),), cofactor=hard) for _ in entries])
+    f = json.loads(run_table(MatrixDocument(matrix=X4), 1, "json", factor=True)[0])[
+        "entries"][0]["factorization"]
+    assert f == {"sign": 1, "factors": [["2", 1]], "cofactor": str(hard),
+                 "display": f"2 [{hard}]"}
 
 
 def test_run_table_jacobian_column():
@@ -248,6 +283,16 @@ def test_run_jacobian_json():
     payload = json.loads(run_jacobian(parse_matrix(X3_JSON), 2, "json")[0])
     assert payload["dim"] == 9
     assert payload["det"] == "800"
+
+
+def test_run_jacobian_csv():
+    doc = parse_matrix(X3_JSON)
+    lines = run_jacobian(doc, 2, "csv")[0].splitlines()
+    text = run_jacobian(doc, 2)[0]
+    assert len(lines) == 10
+    assert [[int(v) for v in line.split(",")] for line in lines[:9]] == [
+        list(row) for row in jacobian_power_map(X3, 2).entries]
+    assert lines[9] == "det," + text.splitlines()[-1].removeprefix("det: ")
 
 
 def test_main_table(tmp_path, capsys):

@@ -328,3 +328,68 @@ def test_import_builds_no_stage_plan():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.split() == ["0", "1"]
+
+
+def _record_gcds(monkeypatch):
+    results = []
+    gcd = factorint.gcd
+
+    def recorded(a, b):
+        g = gcd(a, b)
+        results.append(g)
+        return g
+
+    monkeypatch.setattr(factorint, "gcd", recorded)
+    return results
+
+
+def test_rho_replays_single_steps_after_a_batch_overshoot(monkeypatch):
+    # With c = 1 the walk closes its cycles mod 1009 and mod 1049 in the same
+    # batch of steps, so the batch gcd is n; the single-step replay from the
+    # batch's start isolates 1049.
+    n = 1009 * 1049
+    gcds = _record_gcds(monkeypatch)
+    assert factorint._brent_rho(n, [10 ** 6]) == 1049
+    assert gcds.count(n) == 1
+    assert gcds.index(n) < len(gcds) - 1 and gcds[-1] == 1049
+
+
+def test_lucas_split_gives_up_at_a_stage_1_gcd_of_n(monkeypatch):
+    # p - 1 of both primes is 947-smooth (2^5 3 11 947 and 2^3 7 19 947), so
+    # the stage-1 step at 947 completes both orders at once.
+    n = 1000033 * 1007609
+    gcds = _record_gcds(monkeypatch)
+    assert factorint._lucas_split(n, _seed(10, 3, n)) is None
+    assert gcds[-1] == n and len(gcds) <= len(factorint._stage_plan()[0])
+    monkeypatch.undo()
+    assert factorize(n) == Factorization(sign=1, factors=((1000033, 1), (1007609, 1)))
+
+
+def test_lucas_split_replays_a_stage_2_giant_step(monkeypatch):
+    # p - 1 = 2^2 3^2 13 2137 and 2^3 5 11 2273: the stage-2 primes
+    # 2137 = D - 173 and 2273 = D - 37 share the giant step k = 1, so its gcd
+    # is n and the term-by-term replay isolates 1000121.
+    n = 1000117 * 1000121
+    gcds = _record_gcds(monkeypatch)
+    assert factorint._lucas_split(n, _seed(10, 3, n)) == 1000121
+    stage_1 = len(factorint._stage_plan()[0])
+    assert gcds[stage_1] == n and n not in gcds[stage_1 + 1:]
+    assert gcds[-1] == 1000121
+
+
+def test_trial_division_alone_finishes_values_below_the_trial_limit(monkeypatch):
+    # Values whose primes are all <= TRIAL_LIMIT, or leave one prime below
+    # (TRIAL_LIMIT + 1)^2, never reach the splitting stages, and is_prime sees
+    # nothing but the input.
+    def refuse(n, *args):
+        raise AssertionError(f"splitting stage called on {n}")
+
+    monkeypatch.setattr(factorint, "_lucas_split", refuse)
+    monkeypatch.setattr(factorint, "_brent_rho", refuse)
+    tested = []
+    monkeypatch.setattr(factorint, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    for n in (999983, 999983 ** 2, prod(_TOP), 2 ** 5 * 3 ** 4 * 999983, 999983 * 1000003):
+        tested.clear()
+        sign, factors = _trial_division(n)
+        assert factorize(n) == Factorization(sign=sign, factors=tuple(factors)), n
+        assert set(tested) <= {n}, n

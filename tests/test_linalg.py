@@ -275,3 +275,11 @@ def test_power_map_derivative_n2_product_rule():
 def test_power_map_derivative_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         power_map_derivative(FIB, IntMatrix.identity(3), 2)
+
+
+def test_power_map_builders_reject_nonpositive_n():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            jacobian_power_map(X3, n)
+        with pytest.raises(ValueError, match="n must be positive"):
+            power_map_derivative(X3, X3, n)

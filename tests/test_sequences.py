@@ -154,6 +154,16 @@ def test_lucas_2x2_rejects_other_dims():
         lucas_2x2(X3, 2)
 
 
+def test_routes_reject_nonpositive_n():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            closed_form_entry(X3, n)
+        with pytest.raises(ValueError, match="n must be positive"):
+            lucas_2x2(FIB, n)
+        with pytest.raises(ValueError, match="n_max must be positive"):
+            generate_sequence(X3, n)
+
+
 def test_generate_sequence_x3_first_five():
     entries = generate_sequence(X3, 5)
     reduced = [e.reduced for e in entries]
