@@ -117,36 +117,73 @@ def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
 
 
 def det_bareiss(a: IntMatrix) -> int:
-    """Exact signed determinant by fraction-free (Bareiss) elimination.
+    """Exact signed determinant by two-step fraction-free (Bareiss) elimination.
 
-    Every interior division is exact by construction; a nonzero remainder
-    would mean the elimination is broken, so it raises immediately.
+    The two-step form of E. H. Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22 (1968): each
+    pass removes two columns. Before the pass at column k, entry (i, j) with
+    i, j >= k is the leading k x k minor bordered by row i and column j, and
+    ``prev`` is that leading minor. By Sylvester's identity the leading
+    (k+2)-minor is ``c0 = (a_kk a_(k+1)(k+1) - a_(k+1)k a_k(k+1)) / prev``, and
+    every later row becomes ``a_ij <- (a_ij c0 + a_kj c_i2 + a_(k+1)j c_i1) / prev``
+    with multipliers ``c_i1`` and ``c_i2``, row i's 2 x 2 minors on columns
+    k, k+1 with row k and with row k+1, each divided by ``prev`` as well.
+    Then ``prev = c0``.
+
+    A zero a_kk is swapped with a later row. A zero 2 x 2 pivot minor is
+    mended by swapping in a later row whose minor with row k is nonzero;
+    when there is none, columns k and k+1 are proportional on rows k and
+    below, and the determinant is 0. An odd dimension ends on the last
+    diagonal entry, an even one on the c0 of its last pass, which is one
+    single-column step.
+
+    Every division (c0, both multipliers, each entry) is exact by
+    construction; a nonzero remainder would mean the elimination is broken,
+    so it raises immediately.
     """
     n = a.dim
     m = [list(row) for row in a.entries]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(0, n - 1, 2):
+        k1 = k + 1
         if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            pivot = next((i for i in range(k1, n) if m[i][k] != 0), None)
             if pivot is None:
                 return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        pkk = m[k][k]
         row_k = m[k]
-        for i in range(k + 1, n):
+        akk, akk1 = row_k[k], row_k[k1]
+        minor = akk * m[k1][k1] - m[k1][k] * akk1
+        if minor == 0:
+            for i in range(k + 2, n):
+                minor = akk * m[i][k1] - m[i][k] * akk1
+                if minor:
+                    m[k1], m[i] = m[i], m[k1]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        c0, r = divmod(minor, prev)
+        if r:
+            raise AssertionError("non-exact division in fraction-free elimination")
+        row_k1 = m[k1]
+        ak1k, ak1k1 = row_k1[k], row_k1[k1]
+        for i in range(k + 2, n):
             row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                num = row_i[j] * pkk - mik * row_k[j]
-                q, r = divmod(num, prev)
+            aik, aik1 = row_i[k], row_i[k1]
+            ci1, r1 = divmod(aik * akk1 - aik1 * akk, prev)
+            ci2, r2 = divmod(aik1 * ak1k - aik * ak1k1, prev)
+            if r1 or r2:
+                raise AssertionError("non-exact division in fraction-free elimination")
+            for j in range(k + 2, n):
+                q, r = divmod(row_i[j] * c0 + row_k[j] * ci2 + row_k1[j] * ci1, prev)
                 if r:
                     raise AssertionError("non-exact division in fraction-free elimination")
                 row_i[j] = q
-            row_i[k] = 0
-        prev = pkk
-    return sign * m[n - 1][n - 1]
+        prev = c0
+    return sign * (prev if n % 2 == 0 else m[n - 1][n - 1])
 
 
 def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:

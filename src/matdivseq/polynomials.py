@@ -101,8 +101,9 @@ def generalized_lucas(f: MonicIntPolynomial, ns: Sequence[int]) -> tuple[int, ..
     the sign of reversing d-1 rows, times the (d-1) x (d-1) determinant with
     rows ``h_(n r - d + 1), ..., h_(n r - 1)`` for r = 1, ..., d-1, h_k the
     complete homogeneous sums (0 for k < 0). The smallest row leads because
-    after step k Bareiss holds (k+1)-minors of the leading rows: the largest
-    row, with the most digits, then enters only at the last step.
+    after each pass Bareiss holds minors of the leading rows bordered by one
+    later row: the largest row, with the most digits, enters only its own
+    row's minors and no pivot before the last pass.
     With ``f = x^d + c_1 x^(d-1) + ... + c_d``, h_0 = 1 and
     ``h_k = -(c_1 h_(k-1) + ... + c_d h_(k-d))``: one division-free pass
     serves every n, and no discriminant is involved.

@@ -1,8 +1,9 @@
 """Shared test utilities: independent oracles and random matrix generators.
 
-The oracles are a cofactor-expansion determinant and the power-sum algebra
-the closed form's generalized Lucas numbers u_n are checked against: power
-sums by Newton's identities and their inverse, power polynomials (the n-th
+The oracles are two determinants, by cofactor expansion and by Gaussian
+elimination over exact rationals, and the power-sum algebra the closed
+form's generalized Lucas numbers u_n are checked against: power sums by
+Newton's identities and their inverse, power polynomials (the n-th
 powers of the roots), discriminants as Hankel determinants of power sums,
 and Sylvester resultants. With distinct roots u_n^2 is the discriminant
 ratio ``discriminant(power_polynomial(f, n)) // discriminant(f)``. None of
@@ -10,6 +11,7 @@ this runs in the package's routes.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from matdivseq import IntMatrix, MonicIntPolynomial, det_bareiss, mat_mul
@@ -32,6 +34,30 @@ def det_cofactor(rows):
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def det_fraction(rows):
+    """Determinant by Gaussian elimination over ``Fraction``; any dimension.
+
+    Divides by each pivot exactly in the rationals, so it shares no step
+    with the fraction-free integer elimination it checks.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    assert det.denominator == 1
+    return det.numerator
 
 
 def random_matrix(rng, dim, lo=-5, hi=5):

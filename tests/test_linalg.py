@@ -3,12 +3,13 @@ import tracemalloc
 
 import pytest
 
+from matdivseq import linalg
 from matdivseq import (IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps,
                        kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative,
                        vec)
 
 from golden_tables import X3
-from helpers import det_cofactor, random_matrix
+from helpers import det_cofactor, det_fraction, random_matrix
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 I2 = IntMatrix.identity(2)
@@ -125,6 +126,98 @@ def test_det_bareiss_matches_cofactor_oracle():
         dim = rng.randint(1, 4)
         x = random_matrix(rng, dim, -9, 9)
         assert det_bareiss(x) == det_cofactor([list(r) for r in x.entries])
+
+
+# One block per exit of det_bareiss's pass; the name says what the pass meets.
+BAREISS_BRANCH_BLOCKS = {
+    "zero a_kk, swapped": [[0, 2, 1], [1, 0, 3], [2, 1, 0]],
+    "zero 2x2 minor, mended by a later row": [[1, 2, 0], [2, 4, 1], [0, 1, 1]],
+    "zero 2x2 minor, no mending row": [[1, 2, 5], [2, 4, 7], [3, 6, 1]],
+    "zero column": [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+    "even dimension's last step": [[2, 1], [1, 3]],
+    "even last step, zero a_kk": [[0, 3], [2, 1]],
+    "even last step, zero minor": [[2, 4], [3, 6]],
+}
+
+
+def _bordered(block, pad, rng):
+    """diag(I_pad, block) with random integers above the block.
+
+    For even ``pad`` the first pad/2 passes see the identity with prev = 1
+    and leave ``block`` unchanged, so the next pass meets it as it is.
+    """
+    b = len(block)
+    return ([[int(i == j) for j in range(pad)] + [rng.randint(-4, 4) for _ in range(b)]
+             for i in range(pad)]
+            + [[0] * pad + list(row) for row in block])
+
+
+@pytest.mark.parametrize("case", sorted(BAREISS_BRANCH_BLOCKS))
+def test_det_bareiss_branches_match_fraction_oracle(case):
+    rng = random.Random(case)
+    block = BAREISS_BRANCH_BLOCKS[case]
+    want = det_fraction(block)
+    for pad in (0, 2, 4, 6):
+        rows = _bordered(block, pad, rng)
+        assert det_bareiss(IntMatrix(rows)) == det_fraction(rows) == want
+
+
+def test_det_bareiss_matches_fraction_oracle_on_sparse_singular_permuted():
+    rng = random.Random(53)
+    for _ in range(400):
+        dim = rng.randint(1, 9)
+        rows = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(dim)]
+                for _ in range(dim)]
+        if dim > 1 and rng.random() < 0.3:  # rank-deficient: one row a multiple of another
+            src, dst = rng.sample(range(dim), 2)
+            rows[dst] = [rng.randint(-2, 2) * v for v in rows[src]]
+        want = det_fraction(rows)
+        assert det_bareiss(IntMatrix(rows)) == want
+        permuted = rng.sample(rows, dim)
+        assert det_bareiss(IntMatrix(permuted)) == det_fraction(permuted) in (want, -want)
+
+
+def test_det_bareiss_row_swap_flips_sign():
+    rng = random.Random(59)
+    for dim in range(2, 10):
+        rows = [list(r) for r in random_matrix(rng, dim, -9, 9).entries]
+        i, j = rng.sample(range(dim), 2)
+        swapped = list(rows)
+        swapped[i], swapped[j] = rows[j], rows[i]
+        assert det_bareiss(IntMatrix(swapped)) == -det_bareiss(IntMatrix(rows)) != 0
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, -1, 3], [1, 4, -2], [-3, 2, 5]],  # odd: one two-column pass
+    [[3, 1, -2, 4, 1], [2, -1, 3, 1, -2], [1, 4, 2, -3, 2], [-2, 1, 1, 2, 3], [4, -3, 1, 1, -1]],
+    [[2, 1], [1, 3]],  # even: the single-column step alone
+    [[2, -1, 3, 1], [1, 4, -2, 2], [-3, 2, 5, -1], [1, 1, -2, 3]],  # a pass, then that step
+], ids=["3x3", "5x5", "2x2", "4x4"])
+def test_det_bareiss_checks_every_division(rows, monkeypatch):
+    """A nonzero remainder in any one division, the t-th for each t, raises."""
+    x = IntMatrix(rows)
+    calls = 0
+
+    def counting(num, den):
+        nonlocal calls
+        calls += 1
+        return divmod(num, den)
+
+    monkeypatch.setattr(linalg, "divmod", counting, raising=False)
+    assert det_bareiss(x) == det_fraction(rows) != 0
+    assert calls > 0
+    for bad in range(calls):
+        seen = 0
+
+        def corrupted(num, den):
+            nonlocal seen
+            seen += 1
+            q, r = divmod(num, den)
+            return (q, r or 1) if seen == bad + 1 else (q, r)
+
+        monkeypatch.setattr(linalg, "divmod", corrupted, raising=False)
+        with pytest.raises(AssertionError, match="non-exact division"):
+            det_bareiss(x)
 
 
 def test_jacobian_n1_is_identity():
