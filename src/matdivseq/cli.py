@@ -10,18 +10,24 @@ are read from a file (or stdin with ``-``) in either of two formats:
 
 Exit codes: 0 success, 1 verification failure, 2 input error. Large
 integers in JSON output are rendered as decimal strings so consumers do
-not lose precision.
+not lose precision. Each ``table --format json`` row is converted to
+decimal once: ``jacobian_det`` and ``n_squared_value`` are exact decimal
+products of the ``reduced`` digits. CPython's int-to-str digit limit (4300
+by default) still applies to every value, so a long table can end in its
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import re
 import sys
 import unicodedata
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache
 
 from .factorint import Factorization
@@ -113,6 +119,12 @@ def _matrix_rows(x: IntMatrix) -> list[list[int]]:
     return [list(row) for row in x.entries]
 
 
+# Multiplies decimal integers exactly: a product that would round raises
+# Inexact or Rounded instead of printing wrong digits.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded])
+
+
 def _factorization_json(f: Factorization) -> dict:
     return {
         "sign": f.sign,
@@ -143,12 +155,27 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
             "column": column,
             "entries": [],
         }
+        # One int-to-decimal conversion per row: the other two values are
+        # reduced times n^s and n^2, multiplied exactly in decimal. Only
+        # str(e.reduced) meets CPython's digit limit, so a derived value past
+        # it (0: none; no getter before 3.10.7) is sent to str() on its int,
+        # which raises CPython's own ValueError at the same row.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        multiply = _EXACT.multiply
+        s = x.dim
         for e, fc in zip(entries, factors):
+            reduced = str(e.reduced)
+            digits = Decimal(reduced)
+            jacobian_det = str(multiply(digits, e.n ** s))
+            n_squared_value = str(multiply(digits, e.n * e.n))
+            if limit and (max(len(jacobian_det), len(n_squared_value))
+                          - reduced.startswith("-") > limit):
+                jacobian_det, n_squared_value = str(e.jacobian_det), str(e.n_squared_value)
             item = {
                 "n": e.n,
-                "reduced": str(e.reduced),
-                "jacobian_det": str(e.jacobian_det),
-                "n_squared_value": str(e.n_squared_value),
+                "reduced": reduced,
+                "jacobian_det": jacobian_det,
+                "n_squared_value": n_squared_value,
                 "fallback_used": e.fallback_used,
             }
             if fc is not None:

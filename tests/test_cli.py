@@ -1,6 +1,8 @@
+import builtins
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from math import prod
@@ -18,6 +20,7 @@ from matdivseq.cli import (MatrixDocument, MatrixParseError, main, parse_matrix,
                            run_charpoly, run_jacobian, run_table, run_verify)
 
 from golden_tables import X3, X4
+from helpers import random_matrix
 
 X3_JSON = '{"matrix": [[1, -2, -6], [0, 1, 3], [-1, 0, 1]], "name": "X3"}'
 
@@ -152,6 +155,104 @@ def test_run_table_json_round_trip():
     doc = parse_matrix(X3_JSON)
     out, _ = run_table(doc, 2, "json")
     assert parse_matrix(out) == doc
+
+
+@pytest.fixture
+def int_str_calls(monkeypatch):
+    """The ints that matdivseq.cli passes to str(), in call order."""
+    calls = []
+
+    def spy(obj=""):
+        if isinstance(obj, int):
+            calls.append(obj)
+        return builtins.str(obj)
+
+    monkeypatch.setattr(matdivseq.cli, "str", spy, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("x", [
+    IntMatrix([[-3]]),  # s = 1: n^2 > n^s, and reduced < 0 at even n
+    X3,
+    X4,
+    IntMatrix([[1, 2], [2, 4]]),  # singular: zero rows
+    IntMatrix([[0, 1], [-1, 0]]),  # u_n = 0 at even n
+    random_matrix(random.Random(1), 6),  # past 400 digits at n_max 64
+], ids=["minus3", "X3", "X4", "singular", "rotation", "random6"])
+@pytest.mark.parametrize("column", ["reduced", "jacobian"])
+def test_run_table_json_columns_equal_str_of_the_entries(int_str_calls, x, column):
+    n_max = 64 if x.dim == 6 else 24
+    entries = generate_sequence(x, n_max)
+    out, code = run_table(MatrixDocument(matrix=x), n_max, "json", column=column)
+    assert code == 0
+    rows = json.loads(out)["entries"]
+    assert [(r["n"], r["reduced"], r["jacobian_det"], r["n_squared_value"]) for r in rows] == [
+        (e.n, str(e.reduced), str(e.jacobian_det), str(e.n_squared_value)) for e in entries]
+    # Each row converts its reduced value alone; the other two come from those digits.
+    assert int_str_calls == [e.reduced for e in entries]
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="CPython before 3.10.7 has no int-to-str digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("entry", [10, -10])
+def test_run_table_json_keeps_the_int_str_digit_limit(int_str_calls, entry):
+    # [[entry]]: reduced_n = entry^(n-1), so at n = 635 reduced has 635 digits,
+    # jacobian_det = 635 * reduced 637 and n_squared_value = 403225 * reduced 640.
+    # At n = 636 only n_squared_value (641 digits) is past a limit of 640.
+    doc = MatrixDocument(matrix=IntMatrix([[entry]]))
+    entries = generate_sequence(doc.matrix, 636)
+    e = entries[-1]
+    assert [len(str(abs(v))) for v in (e.reduced, e.jacobian_det, e.n_squared_value)
+            ] == [636, 638, 641]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # CPython's smallest limit
+    try:
+        out, code = run_table(doc, 635, "json")
+        assert code == 0
+        assert int_str_calls == [e.reduced for e in entries[:-1]]  # 640 digits still fit
+        last = json.loads(out)["entries"][-1]
+        assert [len(last[k].lstrip("-")) for k in ("reduced", "jacobian_det", "n_squared_value")
+                ] == [635, 637, 640]
+        with pytest.raises(ValueError, match="integer string conversion"):
+            run_table(doc, 636, "json")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@needs_digit_limit
+def test_run_table_json_digit_limit_excludes_the_sign(int_str_calls):
+    # [[-10]] at n = 636: n_squared_value = -404496 * 10^635 has 641 digits and a sign.
+    doc = MatrixDocument(matrix=IntMatrix([[-10]]))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(641)
+    try:
+        last = json.loads(run_table(doc, 636, "json")[0])["entries"][-1]
+        assert last["n_squared_value"] == "-404496" + "0" * 635
+        assert len(int_str_calls) == 636  # reduced only, the last row included
+        with pytest.raises(ValueError, match="integer string conversion"):
+            run_table(doc, 637, "json")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@needs_digit_limit
+def test_run_table_json_without_get_int_max_str_digits(monkeypatch):
+    # Before 3.10.7 sys has no digit limit and no getter: the derived columns
+    # then take no limit (0), as CPython does.
+    doc = MatrixDocument(matrix=IntMatrix([[10]]))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        last = json.loads(run_table(doc, 636, "json")[0])["entries"][-1]
+    finally:
+        monkeypatch.undo()
+        sys.set_int_max_str_digits(old)
+    assert last["reduced"] == "1" + "0" * 635
+    assert last["n_squared_value"] == "404496" + "0" * 635
 
 
 def test_run_verify_x3_passes_with_informational_note():
