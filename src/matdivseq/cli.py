@@ -15,6 +15,11 @@ decimal once: ``jacobian_det`` and ``n_squared_value`` are exact decimal
 products of the ``reduced`` digits. CPython's int-to-str digit limit (4300
 by default) still applies to every value, so a long table can end in its
 ``ValueError``.
+
+``table --format json`` is written row by row from fixed templates, byte
+for byte in the layout of ``json.dumps(payload, indent=2)`` (whose
+indenting encoder runs in pure Python); ``python3 -m json.tool --indent 2``
+reproduces it. The other commands' JSON is ``json.dumps`` of a dict.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import os
 import re
 import sys
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
@@ -125,13 +131,57 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
                          traps=[decimal.Inexact, decimal.Rounded])
 
 
-def _factorization_json(f: Factorization) -> dict:
-    return {
-        "sign": f.sign,
-        "factors": [[str(p), e] for p, e in f.factors],
-        "cofactor": str(f.cofactor) if f.cofactor is not None else None,
-        "display": str(f),
-    }
+def _factorization_json(f: Factorization) -> str:
+    """The ``"factorization"`` member of a table row, as ``json.dumps(indent=2)`` writes it."""
+    factors = ",".join(f'\n          [\n            "{p}",\n            {e}\n          ]'
+                       for p, e in f.factors)
+    if factors:
+        factors += "\n        "
+    cofactor = "null" if f.cofactor is None else f'"{f.cofactor}"'
+    return (f'      "factorization": {{\n        "sign": {f.sign},\n'
+            f'        "factors": [{factors}],\n        "cofactor": {cofactor},\n'
+            f'        "display": "{f}"\n      }}')
+
+
+def _table_json(doc: MatrixDocument, entries: list[SequenceEntry],
+                factors: list[Factorization | None], column: str) -> Iterator[str]:
+    """Yield the table's JSON document in pieces: the head, one piece per row, the tail.
+
+    The pieces join to exactly ``json.dumps(payload, indent=2)`` of the
+    table's payload. Only the name and the column can need escaping, so they
+    alone go through :func:`json.dumps`; every other value is digits, a
+    literal or the ASCII of ``str(Factorization)``. Rows are yielded, not
+    kept: a row string stays alive only inside the caller's join.
+    """
+    x = doc.matrix
+    matrix = ",".join("\n    [" + ",".join(f"\n      {v}" for v in row) + "\n    ]"
+                      for row in x.entries)
+    yield (f'{{\n  "name": {json.dumps(doc.name)},\n  "matrix": [{matrix}\n  ],\n'
+           f'  "column": {json.dumps(column)},\n  "entries": [')
+    # One int-to-decimal conversion per row: the other two values are
+    # reduced times n^s and n^2, multiplied exactly in decimal. Only
+    # str(e.reduced) meets CPython's digit limit, so a derived value past
+    # it (0: none; no getter before 3.10.7) is sent to str() on its int,
+    # which raises CPython's own ValueError at the same row.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    multiply = _EXACT.multiply
+    s = x.dim
+    sep = "\n"
+    for e, fc in zip(entries, factors):
+        reduced = str(e.reduced)
+        digits = Decimal(reduced)
+        jacobian_det = str(multiply(digits, e.n ** s))
+        n_squared_value = str(multiply(digits, e.n * e.n))
+        if limit and (max(len(jacobian_det), len(n_squared_value))
+                      - reduced.startswith("-") > limit):
+            jacobian_det, n_squared_value = str(e.jacobian_det), str(e.n_squared_value)
+        yield (f'{sep}    {{\n      "n": {e.n},\n      "reduced": "{reduced}",\n'
+               f'      "jacobian_det": "{jacobian_det}",\n'
+               f'      "n_squared_value": "{n_squared_value}",\n'
+               f'      "fallback_used": {"true" if e.fallback_used else "false"}'
+               + ("" if fc is None else ",\n" + _factorization_json(fc)) + "\n    }")
+        sep = ",\n"
+    yield "\n  ]\n}"  # generate_sequence returns at least one row
 
 
 def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
@@ -149,39 +199,7 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
         return e.reduced if column == "reduced" else e.jacobian_det
 
     if fmt == "json":
-        payload = {
-            "name": doc.name,
-            "matrix": _matrix_rows(x),
-            "column": column,
-            "entries": [],
-        }
-        # One int-to-decimal conversion per row: the other two values are
-        # reduced times n^s and n^2, multiplied exactly in decimal. Only
-        # str(e.reduced) meets CPython's digit limit, so a derived value past
-        # it (0: none; no getter before 3.10.7) is sent to str() on its int,
-        # which raises CPython's own ValueError at the same row.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        multiply = _EXACT.multiply
-        s = x.dim
-        for e, fc in zip(entries, factors):
-            reduced = str(e.reduced)
-            digits = Decimal(reduced)
-            jacobian_det = str(multiply(digits, e.n ** s))
-            n_squared_value = str(multiply(digits, e.n * e.n))
-            if limit and (max(len(jacobian_det), len(n_squared_value))
-                          - reduced.startswith("-") > limit):
-                jacobian_det, n_squared_value = str(e.jacobian_det), str(e.n_squared_value)
-            item = {
-                "n": e.n,
-                "reduced": reduced,
-                "jacobian_det": jacobian_det,
-                "n_squared_value": n_squared_value,
-                "fallback_used": e.fallback_used,
-            }
-            if fc is not None:
-                item["factorization"] = _factorization_json(fc)
-            payload["entries"].append(item)
-        return json.dumps(payload, indent=2), 0
+        return "".join(_table_json(doc, entries, factors, column)), 0
 
     lines = []
     sep = "," if fmt == "csv" else " | "

@@ -8,8 +8,12 @@ powers of the roots), discriminants as Hankel determinants of power sums,
 and Sylvester resultants. With distinct roots u_n^2 is the discriminant
 ratio ``discriminant(power_polynomial(f, n)) // discriminant(f)``. None of
 this runs in the package's routes.
+
+``table_json`` is the oracle of ``table --format json``: the table's
+payload as a dict, written by ``json.dumps(payload, indent=2)``.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -233,3 +237,21 @@ def discriminant(f: MonicIntPolynomial) -> int:
         raise ValueError("discriminant requires degree at least 2")
     p = power_sums(f, 2 * d - 2).values
     return det_bareiss(IntMatrix(tuple(p[i:i + d] for i in range(d))))
+
+
+def table_json(doc, entries, factors, column: str) -> str:
+    """``json.dumps(payload, indent=2)`` of a table's rows and their factorizations."""
+    payload = {"name": doc.name, "matrix": [list(row) for row in doc.matrix.entries],
+               "column": column, "entries": []}
+    for e, f in zip(entries, factors):
+        item = {"n": e.n, "reduced": str(e.reduced), "jacobian_det": str(e.jacobian_det),
+                "n_squared_value": str(e.n_squared_value), "fallback_used": e.fallback_used}
+        if f is not None:
+            item["factorization"] = {
+                "sign": f.sign,
+                "factors": [[str(p), k] for p, k in f.factors],
+                "cofactor": None if f.cofactor is None else str(f.cofactor),
+                "display": str(f),
+            }
+        payload["entries"].append(item)
+    return json.dumps(payload, indent=2)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from math import prod
 from pathlib import Path
 
@@ -14,13 +15,13 @@ import matdivseq.cli
 import matdivseq.linalg
 import matdivseq.polynomials
 import matdivseq.sequences
-from matdivseq import (Factorization, IntMatrix, generate_sequence, jacobian_power_map,
-                       verify_closed_form)
+from matdivseq import (Factorization, IntMatrix, factor_table, generate_sequence,
+                       jacobian_power_map, verify_closed_form)
 from matdivseq.cli import (MatrixDocument, MatrixParseError, main, parse_matrix,
                            run_charpoly, run_jacobian, run_table, run_verify)
 
 from golden_tables import X3, X4
-from helpers import random_matrix
+from helpers import random_matrix, table_json
 
 X3_JSON = '{"matrix": [[1, -2, -6], [0, 1, 3], [-1, 0, 1]], "name": "X3"}'
 
@@ -253,6 +254,95 @@ def test_run_table_json_without_get_int_max_str_digits(monkeypatch):
         sys.set_int_max_str_digits(old)
     assert last["reduced"] == "1" + "0" * 635
     assert last["n_squared_value"] == "404496" + "0" * 635
+
+
+NILPOTENT3 = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("x, n_max, factor, column", [
+    (X3, 16, True, "reduced"),
+    (X3, 16, True, "jacobian"),
+    (X4, 20, True, "reduced"),
+    (X4, 20, True, "jacobian"),
+    (IntMatrix([[-3]]), 1, False, "reduced"),
+    (IntMatrix([[-3]]), 1, True, "jacobian"),
+    (NILPOTENT3, 6, True, "reduced"),  # zero rows: sign 0, no factors
+    (NILPOTENT3, 6, False, "jacobian"),
+], ids=["X3", "X3-jacobian", "X4", "X4-jacobian", "minus3", "minus3-jacobian", "nilpotent",
+        "nilpotent-unfactored"])
+@pytest.mark.parametrize("name", [None, 'q"b\\', "\u00e9\U0001f642"],
+                         ids=["unnamed", "quote-backslash", "non-ascii"])
+def test_run_table_json_equals_json_dumps_indent_2(x, n_max, factor, column, name):
+    doc = MatrixDocument(matrix=x, name=name)
+    entries = generate_sequence(x, n_max)
+    factors = factor_table(x, entries, column) if factor else [None] * n_max
+    out, code = run_table(doc, n_max, "json", factor, column)
+    assert code == 0
+    assert out == table_json(doc, entries, factors, column)
+
+
+def test_run_table_json_layout_of_names_and_zero_rows():
+    doc = MatrixDocument(matrix=NILPOTENT3, name="\u00e9\U0001f642")
+    out, _ = run_table(doc, 2, "json", factor=True)
+    assert '\n  "name": "\\u00e9\\ud83d\\ude42",\n' in out
+    assert ('\n        "sign": 0,\n        "factors": [],\n        "cofactor": null,\n'
+            '        "display": "0"\n      }\n    }\n  ]\n}') in out
+    assert out.isascii()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_run_table_json_forced_values_equal_json_dumps_indent_2(monkeypatch, sign):
+    # No table of today gives a cofactor, a negative sign or fallback_used
+    # true; each must still render as json.dumps does.
+    hard = 1000000000039 * 1000000000061
+    forced = [Factorization(sign=sign, factors=((2, 1), (3, 4)), cofactor=hard)] * 3
+    entries = [replace(e, fallback_used=True) for e in generate_sequence(X4, 3)]
+    monkeypatch.setattr(matdivseq.cli, "factor_table", lambda x, entries, column: forced)
+    monkeypatch.setattr(matdivseq.cli, "generate_sequence", lambda x, n_max: entries)
+    doc = MatrixDocument(matrix=X4, name="X4")
+    out, code = run_table(doc, 3, "json", factor=True)
+    assert code == 0
+    assert '"fallback_used": true' in out
+    assert out == table_json(doc, entries, forced, "reduced")
+
+
+def _holds_rendered_rows(value, depth=0) -> bool:
+    """Whether ``value`` is, or contains a few levels down, a rendered or dict-built table row."""
+    if isinstance(value, str):
+        return '"reduced": ' in value
+    if depth > 3:
+        return False
+    if isinstance(value, dict):
+        return "reduced" in value or any(_holds_rendered_rows(v, depth + 1)
+                                         for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_holds_rendered_rows(v, depth + 1) for v in value)
+    return False
+
+
+@needs_digit_limit
+def test_run_table_json_error_traceback_keeps_no_rendered_rows():
+    # A caller that keeps the ValueError keeps every frame of its traceback
+    # alive; none of them may hold the rows rendered before the failing one.
+    doc = MatrixDocument(matrix=IntMatrix([[10]]))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        run_table(doc, 636, "json")
+    except ValueError as exc:
+        error = exc
+    else:
+        pytest.fail("run_table rendered a value past the digit limit")
+    finally:
+        sys.set_int_max_str_digits(old)
+    frames, tb = [], error.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame)
+        tb = tb.tb_next
+    assert any(f.f_code is run_table.__code__ for f in frames)
+    held = {f.f_code.co_name: name for f in frames for name, v in f.f_locals.items()
+            if _holds_rendered_rows(v)}
+    assert held == {}
 
 
 def test_run_verify_x3_passes_with_informational_note():
