@@ -191,6 +191,8 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
     With ``factor`` the printed column is factorized by
     :func:`factor_table`, once per table from its primitive parts.
     """
+    if column not in ("reduced", "jacobian"):
+        raise ValueError("column must be 'reduced' or 'jacobian'")
     x = doc.matrix
     entries = generate_sequence(x, n_max)
     factors = factor_table(x, entries, column) if factor else [None] * len(entries)

@@ -196,9 +196,9 @@ def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    for j in _jacobian_steps(x.entries, n):
+    for j in _jacobian_steps(tuple(zip(*x.entries)), x.entries, n):
         pass
-    return j
+    return IntMatrix(j)
 
 
 def jacobian_power_maps(x: IntMatrix, n_max: int) -> Iterator[IntMatrix]:
@@ -211,28 +211,67 @@ def jacobian_power_maps(x: IntMatrix, n_max: int) -> Iterator[IntMatrix]:
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    return _jacobian_steps(x.entries, n_max)
+    return map(IntMatrix, _jacobian_steps(tuple(zip(*x.entries)), x.entries, n_max))
 
 
-def _jacobian_steps(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[IntMatrix]:
+def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
+    """Lazily yield det J_1, ..., det J_(n_max) from two blocks of size s(s+1)/2 and s(s-1)/2.
+
+    X^T is similar to X (O. Taussky and H. Zassenhaus, "On the similarity
+    transformation between a matrix and its transpose", Pacific J. Math. 9
+    (1959)), so J_n = sum_k (X^T)^k (x) X^(n-1-k) is similar to
+    M_n = sum_k X^k (x) X^(n-1-k), which the recurrence of
+    :func:`jacobian_power_maps` steps with X^n in place of (X^T)^n. M_n is
+    the map E -> sum_k X^(n-1-k) E (X^T)^k, which takes symmetric matrices
+    to symmetric ones and skew to skew, so det J_n = det(Sym) * det(Skew):
+    Sym is M_n on the basis E_pp, E_pq + E_qp (p < q), Skew on the basis
+    E_pq - E_qp (p < q), and an image's coordinate (p, q) is its entry
+    (p, q), at column-stacking index q*s + p. At s = 1 there is no Skew
+    block. Both blocks are integer matrices; :func:`det_bareiss` takes
+    their determinants.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    return _block_determinants(x.entries, n_max)
+
+
+def _block_determinants(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[int]:
+    s = len(x)
+    # Column-stacking indices (i, j) of entries (p, q) and (q, p), p <= q: basis matrix
+    # E_pq + E_qp (or E_pq - E_qp) is column i plus (minus) column j of M_n, and row i
+    # of M_n gives the coordinate (p, q) of an image.
+    sym = [(q * s + p, p * s + q) for q in range(s) for p in range(q + 1)]
+    skew = [(i, j) for i, j in sym if i != j]
+    for m in _jacobian_steps(x, x, n_max):
+        det = det_bareiss(IntMatrix([[m[r][i] + m[r][j] if i != j else m[r][i]
+                                      for i, j in sym] for r, _ in sym]))
+        if skew:
+            det *= det_bareiss(IntMatrix([[m[r][i] - m[r][j] for i, j in skew]
+                                          for r, _ in skew]))
+        yield det
+
+
+def _jacobian_steps(a: tuple[tuple[int, ...], ...], x: tuple[tuple[int, ...], ...],
+                    n_max: int) -> Iterator[list[list[int]]]:
+    """Rows of sum_k A^k (x) X^(n-1-k) for n = 1..n_max: J_n for A = X^T, M_n for A = X."""
     s = len(x)
     size = s * s
-    x_cols = tuple(zip(*x))
+    a_cols = tuple(zip(*a))
     j = [[int(r == c) for c in range(size)] for r in range(size)]
-    yield IntMatrix(j)
-    x_pow = x
+    yield j
+    a_pow = a
     for _ in range(n_max - 1):
         nxt = []
         for i in range(s):
             block_cols = list(zip(*j[i * s:(i + 1) * s]))
             for p in range(s):
                 row = [sum(map(mul, x[p], col)) for col in block_cols]
-                for jb in range(s):  # (X^n)_(jb, i) on the diagonal of block (i, jb)
-                    row[jb * s + p] += x_pow[jb][i]
+                for jb in range(s):  # (A^n)_(i, jb) on the diagonal of block (i, jb)
+                    row[jb * s + p] += a_pow[i][jb]
                 nxt.append(row)
         j = nxt
-        yield IntMatrix(j)
-        x_pow = [[sum(map(mul, row, col)) for col in x_cols] for row in x_pow]
+        yield j
+        a_pow = [[sum(map(mul, row, col)) for col in a_cols] for row in a_pow]
 
 
 def power_map_derivative(x: IntMatrix, e: IntMatrix, n: int) -> IntMatrix:

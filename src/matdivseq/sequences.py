@@ -6,7 +6,11 @@ divisibility sequence: n | m implies d_n | d_m. This module computes d_n
 three ways and cross-checks them:
 
 * :func:`jacobian_determinant` takes the exact determinant of the
-  s^2 x s^2 derivative matrix. Brute force, valid for every integer X.
+  s^2 x s^2 derivative matrix J_n. Brute force, valid for every integer X.
+  :func:`verify_closed_form` takes the same det J_n as det(Sym) * det(Skew),
+  the blocks of size s(s+1)/2 and s(s-1)/2 of the similar matrix
+  M_n = sum_k X^k (x) X^(n-1-k) on symmetric and skew matrices (X^T is
+  similar to X: Taussky and Zassenhaus, Pacific J. Math. 9, 1959).
 * :func:`closed_form_entry` evaluates ``n^s * det(X)^(n-1) * u_n^2``, u_n
   the generalized Lucas number of the characteristic polynomial f. Valid
   for every integer X, repeated eigenvalues included: J_n equals
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from math import isqrt, prod
 
 from .factorint import Factorization, factorize
-from .linalg import IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps
+from .linalg import IntMatrix, det_bareiss, jacobian_determinants, jacobian_power_map
 from .polynomials import char_poly, generalized_lucas
 
 
@@ -228,20 +232,22 @@ def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...]
 def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
     """Check the entries of :func:`generate_sequence` against the Jacobian determinant.
 
-    The determinant is taken once per n, of the J_n that
-    :func:`jacobian_power_maps` steps to, for every matrix; a disagreement
-    of the n^s form is a hard mismatch. For dimensions other than 2 the n^2
-    variant's disagreement is expected and recorded as an informational
-    note. The report carries the checked entries.
+    The oracle is det J_n, once per n, for every matrix, from
+    :func:`jacobian_determinants`: det(Sym) * det(Skew) of the blocks of the
+    similar M_n = sum_k X^k (x) X^(n-1-k) on symmetric and skew matrices,
+    similar because X^T is similar to X (Taussky and Zassenhaus, Pacific
+    J. Math. 9, 1959). It never uses the characteristic polynomial or u_n.
+    A disagreement of the n^s form is a hard mismatch. For dimensions other
+    than 2 the n^2 variant's disagreement is expected and recorded as an
+    informational note. The report carries the checked entries.
     """
     entries = tuple(generate_sequence(x, n_max))
     s = x.dim
     mismatches = []
     notes = []
     n_squared_note_done = False
-    for entry, j in zip(entries, jacobian_power_maps(x, n_max)):
+    for entry, oracle in zip(entries, jacobian_determinants(x, n_max)):
         n = entry.n
-        oracle = det_bareiss(j)
         if entry.jacobian_det != oracle:
             mismatches.append(f"n={n}: closed form {entry.jacobian_det} "
                               f"!= Jacobian determinant {oracle}")

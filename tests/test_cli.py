@@ -141,6 +141,13 @@ def test_run_table_jacobian_column():
     assert out.splitlines() == ["1 | 1 | 1", "2 | 800 | 2^5 5^2", "3 | 177147 | 3^11"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("factor", [False, True])
+def test_run_table_rejects_an_unknown_column(fmt, factor):
+    with pytest.raises(ValueError, match="column must be 'reduced' or 'jacobian'"):
+        run_table(parse_matrix(X3_JSON), 3, fmt, factor=factor, column="bogus")
+
+
 def test_run_table_formats_agree():
     doc = parse_matrix(X3_JSON)
     text, _ = run_table(doc, 5, "text")
@@ -402,8 +409,9 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 @pytest.mark.parametrize("x, per_n", [
-    (X3, {"jacobian_det": 1, "lucas_u": 1}),
-    (IntMatrix([[1, 1], [0, 1]]), {"jacobian_det": 1, "lucas_u": 1}),  # repeated eigenvalue
+    (X3, {"jacobian_sym": 1, "jacobian_skew": 1, "lucas_u": 1}),
+    # repeated eigenvalue
+    (IntMatrix([[1, 1], [0, 1]]), {"jacobian_sym": 1, "jacobian_skew": 1, "lucas_u": 1}),
 ])
 def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
     counts = {}
@@ -418,7 +426,9 @@ def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
 
         monkeypatch.setattr(module, "det_bareiss", counted_det)
 
-    count_dets(matdivseq.sequences, "jacobian_det", x.dim ** 2)
+    # The oracle det J_n is one s(s+1)/2 and one s(s-1)/2 determinant in linalg.
+    count_dets(matdivseq.linalg, "jacobian_sym", x.dim * (x.dim + 1) // 2)
+    count_dets(matdivseq.linalg, "jacobian_skew", x.dim * (x.dim - 1) // 2)
     # The closed form's u_n is one (s-1) x (s-1) determinant in polynomials.
     count_dets(matdivseq.polynomials, "lucas_u", x.dim - 1)
     building = {}

@@ -4,12 +4,12 @@ import tracemalloc
 import pytest
 
 from matdivseq import linalg
-from matdivseq import (IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps,
-                       kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative,
-                       vec)
+from matdivseq import (IntMatrix, char_poly, det_bareiss, generalized_lucas, jacobian_power_map,
+                       jacobian_power_maps, kronecker, mat_add, mat_mul, mat_pow, mat_vec,
+                       power_map_derivative, vec)
 
 from golden_tables import X3
-from helpers import det_cofactor, det_fraction, random_matrix
+from helpers import det_cofactor, det_fraction, random_matrix, unimodular_pair
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 I2 = IntMatrix.identity(2)
@@ -318,6 +318,61 @@ def test_jacobian_power_maps_yields_n_max_matrices():
 
 def test_jacobian_power_maps_is_lazy():
     assert next(jacobian_power_maps(X3, 10 ** 9)) == IntMatrix.identity(9)
+
+
+def _block_cases(dim, rng):
+    """Random, singular, nilpotent, Jordan, negative-determinant, scalar 2I,
+    a Jordan-block conjugate and, at dim 3, the derogatory diag(2, 2, 3)."""
+    cases = [random_matrix(rng, dim, -3, 3) for _ in range(2)] + _special_matrices(dim)
+    cases.append(IntMatrix([[2 * int(i == j) for j in range(dim)] for i in range(dim)]))
+    if dim > 1:
+        p, p_inv = unimodular_pair(rng, dim, ops=5)
+        cases.append(mat_mul(mat_mul(p, cases[4]), p_inv))
+    if dim == 3:
+        cases.append(IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    return cases
+
+
+def test_jacobian_determinants_match_det_of_each_jacobian():
+    rng = random.Random(181)
+    for dim in range(1, 7):
+        for x in _block_cases(dim, rng):
+            want = [det_bareiss(j) for j in jacobian_power_maps(x, 12)]
+            assert list(linalg.jacobian_determinants(x, 12)) == want, x.fingerprint()
+
+
+def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
+    # det(Skew) = u_n and det(Sym) = n^s det(X)^(n-1) u_n, so the product is d_n.
+    blocks = []
+    det = linalg.det_bareiss
+
+    def recorded(a):
+        blocks.append(det(a))
+        return blocks[-1]
+
+    monkeypatch.setattr(linalg, "det_bareiss", recorded)
+    rng = random.Random(191)
+    for dim in range(2, 6):
+        for x in _block_cases(dim, rng):
+            blocks.clear()
+            dets = list(linalg.jacobian_determinants(x, 9))
+            f = char_poly(x)
+            det_x = (-1) ** dim * f.coefficients[-1]
+            us = list(generalized_lucas(f, range(1, 10)))
+            assert blocks[1::2] == us, x.fingerprint()
+            assert blocks[0::2] == [n ** dim * det_x ** (n - 1) * u
+                                    for n, u in enumerate(us, 1)], x.fingerprint()
+            assert dets == [a * b for a, b in zip(blocks[0::2], blocks[1::2])]
+
+
+def test_jacobian_determinants_yields_n_max_values():
+    for x in (IntMatrix([[-3]]), FIB, X3):
+        for n_max in (1, 2, 7):
+            assert len(list(linalg.jacobian_determinants(x, n_max))) == n_max
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max"):
+            linalg.jacobian_determinants(X3, n_max)
+    assert next(linalg.jacobian_determinants(X3, 10 ** 9)) == 1
 
 
 def test_jacobian_transpose_invariance():

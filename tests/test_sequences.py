@@ -268,16 +268,21 @@ def test_verify_closed_form_eigenvalue_collision_passes():
 
 
 def _record_sequence_dets(monkeypatch):
-    """The dimension of each matrix ``sequences`` takes a determinant of, in order."""
+    """The dimension of each matrix ``linalg`` takes a determinant of, in order."""
     dets = []
-    det = matdivseq.sequences.det_bareiss
+    det = matdivseq.linalg.det_bareiss
 
     def counted(a):
         dets.append(a.dim)
         return det(a)
 
-    monkeypatch.setattr(matdivseq.sequences, "det_bareiss", counted)
+    monkeypatch.setattr(matdivseq.linalg, "det_bareiss", counted)
     return dets
+
+
+def _oracle_dims(s):
+    """Dimensions of the determinants of one det J_n: Sym, then Skew when s > 1."""
+    return [s * (s + 1) // 2] + ([s * (s - 1) // 2] if s > 1 else [])
 
 
 def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
@@ -287,7 +292,32 @@ def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
         report = verify_closed_form(x, 4)
         assert report.passed
         assert not any("closed form unavailable" in n for n in report.notes)
-        assert dets == [x.dim ** 2] * 4
+        assert dets == _oracle_dims(x.dim) * 4
+
+
+def test_verify_oracle_never_evaluates_the_closed_form(monkeypatch):
+    cases = (X3, X4, JORDAN_3, IntMatrix([[-3]]))
+    want = [[det_bareiss(j) for j in jacobian_power_maps(x, 8)] for x in cases]
+
+    def closed_form(*args):
+        raise AssertionError("the oracle evaluates no closed form")
+
+    for module in (matdivseq.polynomials, matdivseq.sequences):
+        for name in ("char_poly", "generalized_lucas"):
+            monkeypatch.setattr(module, name, closed_form)
+    monkeypatch.setattr(matdivseq.sequences, "closed_form_entry", closed_form)
+    got = [list(matdivseq.linalg.jacobian_determinants(x, 8)) for x in cases]
+    assert got == want
+
+
+def test_verify_closed_form_reports_a_planted_wrong_entry(monkeypatch):
+    entries = generate_sequence(X3, 8)
+    entries[4] = replace(entries[4], jacobian_det=entries[4].jacobian_det + 1)
+    monkeypatch.setattr(matdivseq.sequences, "generate_sequence", lambda x, n_max: entries)
+    report = verify_closed_form(X3, 8)
+    assert not report.passed
+    assert report.mismatches == (
+        "n=5: closed form 101025126 != Jacobian determinant 101025125",)
 
 
 def test_similarity_invariance_of_jacobian_determinant():
@@ -362,7 +392,7 @@ def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypat
     for x in _repeated_eigenvalue_cases():
         assert not _distinct_eigenvalues(x), x.fingerprint()
         with monkeypatch.context() as m:
-            m.setattr(matdivseq.sequences, "jacobian_power_maps", no_jacobian)
+            m.setattr(matdivseq.sequences, "jacobian_determinants", no_jacobian)
             m.setattr(matdivseq.sequences, "jacobian_power_map", no_jacobian)
             entries = generate_sequence(x, 20)
         assert not any(e.fallback_used for e in entries)
@@ -370,8 +400,8 @@ def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypat
         assert [e.jacobian_det for e in entries] == stepped, x.fingerprint()
         dets.clear()
         report = verify_closed_form(x, 20)
-        # One s^2 x s^2 determinant per n, each equal to the closed form.
-        assert dets == [x.dim ** 2] * 20, x.fingerprint()
+        # One Sym and one Skew determinant per n; their product equals the closed form.
+        assert dets == _oracle_dims(x.dim) * 20, x.fingerprint()
         assert report.passed and not report.mismatches, x.fingerprint()
         assert report.entries == tuple(entries)
 
