@@ -7,8 +7,8 @@ verifies the two against each other, and factors the results.
 """
 
 from .factorint import Factorization, factorize, is_prime
-from .linalg import (IntMatrix, det_bareiss, jacobian_power_map, jacobian_power_maps,
-                     kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
+from .linalg import (IntMatrix, det_bareiss, jacobian_power_map, kronecker, mat_add, mat_mul,
+                     mat_pow, mat_vec, power_map_derivative, vec)
 from .polynomials import MonicIntPolynomial, char_poly, generalized_lucas
 from .sequences import (PairCheck, SequenceEntry, VerificationReport, closed_form_entry,
                         factor_table, generate_sequence, jacobian_determinant, lucas_2x2,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Factorization", "factorize", "is_prime",
-    "IntMatrix", "det_bareiss", "jacobian_power_map", "jacobian_power_maps", "kronecker",
+    "IntMatrix", "det_bareiss", "jacobian_power_map", "kronecker",
     "mat_add", "mat_mul", "mat_pow", "mat_vec", "power_map_derivative", "vec",
     "MonicIntPolynomial", "char_poly", "generalized_lucas",
     "PairCheck", "SequenceEntry", "VerificationReport", "closed_form_entry",

@@ -19,7 +19,10 @@ by default) still applies to every value, so a long table can end in its
 ``table --format json`` is written row by row from fixed templates, byte
 for byte in the layout of ``json.dumps(payload, indent=2)`` (whose
 indenting encoder runs in pure Python); ``python3 -m json.tool --indent 2``
-reproduces it. The other commands' JSON is ``json.dumps`` of a dict.
+reproduces it. ``verify``, ``charpoly`` and ``jacobian`` each compute one
+record of dicts, lists, ints and strings (computed integers as decimal strings):
+``--format json`` writes it with ``json.dumps(record, indent=2)``, and the
+text and csv lines are rendered from the same record.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import os
 import re
 import sys
 import unicodedata
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
@@ -39,8 +42,8 @@ from functools import cache
 from .factorint import Factorization
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map
 from .polynomials import char_poly
-from .sequences import (SequenceEntry, VerificationReport, factor_table, generate_sequence,
-                        verify_closed_form, verify_divisibility)
+from .sequences import (COLUMNS, SequenceEntry, _check_column, factor_table,
+                        generate_sequence, verify_closed_form, verify_divisibility)
 
 
 class MatrixParseError(ValueError):
@@ -121,10 +124,6 @@ def parse_matrix(text: str) -> MatrixDocument:
     return MatrixDocument(matrix=_matrix_from_rows(rows))
 
 
-def _matrix_rows(x: IntMatrix) -> list[list[int]]:
-    return [list(row) for row in x.entries]
-
-
 # Multiplies decimal integers exactly: a product that would round raises
 # Inexact or Rounded instead of printing wrong digits.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
@@ -191,8 +190,7 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
     With ``factor`` the printed column is factorized by
     :func:`factor_table`, once per table from its primitive parts.
     """
-    if column not in ("reduced", "jacobian"):
-        raise ValueError("column must be 'reduced' or 'jacobian'")
+    _check_column(column)
     x = doc.matrix
     entries = generate_sequence(x, n_max)
     factors = factor_table(x, entries, column) if factor else [None] * len(entries)
@@ -213,99 +211,83 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
     return "\n".join(lines), 0
 
 
-def _render_verify_text(doc: MatrixDocument, n_max: int, cf: VerificationReport,
-                        div_reports: list[VerificationReport], passed: bool) -> str:
-    lines = [f"matrix: {doc.name or doc.matrix.fingerprint()}",
-             f"checked n = 1..{n_max}"]
-    if cf.mismatches:
-        lines.append(f"closed form vs Jacobian determinant: {len(cf.mismatches)} mismatches")
-        lines.extend(f"  FAIL {m}" for m in cf.mismatches)
+def _render(record: dict, fmt: str, text: Callable[[dict], Iterable[str]],
+            csv: Callable[[dict], Iterable[str]]) -> str:
+    """Write a command's record as JSON, or as the lines ``text`` or ``csv`` make of it."""
+    if fmt == "json":
+        return json.dumps(record, indent=2)
+    return "\n".join((csv if fmt == "csv" else text)(record))
+
+
+def _verify_text(r: dict) -> Iterator[str]:
+    cf = r["closed_form"]
+    yield f"matrix: {r['name'] or IntMatrix(r['matrix']).fingerprint()}"
+    yield f"checked n = 1..{r['n_max']}"
+    if cf["mismatches"]:
+        yield f"closed form vs Jacobian determinant: {len(cf['mismatches'])} mismatches"
+        yield from (f"  FAIL {m}" for m in cf["mismatches"])
     else:
-        lines.append("closed form vs Jacobian determinant: OK")
-    for note in cf.notes:
-        lines.append(f"note: {note}")
-    for rep in div_reports:
-        good = sum(1 for p in rep.pairs if p.passed)
-        lines.append(f"divisibility ({rep.column} column): {good}/{len(rep.pairs)} pairs pass")
-        lines.extend(f"  FAIL {p.n} | {p.m}" for p in rep.pairs if not p.passed)
-        for note in rep.notes:
-            lines.append(f"note: {note}")
-    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    return "\n".join(lines)
+        yield "closed form vs Jacobian determinant: OK"
+    yield from (f"note: {note}" for note in cf["notes"])
+    for column, d in r["divisibility"].items():
+        good = d["pairs_checked"] - len(d["failures"])
+        yield f"divisibility ({column} column): {good}/{d['pairs_checked']} pairs pass"
+        yield from (f"  FAIL {n} | {m}" for n, m in d["failures"])
+        yield from (f"note: {note}" for note in d["notes"])
+    yield f"result: {'PASS' if r['passed'] else 'FAIL'}"
+
+
+def _verify_csv(r: dict) -> Iterator[str]:
+    yield "closed_form," + ("fail" if r["closed_form"]["mismatches"] else "pass")
+    for column, d in r["divisibility"].items():
+        yield f"divisibility_{column}," + ("fail" if d["failures"] else "pass")
+    yield from (f"note,{note}" for note in r["closed_form"]["notes"])
+    yield "result," + ("pass" if r["passed"] else "fail")
 
 
 def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str, int]:
     """Closed-form and divisibility verification; exit 1 on any hard failure."""
-    x = doc.matrix
-    cf = verify_closed_form(x, n_max)
+    cf = verify_closed_form(doc.matrix, n_max)
     div_reports = [verify_divisibility(cf.entries, col) for col in ("jacobian", "reduced")]
     passed = cf.passed and all(r.passed for r in div_reports)
-    code = 0 if passed else 1
-
-    if fmt == "json":
-        payload = {
-            "name": doc.name,
-            "matrix": _matrix_rows(x),
-            "n_max": n_max,
-            "passed": passed,
-            "closed_form": {"mismatches": list(cf.mismatches), "notes": list(cf.notes)},
-            "divisibility": {
-                rep.column: {
-                    "pairs_checked": len(rep.pairs),
-                    "failures": [[p.n, p.m] for p in rep.pairs if not p.passed],
-                    "notes": list(rep.notes),
-                }
-                for rep in div_reports
-            },
-        }
-        return json.dumps(payload, indent=2), code
-
-    if fmt == "csv":
-        lines = ["closed_form," + ("pass" if cf.passed else "fail")]
-        lines.extend(f"divisibility_{rep.column}," + ("pass" if rep.passed else "fail")
-                     for rep in div_reports)
-        for note in cf.notes:
-            lines.append(f"note,{note}")
-        lines.append("result," + ("pass" if passed else "fail"))
-        return "\n".join(lines), code
-
-    return _render_verify_text(doc, n_max, cf, div_reports, passed), code
+    record = {
+        "name": doc.name,
+        "matrix": [list(row) for row in doc.matrix.entries],
+        "n_max": n_max,
+        "passed": passed,
+        "closed_form": {"mismatches": list(cf.mismatches), "notes": list(cf.notes)},
+        "divisibility": {
+            rep.column: {
+                "pairs_checked": len(rep.pairs),
+                "failures": [[p.n, p.m] for p in rep.pairs if not p.passed],
+                "notes": list(rep.notes),
+            }
+            for rep in div_reports
+        },
+    }
+    return _render(record, fmt, _verify_text, _verify_csv), 0 if passed else 1
 
 
 def run_charpoly(doc: MatrixDocument, fmt: str = "text") -> tuple[str, int]:
     """Render the characteristic polynomial of the input matrix."""
     f = char_poly(doc.matrix)
-    if fmt == "json":
-        payload = {
-            "dim": doc.matrix.dim,
-            "polynomial": str(f),
-            "coefficients": [str(c) for c in f.coefficients],
-        }
-        return json.dumps(payload, indent=2), 0
-    if fmt == "csv":
-        return ",".join(str(c) for c in f.coefficients), 0
-    coeffs = ", ".join(str(c) for c in f.coefficients)
-    return f"characteristic polynomial: {f}\ncoefficients: [{coeffs}]", 0
+    record = {"dim": doc.matrix.dim, "polynomial": str(f),
+              "coefficients": [str(c) for c in f.coefficients]}
+    return _render(record, fmt,
+                   text=lambda r: [f"characteristic polynomial: {r['polynomial']}",
+                                   f"coefficients: [{', '.join(r['coefficients'])}]"],
+                   csv=lambda r: [",".join(r["coefficients"])]), 0
 
 
 def run_jacobian(doc: MatrixDocument, n: int, fmt: str = "text") -> tuple[str, int]:
     """Render the power-map derivative matrix at n and its determinant."""
     j = jacobian_power_map(doc.matrix, n)
-    det = det_bareiss(j)
-    if fmt == "json":
-        payload = {
-            "n": n,
-            "dim": j.dim,
-            "entries": [[str(v) for v in row] for row in j.entries],
-            "det": str(det),
-        }
-        return json.dumps(payload, indent=2), 0
-    if fmt == "csv":
-        lines = [",".join(str(v) for v in row) for row in j.entries]
-        lines.append(f"det,{det}")
-        return "\n".join(lines), 0
-    lines = [f"derivative of X -> X^{n} is {j.dim}x{j.dim}", str(j), f"det: {det}"]
-    return "\n".join(lines), 0
+    record = {"n": n, "dim": j.dim, "entries": [[str(v) for v in row] for row in j.entries],
+              "det": str(det_bareiss(j))}
+    return _render(record, fmt,
+                   text=lambda r: [f"derivative of X -> X^{r['n']} is {r['dim']}x{r['dim']}",
+                                   *map(" ".join, r["entries"]), f"det: {r['det']}"],
+                   csv=lambda r: [*map(",".join, r["entries"]), f"det,{r['det']}"]), 0
 
 
 def _read_input(path: str) -> str:
@@ -335,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="largest n to compute (default: 16)")
     p_table.add_argument("--factor", action="store_true",
                          help="attach factorizations")
-    p_table.add_argument("--column", choices=("reduced", "jacobian"), default="reduced",
+    p_table.add_argument("--column", choices=COLUMNS, default="reduced",
                          help="value column to print (default: reduced)")
 
     p_verify = sub.add_parser("verify", help="check closed form and divisibility")

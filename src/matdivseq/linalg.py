@@ -189,29 +189,17 @@ def det_bareiss(a: IntMatrix) -> int:
 def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
     """Derivative of the power map X -> X^n as an s^2 x s^2 integer matrix.
 
-    The n-th step of the recurrence of :func:`jacobian_power_maps`; with the
-    column-stacking ``vec`` convention it satisfies
-    ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only one J is
-    held at a time, alongside the current power of X.
+    The n-th step of ``J_1 = I`` and ``J_(n+1) = (I (x) X) J_n + (X^T)^n (x) I``:
+    block (i, j) of the next J is ``X . block_ij + (X^n)_ji * I``, s^5
+    multiplications per step. With the column-stacking ``vec`` convention it
+    satisfies ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only
+    one J is held at a time, alongside the current power of X.
     """
     if n < 1:
         raise ValueError("n must be positive")
     for j in _jacobian_steps(tuple(zip(*x.entries)), x.entries, n):
         pass
     return IntMatrix(j)
-
-
-def jacobian_power_maps(x: IntMatrix, n_max: int) -> Iterator[IntMatrix]:
-    """Lazily yield the power-map derivatives J_1, ..., J_(n_max).
-
-    Steps ``J_1 = I`` and ``J_(n+1) = (I (x) X) J_n + (X^T)^n (x) I``:
-    block (i, j) of the next J is ``X . block_ij + (X^n)_ji * I``, s^5
-    multiplications per step. Only the current J_n and X^n are held, so
-    memory does not grow with ``n_max``.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    return map(IntMatrix, _jacobian_steps(tuple(zip(*x.entries)), x.entries, n_max))
 
 
 def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
@@ -221,7 +209,7 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
     transformation between a matrix and its transpose", Pacific J. Math. 9
     (1959)), so J_n = sum_k (X^T)^k (x) X^(n-1-k) is similar to
     M_n = sum_k X^k (x) X^(n-1-k), which the recurrence of
-    :func:`jacobian_power_maps` steps with X^n in place of (X^T)^n. M_n is
+    :func:`jacobian_power_map` steps with X^n in place of (X^T)^n. M_n is
     the map E -> sum_k X^(n-1-k) E (X^T)^k, which takes symmetric matrices
     to symmetric ones and skew to skew, so det J_n = det(Sym) * det(Skew):
     Sym is M_n on the basis E_pp, E_pq + E_qp (p < q), Skew on the basis

@@ -43,6 +43,15 @@ from .linalg import IntMatrix, det_bareiss, jacobian_determinants, jacobian_powe
 from .polynomials import char_poly, generalized_lucas
 
 
+# The value columns of a table: "reduced" is d_n / n^s, "jacobian" is d_n.
+COLUMNS = ("reduced", "jacobian")
+
+
+def _check_column(column: str) -> None:
+    if column not in COLUMNS:
+        raise ValueError(f"column must be {' or '.join(map(repr, COLUMNS))}")
+
+
 @dataclass(frozen=True)
 class SequenceEntry:
     """One row of a computed sequence.
@@ -174,8 +183,7 @@ def factor_table(x: IntMatrix, entries: list[SequenceEntry] | tuple[SequenceEntr
     A zero value factors to 0. ``entries`` must hold every divisor of each
     of their n, as the n = 1..n_max of :func:`generate_sequence` do.
     """
-    if column not in ("reduced", "jacobian"):
-        raise ValueError("column must be 'reduced' or 'jacobian'")
+    _check_column(column)
     s, det_x = x.dim, det_bareiss(x)
     det_f = factorize(det_x)
     psi: dict[int, int] = {}  # Psi_k for each k >= 2 with u_k != 0
@@ -217,8 +225,7 @@ def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...]
 
     ``column`` selects which value is checked: "reduced" or "jacobian".
     """
-    if column not in ("reduced", "jacobian"):
-        raise ValueError("column must be 'reduced' or 'jacobian'")
+    _check_column(column)
     values = {e.n: e.reduced if column == "reduced" else e.jacobian_det for e in entries}
     n_max = max(values) if values else 0
     pairs = []

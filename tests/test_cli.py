@@ -15,8 +15,8 @@ import matdivseq.cli
 import matdivseq.linalg
 import matdivseq.polynomials
 import matdivseq.sequences
-from matdivseq import (Factorization, IntMatrix, factor_table, generate_sequence,
-                       jacobian_power_map, verify_closed_form)
+from matdivseq import (Factorization, IntMatrix, VerificationReport, factor_table,
+                       generate_sequence, jacobian_power_map, verify_closed_form)
 from matdivseq.cli import (MatrixDocument, MatrixParseError, main, parse_matrix,
                            run_charpoly, run_jacobian, run_table, run_verify)
 
@@ -396,6 +396,93 @@ def test_run_verify_failure_exit_code(monkeypatch):
     out, code = run_verify(parse_matrix(X3_JSON), 3)
     assert code == 1
     assert "result: FAIL" in out
+
+
+# Byte-exact outputs of verify, charpoly and jacobian, in every format. JSON is
+# compared with json.dumps(..., indent=2) of the whole expected document.
+X3_ROWS = [[1, -2, -6], [0, 1, 3], [-1, 0, 1]]
+X3_NOTE = ("informational: n^2 variant gives 400 at n=2 but the Jacobian determinant is 800 "
+           "(dim 3 carries n^3)")
+
+
+def _verify_json(name, matrix, passed, mismatches, notes, failures):
+    divisibility = {"pairs_checked": 4, "failures": failures, "notes": []}
+    return json.dumps({"name": name, "matrix": matrix, "n_max": 4, "passed": passed,
+                       "closed_form": {"mismatches": mismatches, "notes": notes},
+                       "divisibility": {"jacobian": divisibility, "reduced": divisibility}},
+                      indent=2)
+
+
+@pytest.mark.parametrize("doc, text, csv, js", [
+    (parse_matrix(X3_JSON),
+     ["matrix: X3", "checked n = 1..4", "closed form vs Jacobian determinant: OK",
+      f"note: {X3_NOTE}", "divisibility (jacobian column): 4/4 pairs pass",
+      "divisibility (reduced column): 4/4 pairs pass", "result: PASS"],
+     ["closed_form,pass", "divisibility_jacobian,pass", "divisibility_reduced,pass",
+      f"note,{X3_NOTE}", "result,pass"],
+     _verify_json("X3", X3_ROWS, True, [], [X3_NOTE], [])),
+    # Unnamed: the text report labels the matrix by its fingerprint.
+    (MatrixDocument(matrix=IntMatrix([[1, 1], [0, 1]])),
+     ["matrix: 2x2 [[1,1],[0,1]]", "checked n = 1..4", "closed form vs Jacobian determinant: OK",
+      "divisibility (jacobian column): 4/4 pairs pass",
+      "divisibility (reduced column): 4/4 pairs pass", "result: PASS"],
+     ["closed_form,pass", "divisibility_jacobian,pass", "divisibility_reduced,pass",
+      "result,pass"],
+     _verify_json(None, [[1, 1], [0, 1]], True, [], [], [])),
+], ids=["named", "unnamed"])
+def test_run_verify_outputs_are_pinned(doc, text, csv, js):
+    assert run_verify(doc, 4, "text") == ("\n".join(text), 0)
+    assert run_verify(doc, 4, "csv") == ("\n".join(csv), 0)
+    assert run_verify(doc, 4, "json") == (js, 0)
+
+
+def test_run_verify_failure_outputs_are_pinned(monkeypatch):
+    # A closed-form mismatch with a note, and d_4 off by one: 2 | 4 fails in
+    # both columns while 1 | 4 still passes.
+    def fake_verify(x, n_max):
+        entries = generate_sequence(x, n_max)
+        e = entries[3]
+        entries[3] = replace(e, reduced=e.reduced + 1, jacobian_det=e.jacobian_det + 1)
+        return VerificationReport(mismatches=("n=4: forced mismatch",), notes=("forced note",),
+                                  entries=tuple(entries))
+
+    monkeypatch.setattr(matdivseq.cli, "verify_closed_form", fake_verify)
+    doc = parse_matrix(X3_JSON)
+    assert run_verify(doc, 4, "text") == ("\n".join([
+        "matrix: X3", "checked n = 1..4", "closed form vs Jacobian determinant: 1 mismatches",
+        "  FAIL n=4: forced mismatch", "note: forced note",
+        "divisibility (jacobian column): 3/4 pairs pass", "  FAIL 2 | 4",
+        "divisibility (reduced column): 3/4 pairs pass", "  FAIL 2 | 4", "result: FAIL"]), 1)
+    assert run_verify(doc, 4, "csv") == ("\n".join([
+        "closed_form,fail", "divisibility_jacobian,fail", "divisibility_reduced,fail",
+        "note,forced note", "result,fail"]), 1)
+    assert run_verify(doc, 4, "json") == (_verify_json(
+        "X3", X3_ROWS, False, ["n=4: forced mismatch"], ["forced note"], [[2, 4]]), 1)
+
+
+def test_run_charpoly_outputs_are_pinned():
+    doc = parse_matrix(X3_JSON)
+    assert run_charpoly(doc, "text") == (
+        "characteristic polynomial: x^3 - 3x^2 - 3x - 1\ncoefficients: [1, -3, -3, -1]", 0)
+    assert run_charpoly(doc, "csv") == ("1,-3,-3,-1", 0)
+    assert run_charpoly(doc, "json") == (json.dumps(
+        {"dim": 3, "polynomial": "x^3 - 3x^2 - 3x - 1", "coefficients": ["1", "-3", "-3", "-1"]},
+        indent=2), 0)
+
+
+JACOBIAN_X3_2 = ["2 -2 -6 0 0 0 -1 0 0", "0 2 3 0 0 0 0 -1 0", "-1 0 2 0 0 0 0 0 -1",
+                 "-2 0 0 2 -2 -6 0 0 0", "0 -2 0 0 2 3 0 0 0", "0 0 -2 -1 0 2 0 0 0",
+                 "-6 0 0 3 0 0 2 -2 -6", "0 -6 0 0 3 0 0 2 3", "0 0 -6 0 0 3 -1 0 2"]
+
+
+def test_run_jacobian_outputs_are_pinned():
+    doc = parse_matrix(X3_JSON)
+    rows = [line.split() for line in JACOBIAN_X3_2]
+    assert run_jacobian(doc, 2, "text") == (
+        "\n".join(["derivative of X -> X^2 is 9x9", *JACOBIAN_X3_2, "det: 800"]), 0)
+    assert run_jacobian(doc, 2, "csv") == ("\n".join([*map(",".join, rows), "det,800"]), 0)
+    assert run_jacobian(doc, 2, "json") == (json.dumps(
+        {"n": 2, "dim": 9, "entries": rows, "det": "800"}, indent=2), 0)
 
 
 def _count_calls(monkeypatch, module, name, counts):

@@ -5,8 +5,7 @@ import pytest
 
 from matdivseq import linalg
 from matdivseq import (IntMatrix, char_poly, det_bareiss, generalized_lucas, jacobian_power_map,
-                       jacobian_power_maps, kronecker, mat_add, mat_mul, mat_pow, mat_vec,
-                       power_map_derivative, vec)
+                       kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
 
 from golden_tables import X3
 from helpers import det_cofactor, det_fraction, random_matrix, unimodular_pair
@@ -270,15 +269,14 @@ def _kronecker_sum(x, n):
     return total
 
 
-def test_jacobian_power_maps_match_the_kronecker_sum():
+def test_jacobian_power_map_matches_the_kronecker_sum():
     rng = random.Random(97)
     for dim in range(1, 6):
         cases = [random_matrix(rng, dim) for _ in range(2)] + _special_matrices(dim)
         assert det_bareiss(cases[-1]) < 0
         for x in cases:
-            for n, j in enumerate(jacobian_power_maps(x, 12), 1):
-                assert j == _kronecker_sum(x, n), (x.fingerprint(), n)
-            assert jacobian_power_map(x, 12) == j
+            for n in range(1, 13):
+                assert jacobian_power_map(x, n) == _kronecker_sum(x, n), (x.fingerprint(), n)
 
 
 def test_jacobian_columns_are_the_unit_directional_derivatives():
@@ -307,19 +305,6 @@ def test_jacobian_power_map_holds_one_matrix():
     assert peak < 2 ** 19
 
 
-def test_jacobian_power_maps_yields_n_max_matrices():
-    for n_max in (1, 2, 7):
-        assert len(list(jacobian_power_maps(X3, n_max))) == n_max
-    with pytest.raises(ValueError, match="n_max"):
-        jacobian_power_maps(X3, 0)
-    with pytest.raises(ValueError, match="n_max"):
-        jacobian_power_maps(X3, -3)
-
-
-def test_jacobian_power_maps_is_lazy():
-    assert next(jacobian_power_maps(X3, 10 ** 9)) == IntMatrix.identity(9)
-
-
 def _block_cases(dim, rng):
     """Random, singular, nilpotent, Jordan, negative-determinant, scalar 2I,
     a Jordan-block conjugate and, at dim 3, the derogatory diag(2, 2, 3)."""
@@ -337,7 +322,7 @@ def test_jacobian_determinants_match_det_of_each_jacobian():
     rng = random.Random(181)
     for dim in range(1, 7):
         for x in _block_cases(dim, rng):
-            want = [det_bareiss(j) for j in jacobian_power_maps(x, 12)]
+            want = [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 13)]
             assert list(linalg.jacobian_determinants(x, 12)) == want, x.fingerprint()
 
 

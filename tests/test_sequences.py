@@ -6,8 +6,8 @@ import pytest
 import matdivseq
 from matdivseq import (IntMatrix, SequenceEntry, char_poly, closed_form_entry, det_bareiss,
                        factor_table, factorize, generalized_lucas, generate_sequence,
-                       jacobian_determinant, jacobian_power_map, jacobian_power_maps,
-                       lucas_2x2, mat_mul, verify_closed_form, verify_divisibility)
+                       jacobian_determinant, jacobian_power_map, lucas_2x2, mat_mul,
+                       verify_closed_form, verify_divisibility)
 
 from golden_tables import X3, X4, X3_TABLE
 from helpers import discriminant, random_matrix, unimodular_pair
@@ -297,7 +297,7 @@ def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
 
 def test_verify_oracle_never_evaluates_the_closed_form(monkeypatch):
     cases = (X3, X4, JORDAN_3, IntMatrix([[-3]]))
-    want = [[det_bareiss(j) for j in jacobian_power_maps(x, 8)] for x in cases]
+    want = [[det_bareiss(jacobian_power_map(x, n)) for n in range(1, 9)] for x in cases]
 
     def closed_form(*args):
         raise AssertionError("the oracle evaluates no closed form")
@@ -396,7 +396,7 @@ def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypat
             m.setattr(matdivseq.sequences, "jacobian_power_map", no_jacobian)
             entries = generate_sequence(x, 20)
         assert not any(e.fallback_used for e in entries)
-        stepped = [det_bareiss(j) for j in jacobian_power_maps(x, 20)]
+        stepped = [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 21)]
         assert [e.jacobian_det for e in entries] == stepped, x.fingerprint()
         dets.clear()
         report = verify_closed_form(x, 20)
@@ -522,7 +522,7 @@ def test_every_exported_name_resolves():
     # Pinned, so that no test oracle (tests/helpers.py) creeps back into the package.
     assert set(matdivseq.__all__) == {
         "Factorization", "factorize", "is_prime",
-        "IntMatrix", "det_bareiss", "jacobian_power_map", "jacobian_power_maps", "kronecker",
+        "IntMatrix", "det_bareiss", "jacobian_power_map", "kronecker",
         "mat_add", "mat_mul", "mat_pow", "mat_vec", "power_map_derivative", "vec",
         "MonicIntPolynomial", "char_poly", "generalized_lucas",
         "PairCheck", "SequenceEntry", "VerificationReport", "closed_form_entry",
