@@ -8,9 +8,10 @@ are read from a file (or stdin with ``-``) in either of two formats:
 * plain text: one row per line, whitespace-separated integers written
   with ASCII digits and an optional sign
 
-Exit codes: 0 success, 1 verification failure, 2 input error. Large
+Exit codes: 0 success, 1 verification failure, 2 input error. Computed
 integers in JSON output are rendered as decimal strings so consumers do
-not lose precision. Each ``table --format json`` row is converted to
+not lose precision; the input matrix echoed under ``"matrix"`` stays JSON
+numbers. Each ``table --format json`` row is converted to
 decimal once: ``jacobian_det`` and ``n_squared_value`` are exact decimal
 products of the ``reduced`` digits. CPython's int-to-str digit limit (4300
 by default) still applies to every value, so a long table can end in its

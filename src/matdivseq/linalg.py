@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,12 @@ def det_bareiss(a: IntMatrix) -> int:
     construction; a nonzero remainder would mean the elimination is broken,
     so it raises immediately.
     """
-    n = a.dim
-    m = [list(row) for row in a.entries]
+    return _det_rows([list(row) for row in a.entries])
+
+
+def _det_rows(m: list[list[int]]) -> int:
+    """:func:`det_bareiss` on a list of row lists, which it overwrites."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(0, n - 1, 2):
@@ -190,16 +194,20 @@ def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
     """Derivative of the power map X -> X^n as an s^2 x s^2 integer matrix.
 
     The n-th step of ``J_1 = I`` and ``J_(n+1) = (I (x) X) J_n + (X^T)^n (x) I``:
-    block (i, j) of the next J is ``X . block_ij + (X^n)_ji * I``, s^5
-    multiplications per step. With the column-stacking ``vec`` convention it
-    satisfies ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only
-    one J is held at a time, alongside the current power of X.
+    block (i, j) of the next J is ``X . block_ij + (X^n)_ji * I``. The rows
+    are stepped as packed integers (see :func:`_packed_steps`, with A = X^T
+    and the identity column map) and unpacked once, at n. With the
+    column-stacking ``vec`` convention it satisfies
+    ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only one J is
+    held at a time, alongside the current power of X.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    for j in _jacobian_steps(tuple(zip(*x.entries)), x.entries, n):
+    size = x.dim * x.dim
+    identity = [[int(r == c) for c in range(size)] for r in range(size)]
+    for rows, unpack in _packed_steps(tuple(zip(*x.entries)), x.entries, identity, n):
         pass
-    return IntMatrix(j)
+    return IntMatrix([unpack(row) for row in rows])
 
 
 def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
@@ -215,8 +223,10 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
     Sym is M_n on the basis E_pp, E_pq + E_qp (p < q), Skew on the basis
     E_pq - E_qp (p < q), and an image's coordinate (p, q) is its entry
     (p, q), at column-stacking index q*s + p. At s = 1 there is no Skew
-    block. Both blocks are integer matrices; :func:`det_bareiss` takes
-    their determinants.
+    block. The rows of M_n are stepped already multiplied by that change of
+    basis, so unpacking row (p, q) gives row (p, q) of Sym and, when p < q,
+    of Skew. Both blocks are integer matrices, eliminated as in
+    :func:`det_bareiss`.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -230,36 +240,83 @@ def _block_determinants(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[
     # of M_n gives the coordinate (p, q) of an image.
     sym = [(q * s + p, p * s + q) for q in range(s) for p in range(q + 1)]
     skew = [(i, j) for i, j in sym if i != j]
-    for m in _jacobian_steps(x, x, n_max):
-        det = det_bareiss(IntMatrix([[m[r][i] + m[r][j] if i != j else m[r][i]
-                                      for i, j in sym] for r, _ in sym]))
+    basis = [(i, j, 1) for i, j in sym] + [(i, j, -1) for i, j in skew]
+    sigma = [[int(r == i) + sign * int(r == j != i) for i, j, sign in basis]
+             for r in range(s * s)]
+    n_sym = len(sym)
+    for rows, unpack in _packed_steps(x, x, sigma, n_max):
+        needed = [unpack(rows[r]) for r, _ in sym]
+        det = _det_rows([row[:n_sym] for row in needed])
         if skew:
-            det *= det_bareiss(IntMatrix([[m[r][i] - m[r][j] for i, j in skew]
-                                          for r, _ in skew]))
+            det *= _det_rows([row[n_sym:] for row, (i, j) in zip(needed, sym) if i != j])
         yield det
 
 
-def _jacobian_steps(a: tuple[tuple[int, ...], ...], x: tuple[tuple[int, ...], ...],
-                    n_max: int) -> Iterator[list[list[int]]]:
-    """Rows of sum_k A^k (x) X^(n-1-k) for n = 1..n_max: J_n for A = X^T, M_n for A = X."""
-    s = len(x)
-    size = s * s
+def _packed_steps(a: Sequence[Sequence[int]], x: Sequence[Sequence[int]],
+                  sigma: list[list[int]], n_max: int) -> Iterator[tuple[list[int], Callable]]:
+    """Rows of M_n Sigma, M_n = sum_k A^k (x) X^(n-1-k), for n = 1..n_max, as packed ints.
+
+    M_n is J_n for A = X^T and the matrix of :func:`jacobian_determinants`
+    for A = X. Row r of M_n Sigma is held as one integer sum_c v_c 2^(w c)
+    of w-bit signed slots (Kronecker substitution: L. Kronecker, 1882; D.
+    Harvey, "Faster polynomial multiplication via multipoint Kronecker
+    substitution", J. Symbolic Comput. 44 (2009)), so a linear combination
+    of rows is the same combination of their integers. M_1 Sigma = Sigma,
+    and row (i, p) of ``M_(n+1) = (I (x) X) M_n + A^n (x) I`` is
+    x_p . (rows (i, 0..s-1)) plus (A^n)_(i, .) . (Sigma rows (0..s-1, p)):
+    2s products of a packed row by one entry, s^2 rows per step.
+
+    Entries of M_n are at most b_n, b_1 = 1, b_(n+1) = nu b_n + max|A^n|, nu the
+    largest absolute row sum of X; a column of Sigma has at most two entries
+    +-1, so every slot is at most 2 b_n. The slots widen, all rows repacked,
+    before the step whose bound would overflow them, by enough for about
+    eight more steps. Yields each n's rows with the function that unpacks
+    a row into its slot values.
+    """
+    s, slots = len(x), len(sigma[0])
+    nu = max(sum(map(abs, row)) for row in x)
     a_cols = tuple(zip(*a))
-    j = [[int(r == c) for c in range(size)] for r in range(size)]
-    yield j
+    bound = 1
+    w = _slot_width(bound)
+    unpack = _unpacker(w, slots)
+    rows = [_pack(row, w) for row in sigma]
+    sig = [[rows[jb * s + p] for jb in range(s)] for p in range(s)]  # Sigma rows (., p)
+    yield rows, unpack
     a_pow = a
     for _ in range(n_max - 1):
-        nxt = []
-        for i in range(s):
-            block_cols = list(zip(*j[i * s:(i + 1) * s]))
-            for p in range(s):
-                row = [sum(map(mul, x[p], col)) for col in block_cols]
-                for jb in range(s):  # (A^n)_(i, jb) on the diagonal of block (i, jb)
-                    row[jb * s + p] += a_pow[i][jb]
-                nxt.append(row)
-        j = nxt
-        yield j
+        bound = nu * bound + max(abs(v) for row in a_pow for v in row)
+        if _slot_width(bound) > w:  # about eight more steps' growth of room
+            w = _slot_width(bound) + 8 * nu.bit_length()
+            rows = [_pack(unpack(row), w) for row in rows]
+            unpack = _unpacker(w, slots)
+            sig = [[_pack(sigma[jb * s + p], w) for jb in range(s)] for p in range(s)]
+        blocks = [rows[i * s:(i + 1) * s] for i in range(s)]
+        rows = [sum(map(mul, x[p], blocks[i])) + sum(map(mul, a_pow[i], sig[p]))
+                for i in range(s) for p in range(s)]
+        yield rows, unpack
         a_pow = [[sum(map(mul, row, col)) for col in a_cols] for row in a_pow]
+
+
+def _slot_width(bound: int) -> int:
+    """Bits of a signed slot holding any value of magnitude at most 2 * bound."""
+    return bound.bit_length() + 2
+
+
+def _pack(values: Sequence[int], w: int) -> int:
+    return sum(v << (w * c) for c, v in enumerate(values) if v)
+
+
+def _unpacker(w: int, slots: int) -> Callable[[int], list[int]]:
+    """Unpack ``slots`` w-bit signed slots: add half of 2^w to every slot, then shift and mask."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = half * (((1 << (w * slots)) - 1) // mask)
+    shifts = range(0, w * slots, w)
+
+    def unpack(v: int) -> list[int]:
+        v += bias
+        return [(v >> k & mask) - half for k in shifts]
+
+    return unpack
 
 
 def power_map_derivative(x: IntMatrix, e: IntMatrix, n: int) -> IntMatrix:

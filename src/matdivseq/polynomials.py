@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .linalg import IntMatrix, det_bareiss, mat_mul
+from .linalg import IntMatrix, _det_rows, mat_mul
 
 
 @dataclass(frozen=True)
@@ -119,5 +119,4 @@ def generalized_lucas(f: MonicIntPolynomial, ns: Sequence[int]) -> tuple[int, ..
     for _ in range(1, (d - 1) * max(ns, default=0)):
         h.append(-sum(map(mul, c, reversed(h[-d:]))))
     sign = (-1) ** ((d - 1) * (d - 2) // 2)
-    return tuple(sign * det_bareiss(IntMatrix([h[n * r:n * r + d - 1] for r in range(1, d)]))
-                 for n in ns)
+    return tuple(sign * _det_rows([h[n * r:n * r + d - 1] for r in range(1, d)]) for n in ns)

@@ -329,13 +329,13 @@ def test_jacobian_determinants_match_det_of_each_jacobian():
 def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
     # det(Skew) = u_n and det(Sym) = n^s det(X)^(n-1) u_n, so the product is d_n.
     blocks = []
-    det = linalg.det_bareiss
+    det = linalg._det_rows
 
-    def recorded(a):
-        blocks.append(det(a))
+    def recorded(rows):
+        blocks.append(det(rows))
         return blocks[-1]
 
-    monkeypatch.setattr(linalg, "det_bareiss", recorded)
+    monkeypatch.setattr(linalg, "_det_rows", recorded)
     rng = random.Random(191)
     for dim in range(2, 6):
         for x in _block_cases(dim, rng):
@@ -358,6 +358,34 @@ def test_jacobian_determinants_yields_n_max_values():
         with pytest.raises(ValueError, match="n_max"):
             linalg.jacobian_determinants(X3, n_max)
     assert next(linalg.jacobian_determinants(X3, 10 ** 9)) == 1
+
+
+# A conjugate of J_2(1) (+) B, B with characteristic polynomial x^2 - x - 1: spectral radius 1.618,
+# largest absolute row sum 19.
+JORDAN_CONJUGATE_4 = IntMatrix([[5, 1, -5, -2], [0, 1, 0, 0], [2, 0, -1, -1], [6, 2, -9, -2]])
+
+
+@pytest.mark.parametrize("rows, min_widths", [
+    ([[2]], 2),
+    ([[0]], 1),
+    ([[0] * 3] * 3, 1),
+    ([[0, 10 ** 6, 0], [0, 0, 10 ** 6], [0, 0, 0]], 4),  # nilpotent
+    ([[10 ** 30, 1], [1, -10 ** 30]], 4),
+    (JORDAN_CONJUGATE_4.entries, 4),
+], ids=["2", "0", "zero3", "nilpotent", "1e30", "jordan4"])
+def test_packed_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
+    """Every n <= 40 unpacks exactly, however far the row-sum bound outruns the values."""
+    x = IntMatrix(rows)
+    n_max = 40
+    size = x.dim * x.dim
+    identity = [[int(r == c) for c in range(size)] for r in range(size)]
+    unpackers = [unpack for _rows, unpack in
+                 linalg._packed_steps(tuple(zip(*x.entries)), x.entries, identity, n_max)]
+    assert len(set(unpackers)) >= min_widths
+    sums = [_kronecker_sum(x, n) for n in range(1, n_max + 1)]
+    assert list(linalg.jacobian_determinants(x, n_max)) == [det_bareiss(j) for j in sums]
+    for n, j in enumerate(sums, 1):
+        assert jacobian_power_map(x, n) == j, n
 
 
 def test_jacobian_transpose_invariance():

@@ -270,13 +270,13 @@ def test_verify_closed_form_eigenvalue_collision_passes():
 def _record_sequence_dets(monkeypatch):
     """The dimension of each matrix ``linalg`` takes a determinant of, in order."""
     dets = []
-    det = matdivseq.linalg.det_bareiss
+    det = matdivseq.linalg._det_rows
 
-    def counted(a):
-        dets.append(a.dim)
-        return det(a)
+    def counted(rows):
+        dets.append(len(rows))
+        return det(rows)
 
-    monkeypatch.setattr(matdivseq.linalg, "det_bareiss", counted)
+    monkeypatch.setattr(matdivseq.linalg, "_det_rows", counted)
     return dets
 
 
