@@ -20,8 +20,9 @@ by default) still applies to every value, so a long table can end in its
 ``table --format json`` is written row by row from fixed templates, byte
 for byte in the layout of ``json.dumps(payload, indent=2)`` (whose
 indenting encoder runs in pure Python); ``python3 -m json.tool --indent 2``
-reproduces it. ``verify``, ``charpoly`` and ``jacobian`` each compute one
-record of dicts, lists, ints and strings (computed integers as decimal strings):
+reproduces it; ``"fallback_used"`` is always ``false``, kept only as a JSON
+key. ``verify``, ``charpoly`` and ``jacobian`` each compute one record of
+dicts, lists, ints and strings (computed integers as decimal strings):
 ``--format json`` writes it with ``json.dumps(record, indent=2)``, and the
 text and csv lines are rendered from the same record.
 """
@@ -153,9 +154,8 @@ def _table_json(doc: MatrixDocument, entries: list[SequenceEntry],
     literal or the ASCII of ``str(Factorization)``. Rows are yielded, not
     kept: a row string stays alive only inside the caller's join.
     """
-    x = doc.matrix
     matrix = ",".join("\n    [" + ",".join(f"\n      {v}" for v in row) + "\n    ]"
-                      for row in x.entries)
+                      for row in doc.matrix.entries)
     yield (f'{{\n  "name": {json.dumps(doc.name)},\n  "matrix": [{matrix}\n  ],\n'
            f'  "column": {json.dumps(column)},\n  "entries": [')
     # One int-to-decimal conversion per row: the other two values are
@@ -165,12 +165,11 @@ def _table_json(doc: MatrixDocument, entries: list[SequenceEntry],
     # which raises CPython's own ValueError at the same row.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     multiply = _EXACT.multiply
-    s = x.dim
     sep = "\n"
     for e, fc in zip(entries, factors):
         reduced = str(e.reduced)
         digits = Decimal(reduced)
-        jacobian_det = str(multiply(digits, e.n ** s))
+        jacobian_det = str(multiply(digits, e.n ** e.s))
         n_squared_value = str(multiply(digits, e.n * e.n))
         if limit and (max(len(jacobian_det), len(n_squared_value))
                       - reduced.startswith("-") > limit):
@@ -178,7 +177,7 @@ def _table_json(doc: MatrixDocument, entries: list[SequenceEntry],
         yield (f'{sep}    {{\n      "n": {e.n},\n      "reduced": "{reduced}",\n'
                f'      "jacobian_det": "{jacobian_det}",\n'
                f'      "n_squared_value": "{n_squared_value}",\n'
-               f'      "fallback_used": {"true" if e.fallback_used else "false"}'
+               '      "fallback_used": false'
                + ("" if fc is None else ",\n" + _factorization_json(fc)) + "\n    }")
         sep = ",\n"
     yield "\n  ]\n}"  # generate_sequence returns at least one row
@@ -196,16 +195,13 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
     entries = generate_sequence(x, n_max)
     factors = factor_table(x, entries, column) if factor else [None] * len(entries)
 
-    def cell(e: SequenceEntry) -> int:
-        return e.reduced if column == "reduced" else e.jacobian_det
-
     if fmt == "json":
         return "".join(_table_json(doc, entries, factors, column)), 0
 
     lines = []
     sep = "," if fmt == "csv" else " | "
     for e, fc in zip(entries, factors):
-        parts = [str(e.n), str(cell(e))]
+        parts = [str(e.n), str(e.value(column))]
         if fc is not None:
             parts.append(str(fc))
         lines.append(sep.join(parts))

@@ -21,14 +21,15 @@ three ways and cross-checks them:
   ``n^2 * det(X)^(n-1) * U_n^2``.
 
 :func:`generate_sequence` builds the closed-form entries of a table,
-n = 1..n_max, in one pass. :func:`factor_table` factors one column of
-those entries through the algebraic split of u_n into primitive parts,
-one factorization per part instead of per term. :func:`verify_closed_form`
+n = 1..n_max, in one pass; each :class:`SequenceEntry` stores u_n and
+derives the columns. :func:`factor_table` factors one column of those
+entries through the algebraic split of u_n into primitive parts, one
+factorization per part instead of per term. :func:`verify_closed_form`
 checks the entries against the Jacobian determinant and
 :func:`verify_divisibility` checks d_n | d_m for every n | m.
 
 An ``n^2`` variant of the closed form (same product but with ``n^2`` in
-place of ``n^s``) is carried alongside for comparison; it agrees with the
+place of ``n^s``) is derived alongside for comparison; it agrees with the
 Jacobian determinant only when s = 2, and verification reports record the
 difference as informational rather than as a failure.
 """
@@ -36,7 +37,7 @@ difference as informational rather than as a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import prod
 
 from .factorint import Factorization, factorize
 from .linalg import IntMatrix, det_bareiss, jacobian_determinants, jacobian_power_map
@@ -54,20 +55,36 @@ def _check_column(column: str) -> None:
 
 @dataclass(frozen=True)
 class SequenceEntry:
-    """One row of a computed sequence.
+    """One row of a table: u_n, signed, with det(X) and the dimension s of X.
 
-    ``jacobian_det`` is the full determinant d_n. ``reduced`` is
-    d_n / n^s, the value :func:`factor_table` factors by default.
-    ``n_squared_value`` is the n^2 variant. ``fallback_used`` is always
-    False: every entry comes from the closed form. It is kept for the
-    ``fallback_used`` key of ``table --format json``.
+    The columns derive from them: ``reduced`` = det(X)^(n-1) * u_n^2 =
+    d_n / n^s, ``jacobian_det`` = n^s * reduced = d_n, and the n^2 variant
+    ``n_squared_value`` = n^2 * reduced. ``fallback_used`` is always False
+    (every entry comes from the closed form) and stays readable for callers.
     """
 
     n: int
-    jacobian_det: int
-    reduced: int
-    n_squared_value: int
-    fallback_used: bool
+    u: int
+    det_x: int
+    s: int
+    fallback_used = False  # unannotated: a class constant, not a field
+
+    @property
+    def reduced(self) -> int:
+        # det_x ** 0 == 1 even for singular x, so n = 1 is always safe.
+        return self.det_x ** (self.n - 1) * self.u * self.u
+
+    @property
+    def jacobian_det(self) -> int:
+        return self.n ** self.s * self.reduced
+
+    @property
+    def n_squared_value(self) -> int:
+        return self.n * self.n * self.reduced
+
+    def value(self, column: str) -> int:
+        """The value of one of :data:`COLUMNS`: ``reduced`` or ``jacobian_det``."""
+        return self.reduced if column == "reduced" else self.jacobian_det
 
 
 @dataclass(frozen=True)
@@ -110,13 +127,8 @@ def jacobian_determinant(x: IntMatrix, n: int) -> int:
 def _closed_forms(x: IntMatrix, ns) -> list[SequenceEntry]:
     f, s = char_poly(x), x.dim
     det_x = (-1) ** s * f.coefficients[-1]
-    entries = []
-    for n, u in zip(ns, generalized_lucas(f, ns)):
-        # det_x ** 0 == 1 even for singular x, so n = 1 is always safe.
-        reduced = det_x ** (n - 1) * u * u
-        entries.append(SequenceEntry(n=n, jacobian_det=n ** s * reduced, reduced=reduced,
-                                     n_squared_value=n * n * reduced, fallback_used=False))
-    return entries
+    return [SequenceEntry(n=n, u=u, det_x=det_x, s=s)
+            for n, u in zip(ns, generalized_lucas(f, ns))]
 
 
 def closed_form_entry(x: IntMatrix, n: int) -> SequenceEntry:
@@ -125,8 +137,6 @@ def closed_form_entry(x: IntMatrix, n: int) -> SequenceEntry:
     The entry is built from the generalized Lucas number u_n, for every
     integer matrix, and never touches the s^2 x s^2 matrix.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     return _closed_forms(x, (n,))[0]
 
 
@@ -161,27 +171,21 @@ def generate_sequence(x: IntMatrix, n_max: int) -> list[SequenceEntry]:
     return _closed_forms(x, range(1, n_max + 1))
 
 
-def _exact_quotient(a: int, b: int, what: str) -> int:
-    if b == 0 or a % b:
-        raise ArithmeticError(f"{what} is not an exact division")
-    return a // b
-
-
 def factor_table(x: IntMatrix, entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
                  column: str = "reduced") -> list[Factorization]:
     """Factorizations of one column of a table of x, from its primitive parts.
 
     Every integer matrix has reduced_n = det(X)^(n-1) * u_n^2, and the
-    generalized Lucas number splits algebraically as
+    generalized Lucas number u_n of each entry splits algebraically as
     |u_n| = prod_(k | n, k >= 2) |Psi_k|, where the integer
     Psi_k = prod_(i<j) Phi_k(a_i, a_j) multiplies homogeneous cyclotomic
     values of eigenvalue pairs. So det(X) and each nonzero |Psi_k| are
     factored once per table and merged; the "jacobian" column adds n^s.
-    |u_n| is the square root of reduced_n / det(X)^(n-1), and
     |Psi_n| = |u_n| / prod_(k | n, 1 < k < n) |Psi_k|; a division that is
-    not exact or a quotient that is not a square raises ``ArithmeticError``.
-    A zero value factors to 0. ``entries`` must hold every divisor of each
-    of their n, as the n = 1..n_max of :func:`generate_sequence` do.
+    not exact, or |u_1| other than 1, raises ``ArithmeticError``, and an
+    entry whose det(X) or s is not x's raises ``ValueError``. A zero value
+    factors to 0. ``entries`` must hold every divisor of each of their n,
+    as the n = 1..n_max of :func:`generate_sequence` do.
     """
     _check_column(column)
     s, det_x = x.dim, det_bareiss(x)
@@ -191,15 +195,16 @@ def factor_table(x: IntMatrix, entries: list[SequenceEntry] | tuple[SequenceEntr
     out = []
     for e in entries:
         n = e.n
+        if (e.det_x, e.s) != (det_x, s):
+            raise ValueError(f"n={n}: the entry is not one of this matrix")
         if e.reduced == 0:
             out.append(Factorization(sign=0))
             continue
-        u2 = _exact_quotient(e.reduced, det_x ** (n - 1), f"n={n}: reduced / det^(n-1)")
-        u = isqrt(max(u2, 0))
-        if u * u != u2:
-            raise ArithmeticError(f"n={n}: reduced / det^(n-1) is not a square")
         parts = [k for k in range(2, n) if n % k == 0]
-        q = _exact_quotient(u, prod(psi.get(k, 0) for k in parts), f"n={n}: |u_n| / Psi")
+        divisor = prod(psi.get(k, 0) for k in parts)
+        if divisor == 0 or e.u % divisor:
+            raise ArithmeticError(f"n={n}: |u_n| / Psi is not an exact division")
+        q = abs(e.u) // divisor
         if n > 1:
             psi[n], psi_f[n] = q, factorize(q)
             parts.append(n)
@@ -226,7 +231,7 @@ def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...]
     ``column`` selects which value is checked: "reduced" or "jacobian".
     """
     _check_column(column)
-    values = {e.n: e.reduced if column == "reduced" else e.jacobian_det for e in entries}
+    values = {e.n: e.value(column) for e in entries}
     n_max = max(values) if values else 0
     pairs = []
     for n in sorted(values):
@@ -249,7 +254,6 @@ def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
     informational note. The report carries the checked entries.
     """
     entries = tuple(generate_sequence(x, n_max))
-    s = x.dim
     mismatches = []
     notes = []
     n_squared_note_done = False
@@ -261,7 +265,7 @@ def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
         if entry.n_squared_value != oracle and not n_squared_note_done:
             notes.append(f"informational: n^2 variant gives {entry.n_squared_value} "
                          f"at n={n} but the Jacobian determinant is {oracle} "
-                         f"(dim {s} carries n^{s})")
+                         f"(dim {entry.s} carries n^{entry.s})")
             n_squared_note_done = True
     return VerificationReport(mismatches=tuple(mismatches), notes=tuple(notes),
                               entries=entries)

@@ -299,18 +299,15 @@ def test_run_table_json_layout_of_names_and_zero_rows():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_run_table_json_forced_values_equal_json_dumps_indent_2(monkeypatch, sign):
-    # No table of today gives a cofactor, a negative sign or fallback_used
-    # true; each must still render as json.dumps does.
+    # No table of today gives a cofactor or a negative sign; each must still
+    # render as json.dumps does.
     hard = 1000000000039 * 1000000000061
     forced = [Factorization(sign=sign, factors=((2, 1), (3, 4)), cofactor=hard)] * 3
-    entries = [replace(e, fallback_used=True) for e in generate_sequence(X4, 3)]
     monkeypatch.setattr(matdivseq.cli, "factor_table", lambda x, entries, column: forced)
-    monkeypatch.setattr(matdivseq.cli, "generate_sequence", lambda x, n_max: entries)
     doc = MatrixDocument(matrix=X4, name="X4")
     out, code = run_table(doc, 3, "json", factor=True)
     assert code == 0
-    assert '"fallback_used": true' in out
-    assert out == table_json(doc, entries, forced, "reduced")
+    assert out == table_json(doc, generate_sequence(X4, 3), forced, "reduced")
 
 
 def _holds_rendered_rows(value, depth=0) -> bool:
@@ -437,12 +434,11 @@ def test_run_verify_outputs_are_pinned(doc, text, csv, js):
 
 
 def test_run_verify_failure_outputs_are_pinned(monkeypatch):
-    # A closed-form mismatch with a note, and d_4 off by one: 2 | 4 fails in
+    # A closed-form mismatch with a note, and u_4 off by one: 2 | 4 fails in
     # both columns while 1 | 4 still passes.
     def fake_verify(x, n_max):
         entries = generate_sequence(x, n_max)
-        e = entries[3]
-        entries[3] = replace(e, reduced=e.reduced + 1, jacobian_det=e.jacobian_det + 1)
+        entries[3] = replace(entries[3], u=entries[3].u + 1)
         return VerificationReport(mismatches=("n=4: forced mismatch",), notes=("forced note",),
                                   entries=tuple(entries))
 

@@ -218,12 +218,13 @@ def test_verify_divisibility_x3_reduced():
     assert all(p.passed for p in report.pairs if p.n == 1)
 
 
-def test_verify_divisibility_forced_failure():
-    def entry(n, value):
-        return SequenceEntry(n=n, jacobian_det=value, reduced=value,
-                             n_squared_value=None, fallback_used=False)
+def _entry(n, u):
+    # det(X) = 1: the reduced value is u^2.
+    return SequenceEntry(n=n, u=u, det_x=1, s=2)
 
-    entries = [entry(1, 1), entry(2, 3), entry(3, 7), entry(4, 5)]
+
+def test_verify_divisibility_forced_failure():
+    entries = [_entry(1, 1), _entry(2, 3), _entry(3, 7), _entry(4, 5)]
     report = verify_divisibility(entries, "reduced")
     assert not report.passed
     failed = [(p.n, p.m) for p in report.pairs if not p.passed]
@@ -231,14 +232,10 @@ def test_verify_divisibility_forced_failure():
 
 
 def test_verify_divisibility_zero_convention():
-    def entry(n, value):
-        return SequenceEntry(n=n, jacobian_det=value, reduced=value,
-                             n_squared_value=None, fallback_used=False)
-
     # Every value divides 0, and 0 divides only 0.
-    good = [entry(1, 1), entry(2, 0), entry(3, 5), entry(4, 0)]
+    good = [_entry(1, 1), _entry(2, 0), _entry(3, 5), _entry(4, 0)]
     assert verify_divisibility(good, "reduced").passed
-    bad = [entry(1, 1), entry(2, 0), entry(3, 5), entry(4, 8)]
+    bad = [_entry(1, 1), _entry(2, 0), _entry(3, 5), _entry(4, 8)]
     report = verify_divisibility(bad, "reduced")
     assert [(p.n, p.m) for p in report.pairs if not p.passed] == [(2, 4)]
 
@@ -312,12 +309,12 @@ def test_verify_oracle_never_evaluates_the_closed_form(monkeypatch):
 
 def test_verify_closed_form_reports_a_planted_wrong_entry(monkeypatch):
     entries = generate_sequence(X3, 8)
-    entries[4] = replace(entries[4], jacobian_det=entries[4].jacobian_det + 1)
+    entries[4] = replace(entries[4], u=entries[4].u + 1)  # u_5 = 899 + 1
     monkeypatch.setattr(matdivseq.sequences, "generate_sequence", lambda x, n_max: entries)
     report = verify_closed_form(X3, 8)
     assert not report.passed
     assert report.mismatches == (
-        "n=5: closed form 101025126 != Jacobian determinant 101025125",)
+        "n=5: closed form 101250000 != Jacobian determinant 101025125",)
 
 
 def test_similarity_invariance_of_jacobian_determinant():
@@ -454,21 +451,41 @@ def test_factor_table_matches_term_factorizations():
         _assert_factor_table_matches_terms(random_matrix(rng, dim, -2, 2), 16)
 
 
+SPECIAL_MATRICES = [
+    IntMatrix([[1, 2], [2, 4]]), IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),  # singular
+    IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), IntMatrix([[0, 0], [0, 0]]),  # nilpotent
+    IntMatrix([[3, 0, 0], [0, 3, 0], [0, 0, 3]]), IntMatrix([[-2, 0], [0, -2]]),  # scalar
+    JORDAN_2, JORDAN_3,  # the Jacobian fallback
+    IntMatrix([[0, -1], [1, 0]]), IntMatrix([[1, 0], [0, -1]]),  # zero terms
+    IntMatrix([[0, 1], [1, 1]]),  # negative det
+    IntMatrix([[-7]]),
+]
+
+
 def test_factor_table_special_matrices():
-    cases = [
-        IntMatrix([[1, 2], [2, 4]]), IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),  # singular
-        IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), IntMatrix([[0, 0], [0, 0]]),  # nilpotent
-        IntMatrix([[3, 0, 0], [0, 3, 0], [0, 0, 3]]), IntMatrix([[-2, 0], [0, -2]]),  # scalar
-        JORDAN_2, JORDAN_3,  # the Jacobian fallback
-        IntMatrix([[0, -1], [1, 0]]), IntMatrix([[1, 0], [0, -1]]),  # zero terms
-        IntMatrix([[0, 1], [1, 1]]),  # negative det
-        IntMatrix([[-7]]),
-    ]
-    for x in cases:
+    for x in SPECIAL_MATRICES:
         _assert_factor_table_matches_terms(x, 16)
     rotation = IntMatrix([[0, -1], [1, 0]])  # u_n = 0 at every even n
     merged = factor_table(rotation, generate_sequence(rotation, 6))
     assert [str(f) for f in merged] == ["1", "0", "1", "0", "1", "0"]
+
+
+def test_entries_store_the_signed_generalized_lucas_number():
+    rng = random.Random(167)
+    cases = [X3, X4, *SPECIAL_MATRICES,
+             *(random_matrix(rng, dim) for dim in (2, 2, 2, 2, 3, 3, 3, 4, 4, 4))]
+    for x in cases:
+        f = char_poly(x)
+        entries = generate_sequence(x, 16)
+        assert all((e.det_x, e.s) == (det_bareiss(x), x.dim) for e in entries)
+        assert [e.u for e in entries] == [generalized_lucas(f, [n])[0] for n in range(1, 17)]
+        if x.dim == 2:
+            # The Lucas sequence of the trace and determinant, sign included.
+            a, q = x.trace, det_bareiss(x)
+            u_prev, u = 0, 1
+            for e in entries:
+                assert e.u == u, (x.fingerprint(), e.n)
+                u_prev, u = u, a * u - q * u_prev
 
 
 def test_factor_table_x4_factors_primitive_parts_not_terms(monkeypatch):
@@ -498,21 +515,18 @@ def test_factor_table_raises_on_broken_identity():
         factor_table(X3, entries, "nope")
     # u_1 = 2, not 1.
     with pytest.raises(ArithmeticError):
-        factor_table(X3, [replace(entries[0], reduced=4)])
-    # 101 = reduced_2 / det^1 is no square.
+        factor_table(X3, [replace(entries[0], u=2)])
+    # u_4 = 3, but Psi_2 = 10 does not divide it.
     with pytest.raises(ArithmeticError):
-        factor_table(X3, [entries[0], replace(entries[1], reduced=101)])
-    # u_4 = 3 is a square root, but Psi_2 = 10 does not divide it.
-    with pytest.raises(ArithmeticError):
-        factor_table(X3, [*entries[:3], replace(entries[3], reduced=9)])
+        factor_table(X3, [*entries[:3], replace(entries[3], u=3)])
     # A missing divisor cannot be recovered: n = 4 needs Psi_2.
     with pytest.raises(ArithmeticError):
         factor_table(X3, [entries[0], entries[3]])
-    # det(diag(2, 3)) = 6 does not divide reduced_2 = 5.
-    x = IntMatrix([[2, 0], [0, 3]])
-    with pytest.raises(ArithmeticError):
-        factor_table(x, [replace(e, reduced=5) if e.n == 2 else e
-                         for e in generate_sequence(x, 2)])
+    # Entries of another matrix: det(diag(2, 3)) = 6 is not det(X3) = 1, and
+    # X4 has det 1 like X3 but s = 4.
+    for x in (IntMatrix([[2, 0], [0, 3]]), X4):
+        with pytest.raises(ValueError, match="not one of this matrix"):
+            factor_table(x, entries)
 
 
 def test_every_exported_name_resolves():
