@@ -4,7 +4,7 @@ Subcommands: ``table``, ``verify``, ``charpoly``, ``jacobian``. Matrices
 are read from a file (or stdin with ``-``) in either of two formats:
 
 * JSON: ``{"matrix": [[1, -2, -6], [0, 1, 3], [-1, 0, 1]], "name": "X3"}``;
-  the optional name holds no control characters
+  the optional name holds no control characters and no lone surrogates
 * plain text: one row per line, whitespace-separated integers written
   with ASCII digits and an optional sign
 
@@ -65,6 +65,19 @@ class MatrixDocument:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _plain_entry(token: str, lineno: int) -> int:
+    """One plain-text entry; an error quotes the token, cut to 20 characters."""
+    if _INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # after _INTEGER, only CPython's int-from-str digit limit
+            reason = "integer exceeds the digit limit"
+    else:
+        reason = "integer entries required"
+    shown = token if len(token) <= 20 else token[:20] + "..."  # keep the line short
+    raise MatrixParseError(f"{reason} (line {lineno}: {shown!r})")
+
+
 def _matrix_from_rows(rows) -> IntMatrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise MatrixParseError("matrix must be a non-empty list of rows")
@@ -98,29 +111,16 @@ def parse_matrix(text: str) -> MatrixDocument:
         name = obj.get("name")
         if name is not None and not isinstance(name, str):
             raise MatrixParseError('"name" must be a string')
+        categories = {unicodedata.category(c) for c in name or ""}
         # The text report prints the name on a line of its own; str.splitlines()
         # also breaks lines at U+2028 and U+2029 (categories Zl and Zp).
-        if name is not None and any(unicodedata.category(c) in ("Cc", "Zl", "Zp")
-                                    for c in name):
+        if categories & {"Cc", "Zl", "Zp"}:
             raise MatrixParseError('"name" must not contain control characters')
+        if "Cs" in categories:  # no UTF-8 stdout can encode a lone surrogate
+            raise MatrixParseError('"name" must not contain lone surrogates')
         return MatrixDocument(matrix=_matrix_from_rows(obj["matrix"]), name=name)
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = []
-        for token in line.split():
-            try:
-                if not _INTEGER.fullmatch(token):
-                    raise ValueError("invalid literal")
-                row.append(int(token))
-            except ValueError as exc:
-                # CPython's int-from-str digit limit; an invalid literal says otherwise.
-                reason = ("integer exceeds the digit limit" if "Exceeds the limit" in str(exc)
-                          else "integer entries required")
-                shown = token if len(token) <= 20 else token[:20] + "..."  # keep the line short
-                raise MatrixParseError(f"{reason} (line {lineno}: {shown!r})") from None
-        rows.append(row)
+    rows = [[_plain_entry(token, lineno) for token in line.split()]
+            for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not rows:
         raise MatrixParseError("empty input")
     return MatrixDocument(matrix=_matrix_from_rows(rows))
@@ -230,7 +230,6 @@ def _verify_text(r: dict) -> Iterator[str]:
         good = d["pairs_checked"] - len(d["failures"])
         yield f"divisibility ({column} column): {good}/{d['pairs_checked']} pairs pass"
         yield from (f"  FAIL {n} | {m}" for n, m in d["failures"])
-        yield from (f"note: {note}" for note in d["notes"])
     yield f"result: {'PASS' if r['passed'] else 'FAIL'}"
 
 
@@ -257,7 +256,7 @@ def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str,
             rep.column: {
                 "pairs_checked": len(rep.pairs),
                 "failures": [[p.n, p.m] for p in rep.pairs if not p.passed],
-                "notes": list(rep.notes),
+                "notes": [],  # a divisibility report has none, kept only as a JSON key
             }
             for rep in div_reports
         },

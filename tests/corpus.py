@@ -11,6 +11,8 @@ The calls:
 * ``table`` in text, csv and json, for both columns, with and without
   ``--factor``, and ``verify``, ``charpoly`` and ``jacobian`` in all three
   formats, on the matrices of :data:`MATRICES`;
+* :data:`CI_CALLS`, the calls that CI's console-script step used to pin
+  by hand, on X3, X4, the Jordan block, the 5x5 and the 6x6;
 * calls that exit 2: malformed documents, bad arguments and a missing file;
 * every op of the three benchmark workloads of ``perfbench/workloads.py`` at
   seeds 1 and 2, the known-defect op with its exception text.
@@ -69,6 +71,18 @@ MATRICES = (
     ("named", {"matrix": [[2, 1], [1, 1]], "name": 'q"b\\é'}, 8, 8, 2),
 )
 FORMATS = ("text", "csv", "json")
+# (label of a MATRICES document, argv) of the calls that CI's console-script
+# step used to pin by hand, at sizes the calls above do not reach.
+CI_CALLS = (
+    ("X3", ["jacobian", "-", "--n", "16"]),
+    ("X4", ["table", "-", "--n-max", "19", "--factor"]),
+    ("X4", ["table", "-", "--n-max", "19", "--factor", "--format", "json"]),
+    ("X4", ["table", "-", "--n-max", "20", "--factor", "--format", "json"]),
+    ("jordan2", ["jacobian", "-", "--n", "12"]),
+    ("x5", ["table", "-", "--n-max", "64", "--format", "json"]),
+    ("x6", ["jacobian", "-", "--n", "3"]),
+    ("x6", ["verify", "-", "--n-max", "16"]),
+)
 
 X3_DOC = json.dumps(MATRICES[0][1])
 # (label, argv, stdin) of calls that exit 2. argparse's "invalid choice"
@@ -86,6 +100,8 @@ EXIT_2 = (
     ("name not a string", ["table", "-"], '{"matrix": [[1]], "name": 3}'),
     ("name with a newline", ["table", "-"], '{"matrix": [[1]], "name": "a\\nb"}'),
     ("name with U+2028", ["table", "-"], '{"matrix": [[1]], "name": "a\\u2028b"}'),
+    ("name with a lone surrogate", ["verify", "-", "--n-max", "2"],
+     '{"matrix": [[1]], "name": "a\\ud800b"}'),
     ("plain text letter", ["table", "-"], "1 2\n3 x\n"),
     ("plain text underscore", ["table", "-"], "1_0\n"),
     ("plain text ragged", ["table", "-"], "1 2\n3\n"),
@@ -129,6 +145,8 @@ def calls() -> list[tuple[str, list[str], str]]:
                          ["jacobian", "-", "--n", str(jacobian_n)]):
                 argv = [*argv, "--format", fmt]
                 out.append((f"{label}: {' '.join(argv)}", argv, text))
+    docs = {label: json.dumps(doc) for label, doc, *_ in MATRICES}
+    out += [(f"{label}: {' '.join(argv)}", argv, docs[label]) for label, argv in CI_CALLS]
     out += [(f"exit 2, {label}: {' '.join(argv)}", argv, stdin)
             for label, argv, stdin in EXIT_2]
     workloads = _load_workloads()

@@ -632,6 +632,25 @@ def test_main_exits_quietly_when_the_reader_closes_the_pipe():
     assert err == b""
 
 
+def test_main_names_through_a_real_utf8_stdout():
+    # The corpus captures stdout in a StringIO, which takes any str; a real
+    # stdout encodes, and a lone surrogate has no UTF-8 encoding.
+    env = dict(os.environ, PYTHONPATH=str(Path(matdivseq.cli.__file__).parents[1]),
+               PYTHONIOENCODING="utf-8")
+    argv = [sys.executable, "-m", "matdivseq.cli", "verify", "-", "--n-max", "4"]
+
+    def run(name):
+        doc = json.dumps({"matrix": [[2, 1], [1, 1]], "name": name})  # ASCII, \u escapes
+        return subprocess.run(argv, input=doc.encode(), capture_output=True, env=env, timeout=60)
+
+    proc = run("Fibonacci é")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode("utf-8").splitlines()[0] == "matrix: Fibonacci é"
+    proc = run("a\ud800b")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b'error: "name" must not contain lone surrogates\n'
+
+
 def test_main_input_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["table", str(missing)]) == 2
