@@ -8,14 +8,16 @@ are read from a file (or stdin with ``-``) in either of two formats:
 * plain text: one row per line, whitespace-separated integers written
   with ASCII digits and an optional sign
 
-Exit codes: 0 success, 1 verification failure, 2 input error. Computed
+Exit codes: 0 success, 1 verification failure, 2 input error or output
+that stdout's encoding cannot write. Input is read as UTF-8. Computed
 integers in JSON output are rendered as decimal strings so consumers do
 not lose precision; the input matrix echoed under ``"matrix"`` stays JSON
-numbers. Each ``table --format json`` row is converted to
-decimal once: ``jacobian_det`` and ``n_squared_value`` are exact decimal
-products of the ``reduced`` digits. CPython's int-to-str digit limit (4300
-by default) still applies to every value, so a long table can end in its
-``ValueError``.
+numbers. Every value a table prints, in each format, is u_n^2 times
+known factors, so each row converts only u_n from int to decimal:
+``reduced`` = u_n^2 * det(X)^(n-1), ``jacobian_det`` = n^s * reduced and
+``n_squared_value`` = n^2 * reduced are exact decimal products of its
+digits. CPython's int-to-str digit limit (4300 by default) still applies to
+every printed value, so a long table can end in its ``ValueError``.
 
 ``table --format json`` is written row by row from fixed templates, byte
 for byte in the layout of ``json.dumps(payload, indent=2)`` (whose
@@ -132,6 +134,46 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
                          traps=[decimal.Inexact, decimal.Rounded])
 
 
+# Each value of a table row, by its SequenceEntry attribute, from the row's
+# reduced = u_n^2 * det(X)^(n-1) as an exact decimal.
+_ROW_VALUES = {"reduced": lambda r, e: r,
+               "jacobian_det": lambda r, e: _EXACT.multiply(r, e.n ** e.s),
+               "n_squared_value": lambda r, e: _EXACT.multiply(r, e.n * e.n)}
+
+
+def _row_digits(entries: Iterable[SequenceEntry], names: tuple[str, ...]) -> Iterator[list[str]]:
+    """Yield, per entry, the decimal digits of its values ``names`` (keys of ``_ROW_VALUES``).
+
+    CPython's int-to-str conversion is quadratic in the digit count, and
+    u_n has under half of reduced's digits. So a row converts u_n alone,
+    and every value is an exact decimal product of its digits; a zero row
+    converts nothing. CPython's digit limit still applies to each value (0:
+    none; no getter before 3.10.7): a value past it is sent to str() on
+    its int, which raises CPython's own ValueError at the same row.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    multiply = _EXACT.multiply
+    values = [(name, _ROW_VALUES[name]) for name in names]
+    for e in entries:
+        if e.u == 0 or (e.det_x == 0 and e.n > 1):
+            yield ["0"] * len(names)  # a decimal product with det(X) < 0 prints "-0"
+            continue
+        if limit and e.u.bit_length() > 3 * limit:
+            # str(e.u) could pass the limit; |reduced| >= u_n^2 surely does.
+            yield [str(getattr(e, name)) for name in names]
+            continue
+        u = Decimal(str(e.u))
+        reduced = multiply(multiply(u, u), e.det_x ** (e.n - 1))  # int 0 ** 0 is 1
+        cap = limit + reduced.is_signed()  # the limit counts no sign
+        row = []
+        for name, value in values:
+            digits = str(value(reduced, e))
+            if limit and len(digits) > cap:
+                str(getattr(e, name))  # raises
+            row.append(digits)
+        yield row
+
+
 def _factorization_json(f: Factorization) -> str:
     """The ``"factorization"`` member of a table row, as ``json.dumps(indent=2)`` writes it."""
     factors = ",".join(f'\n          [\n            "{p}",\n            {e}\n          ]'
@@ -158,22 +200,10 @@ def _table_json(doc: MatrixDocument, entries: list[SequenceEntry],
                       for row in doc.matrix.entries)
     yield (f'{{\n  "name": {json.dumps(doc.name)},\n  "matrix": [{matrix}\n  ],\n'
            f'  "column": {json.dumps(column)},\n  "entries": [')
-    # One int-to-decimal conversion per row: the other two values are
-    # reduced times n^s and n^2, multiplied exactly in decimal. Only
-    # str(e.reduced) meets CPython's digit limit, so a derived value past
-    # it (0: none; no getter before 3.10.7) is sent to str() on its int,
-    # which raises CPython's own ValueError at the same row.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    multiply = _EXACT.multiply
+    # Each row's three values come from the digits of u_n (see _row_digits).
     sep = "\n"
-    for e, fc in zip(entries, factors):
-        reduced = str(e.reduced)
-        digits = Decimal(reduced)
-        jacobian_det = str(multiply(digits, e.n ** e.s))
-        n_squared_value = str(multiply(digits, e.n * e.n))
-        if limit and (max(len(jacobian_det), len(n_squared_value))
-                      - reduced.startswith("-") > limit):
-            jacobian_det, n_squared_value = str(e.jacobian_det), str(e.n_squared_value)
+    for e, fc, (reduced, jacobian_det, n_squared_value) in zip(entries, factors, _row_digits(
+            entries, ("reduced", "jacobian_det", "n_squared_value"))):
         yield (f'{sep}    {{\n      "n": {e.n},\n      "reduced": "{reduced}",\n'
                f'      "jacobian_det": "{jacobian_det}",\n'
                f'      "n_squared_value": "{n_squared_value}",\n'
@@ -200,11 +230,10 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
 
     lines = []
     sep = "," if fmt == "csv" else " | "
-    for e, fc in zip(entries, factors):
-        parts = [str(e.n), str(e.value(column))]
-        if fc is not None:
-            parts.append(str(fc))
-        lines.append(sep.join(parts))
+    name = "reduced" if column == "reduced" else "jacobian_det"
+    for e, fc, (value,) in zip(entries, factors, _row_digits(entries, (name,))):
+        line = f"{e.n}{sep}{value}"
+        lines.append(line if fc is None else f"{line}{sep}{fc}")
     return "\n".join(lines), 0
 
 
@@ -288,8 +317,9 @@ def run_jacobian(doc: MatrixDocument, n: int, fmt: str = "text") -> tuple[str, i
 
 def _read_input(path: str) -> str:
     try:
-        if path == "-":
-            return sys.stdin.read()
+        if path == "-":  # UTF-8 like a path, whatever the locale; a StringIO is text already
+            stdin = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -362,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader left early, as ``| head`` does
         # Python flushes stdout again at exit; send that flush to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except UnicodeEncodeError as exc:  # a name stdout's encoding lacks; nothing was written
+        print(f"error: stdout cannot encode the output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

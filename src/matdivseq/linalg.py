@@ -73,7 +73,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     bt = tuple(zip(*b.entries))
-    return IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+    return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in bt)
                            for row in a.entries))
 
 

@@ -196,8 +196,8 @@ def test_run_table_json_columns_equal_str_of_the_entries(int_str_calls, x, colum
     rows = json.loads(out)["entries"]
     assert [(r["n"], r["reduced"], r["jacobian_det"], r["n_squared_value"]) for r in rows] == [
         (e.n, str(e.reduced), str(e.jacobian_det), str(e.n_squared_value)) for e in entries]
-    # Each row converts its reduced value alone; the other two come from those digits.
-    assert int_str_calls == [e.reduced for e in entries]
+    # Each nonzero row converts its u_n alone; the three values come from those digits.
+    assert int_str_calls == [e.u for e in entries if e.reduced]
 
 
 needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -220,7 +220,7 @@ def test_run_table_json_keeps_the_int_str_digit_limit(int_str_calls, entry):
     try:
         out, code = run_table(doc, 635, "json")
         assert code == 0
-        assert int_str_calls == [e.reduced for e in entries[:-1]]  # 640 digits still fit
+        assert int_str_calls == [e.u for e in entries[:-1]]  # 640 digits still fit
         last = json.loads(out)["entries"][-1]
         assert [len(last[k].lstrip("-")) for k in ("reduced", "jacobian_det", "n_squared_value")
                 ] == [635, 637, 640]
@@ -239,7 +239,8 @@ def test_run_table_json_digit_limit_excludes_the_sign(int_str_calls):
     try:
         last = json.loads(run_table(doc, 636, "json")[0])["entries"][-1]
         assert last["n_squared_value"] == "-404496" + "0" * 635
-        assert len(int_str_calls) == 636  # reduced only, the last row included
+        # u_n only, the last row included
+        assert int_str_calls == [e.u for e in generate_sequence(doc.matrix, 636)]
         with pytest.raises(ValueError, match="integer string conversion"):
             run_table(doc, 637, "json")
     finally:
@@ -261,6 +262,87 @@ def test_run_table_json_without_get_int_max_str_digits(monkeypatch):
         sys.set_int_max_str_digits(old)
     assert last["reduced"] == "1" + "0" * 635
     assert last["n_squared_value"] == "404496" + "0" * 635
+
+
+@pytest.mark.parametrize("fmt, column", [("json", "reduced"), ("text", "reduced"),
+                                         ("csv", "jacobian")])
+def test_run_table_zero_row_with_a_negative_det_prints_0(int_str_calls, fmt, column):
+    # u_2 = trace = 0 and det = -7: a decimal product would print -0.
+    x = IntMatrix([[1, 2], [3, -1]])
+    e = generate_sequence(x, 2)[1]
+    assert (e.u, e.det_x) == (0, -7)
+    out, code = run_table(MatrixDocument(matrix=x), 3, fmt, column=column)
+    assert code == 0
+    if fmt == "json":
+        row = json.loads(out)["entries"][1]
+        assert [row[k] for k in ("reduced", "jacobian_det", "n_squared_value")] == ["0"] * 3
+    else:
+        assert out.splitlines()[1] == ("2,0" if fmt == "csv" else "2 | 0")
+    assert 0 not in int_str_calls
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_main_singular_rows_do_not_convert_u_n(monkeypatch, capsys, int_str_calls, fmt):
+    # [[10, 0], [0, 0]]: u_n = 10^(n-1) passes 640 digits at n = 642, but
+    # det(X) = 0 makes every row from n = 2 on zero.
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"matrix": [[10, 0], [0, 0]]}'))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["table", "-", "--n-max", "700", "--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(old)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert int_str_calls == [1]  # u_1 alone
+    if fmt == "json":
+        assert json.loads(out)["entries"][-1]["n_squared_value"] == "0"
+    else:
+        assert out.splitlines()[-1] == ("700,0" if fmt == "csv" else "700 | 0")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt, column, name", [
+    ("json", "reduced", "reduced"), ("text", "reduced", "reduced"),
+    ("csv", "jacobian", "jacobian_det")])
+def test_run_table_past_the_digit_limit_raises_from_that_value(int_str_calls, fmt, column, name):
+    # Entries of 640 digits, so the JSON echo of the matrix fits, but u_2 =
+    # 17 * 10^639 is itself past the limit: row 2 must raise from str() of
+    # the printed value, never from str(u_2).
+    x = IntMatrix([[9 * 10 ** 639, 0], [0, 8 * 10 ** 639]])
+    e = generate_sequence(x, 2)[1]
+    assert e.u == 17 * 10 ** 639
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match="integer string conversion"):
+            run_table(MatrixDocument(matrix=x), 2, fmt, column=column)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert int_str_calls == [1, getattr(e, name)]  # u_1, then the value that raised
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("column, fits, name", [("reduced", 640, "reduced"),
+                                                ("jacobian", 638, "jacobian_det")])
+def test_run_table_text_keeps_the_digit_limit_of_its_column(int_str_calls, column, fits, name):
+    # [[10]]: reduced = 10^(n-1) and jacobian_det = n * 10^(n-1). The text
+    # table prints one column, so only that column meets the limit.
+    doc = MatrixDocument(matrix=IntMatrix([[10]]))
+    entries = generate_sequence(doc.matrix, fits + 1)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        out, code = run_table(doc, fits, "text", column=column)
+        assert code == 0
+        assert out.splitlines()[-1] == f"{fits} | {getattr(entries[fits - 1], name)}"
+        int_str_calls.clear()
+        with pytest.raises(ValueError, match="integer string conversion"):
+            run_table(doc, fits + 1, "text", column=column)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert int_str_calls[-1] == getattr(entries[-1], name)
 
 
 NILPOTENT3 = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -649,6 +731,37 @@ def test_main_names_through_a_real_utf8_stdout():
     proc = run("a\ud800b")
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == b'error: "name" must not contain lone surrogates\n'
+
+
+def _run_ascii_io(argv, stdin: bytes) -> subprocess.CompletedProcess:
+    """Run the CLI in a process whose stdin, stdout and stderr are ASCII."""
+    env = dict(os.environ, PYTHONPATH=str(Path(matdivseq.cli.__file__).parents[1]),
+               PYTHONIOENCODING="ascii")
+    return subprocess.run([sys.executable, "-m", "matdivseq.cli", *argv], input=stdin,
+                          capture_output=True, env=env, timeout=60)
+
+
+def test_main_reads_stdin_as_utf8_whatever_the_locale(tmp_path):
+    doc = '{"matrix": [[2, 1], [1, 1]], "name": "\u00e9"}'.encode("utf-8")  # é: two bytes
+    path = tmp_path / "e.json"
+    path.write_bytes(doc)
+    by_path = _run_ascii_io(["table", str(path), "--format", "json", "--n-max", "3"], b"")
+    piped = _run_ascii_io(["table", "-", "--format", "json", "--n-max", "3"], doc)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == by_path.stdout
+    assert json.loads(piped.stdout)["name"] == "\u00e9"  # JSON escapes it to ASCII
+    invalid = _run_ascii_io(["table", "-"], b'{"matrix": [[1]]}\xff')
+    assert invalid.returncode == 2
+    assert invalid.stderr.startswith(b"error: input is not UTF-8 text: 'utf-8' codec")
+
+
+def test_main_reports_a_stdout_that_cannot_encode_the_name():
+    # The name is written as the JSON escape \\u00e9, so the input is ASCII.
+    doc = json.dumps({"matrix": [[2, 1], [1, 1]], "name": "\u00e9"})
+    proc = _run_ascii_io(["verify", "-", "--n-max", "2"], doc.encode("ascii"))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: stdout cannot encode the output: ")
+    assert proc.stderr.count(b"\n") == 1
 
 
 def test_main_input_errors(tmp_path, capsys):
