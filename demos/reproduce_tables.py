@@ -23,7 +23,7 @@ for name, x in MATRICES:
     print(x)
     t0 = time.perf_counter()
     entries = generate_sequence(x, 16)
-    factors = factor_table(x, entries)
+    factors = factor_table(entries)
     elapsed = time.perf_counter() - t0
     width = max(len(str(e.reduced)) for e in entries)
     for e, fc in zip(entries, factors):

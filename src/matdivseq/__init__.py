@@ -10,9 +10,9 @@ from .factorint import Factorization, factorize, is_prime
 from .linalg import (IntMatrix, det_bareiss, jacobian_power_map, kronecker, mat_add, mat_mul,
                      mat_pow, mat_vec, power_map_derivative, vec)
 from .polynomials import MonicIntPolynomial, char_poly, generalized_lucas
-from .sequences import (PairCheck, SequenceEntry, VerificationReport, closed_form_entry,
-                        factor_table, generate_sequence, jacobian_determinant, lucas_2x2,
-                        verify_closed_form, verify_divisibility)
+from .sequences import (SequenceEntry, VerificationReport, closed_form_entry, factor_table,
+                        generate_sequence, jacobian_determinant, lucas_2x2, verify_closed_form,
+                        verify_divisibility)
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,7 @@ __all__ = [
     "IntMatrix", "det_bareiss", "jacobian_power_map", "kronecker",
     "mat_add", "mat_mul", "mat_pow", "mat_vec", "power_map_derivative", "vec",
     "MonicIntPolynomial", "char_poly", "generalized_lucas",
-    "PairCheck", "SequenceEntry", "VerificationReport", "closed_form_entry",
+    "SequenceEntry", "VerificationReport", "closed_form_entry",
     "factor_table", "generate_sequence", "jacobian_determinant", "lucas_2x2",
     "verify_closed_form", "verify_divisibility",
     "__version__",

@@ -46,7 +46,7 @@ from functools import cache
 from .factorint import Factorization
 from .linalg import IntMatrix, det_bareiss, jacobian_power_map
 from .polynomials import char_poly
-from .sequences import (COLUMNS, SequenceEntry, _check_column, factor_table,
+from .sequences import (COLUMNS, SequenceEntry, _check_choice, factor_table,
                         generate_sequence, verify_closed_form, verify_divisibility)
 
 
@@ -128,6 +128,9 @@ def parse_matrix(text: str) -> MatrixDocument:
     return MatrixDocument(matrix=_matrix_from_rows(rows))
 
 
+FORMATS = ("text", "csv", "json")  # every command's output formats
+
+
 # Multiplies decimal integers exactly: a product that would round raises
 # Inexact or Rounded instead of printing wrong digits.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
@@ -146,10 +149,11 @@ def _row_digits(entries: Iterable[SequenceEntry], names: tuple[str, ...]) -> Ite
 
     CPython's int-to-str conversion is quadratic in the digit count, and
     u_n has under half of reduced's digits. So a row converts u_n alone,
-    and every value is an exact decimal product of its digits; a zero row
-    converts nothing. CPython's digit limit still applies to each value (0:
-    none; no getter before 3.10.7): a value past it is sent to str() on
-    its int, which raises CPython's own ValueError at the same row.
+    int to decimal with no digit limit, and every value is an exact
+    decimal product of its digits; a zero row converts nothing. CPython's
+    digit limit still applies to each value (0: none; no getter before
+    3.10.7): a value past it is sent to str() on its int, which raises
+    CPython's own ValueError at the same row.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     multiply = _EXACT.multiply
@@ -158,11 +162,7 @@ def _row_digits(entries: Iterable[SequenceEntry], names: tuple[str, ...]) -> Ite
         if e.u == 0 or (e.det_x == 0 and e.n > 1):
             yield ["0"] * len(names)  # a decimal product with det(X) < 0 prints "-0"
             continue
-        if limit and e.u.bit_length() > 3 * limit:
-            # str(e.u) could pass the limit; |reduced| >= u_n^2 surely does.
-            yield [str(getattr(e, name)) for name in names]
-            continue
-        u = Decimal(str(e.u))
+        u = Decimal(e.u)
         reduced = multiply(multiply(u, u), e.det_x ** (e.n - 1))  # int 0 ** 0 is 1
         cap = limit + reduced.is_signed()  # the limit counts no sign
         row = []
@@ -220,10 +220,10 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
     With ``factor`` the printed column is factorized by
     :func:`factor_table`, once per table from its primitive parts.
     """
-    _check_column(column)
-    x = doc.matrix
-    entries = generate_sequence(x, n_max)
-    factors = factor_table(x, entries, column) if factor else [None] * len(entries)
+    _check_choice("column", column, COLUMNS)
+    _check_choice("format", fmt, FORMATS)
+    entries = generate_sequence(doc.matrix, n_max)
+    factors = factor_table(entries, column) if factor else [None] * len(entries)
 
     if fmt == "json":
         return "".join(_table_json(doc, entries, factors, column)), 0
@@ -272,6 +272,7 @@ def _verify_csv(r: dict) -> Iterator[str]:
 
 def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str, int]:
     """Closed-form and divisibility verification; exit 1 on any hard failure."""
+    _check_choice("format", fmt, FORMATS)
     cf = verify_closed_form(doc.matrix, n_max)
     div_reports = [verify_divisibility(cf.entries, col) for col in ("jacobian", "reduced")]
     passed = cf.passed and all(r.passed for r in div_reports)
@@ -283,8 +284,8 @@ def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str,
         "closed_form": {"mismatches": list(cf.mismatches), "notes": list(cf.notes)},
         "divisibility": {
             rep.column: {
-                "pairs_checked": len(rep.pairs),
-                "failures": [[p.n, p.m] for p in rep.pairs if not p.passed],
+                "pairs_checked": rep.pairs_checked,
+                "failures": [[n, m] for n, m in rep.failures],
                 "notes": [],  # a divisibility report has none, kept only as a JSON key
             }
             for rep in div_reports
@@ -295,6 +296,7 @@ def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str,
 
 def run_charpoly(doc: MatrixDocument, fmt: str = "text") -> tuple[str, int]:
     """Render the characteristic polynomial of the input matrix."""
+    _check_choice("format", fmt, FORMATS)
     f = char_poly(doc.matrix)
     record = {"dim": doc.matrix.dim, "polynomial": str(f),
               "coefficients": [str(c) for c in f.coefficients]}
@@ -306,6 +308,7 @@ def run_charpoly(doc: MatrixDocument, fmt: str = "text") -> tuple[str, int]:
 
 def run_jacobian(doc: MatrixDocument, n: int, fmt: str = "text") -> tuple[str, int]:
     """Render the power-map derivative matrix at n and its determinant."""
+    _check_choice("format", fmt, FORMATS)
     j = jacobian_power_map(doc.matrix, n)
     record = {"n": n, "dim": j.dim, "entries": [[str(v) for v in row] for row in j.entries],
               "det": str(det_bareiss(j))}
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("matrix", help="matrix file (JSON or rows of integers), '-' for stdin")
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text",
+        p.add_argument("--format", choices=FORMATS, default="text",
                        help="output format (default: text)")
 
     p_table = sub.add_parser("table", help="sequence values, optionally factorized")

@@ -22,11 +22,11 @@ three ways and cross-checks them:
 
 :func:`generate_sequence` builds the closed-form entries of a table,
 n = 1..n_max, in one pass; each :class:`SequenceEntry` stores u_n and
-derives the columns. :func:`factor_table` factors one column of those
-entries through the algebraic split of u_n into primitive parts, one
-factorization per part instead of per term. :func:`verify_closed_form`
-checks the entries against the Jacobian determinant and
-:func:`verify_divisibility` checks d_n | d_m for every n | m.
+derives the columns. :func:`factor_table` factors a column from the
+entries alone, through the algebraic split of u_n into primitive parts.
+:func:`verify_closed_form` checks the entries against the Jacobian
+determinant; :func:`verify_divisibility` counts the pairs n | m and
+lists those where d_n does not divide d_m.
 
 An ``n^2`` variant of the closed form (same product but with ``n^2`` in
 place of ``n^s``) is derived alongside for comparison; it agrees with the
@@ -48,9 +48,9 @@ from .polynomials import char_poly, generalized_lucas
 COLUMNS = ("reduced", "jacobian")
 
 
-def _check_column(column: str) -> None:
-    if column not in COLUMNS:
-        raise ValueError(f"column must be {' or '.join(map(repr, COLUMNS))}")
+def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, choices))}")
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,9 @@ class SequenceEntry:
         return self.n * self.n * self.reduced
 
     def value(self, column: str) -> int:
-        """The value of one of :data:`COLUMNS`: ``reduced`` or ``jacobian_det``."""
+        """``reduced`` or ``jacobian_det`` by :data:`COLUMNS`; another column raises ValueError."""
+        _check_choice("column", column, COLUMNS)
         return self.reduced if column == "reduced" else self.jacobian_det
-
-
-@dataclass(frozen=True)
-class PairCheck:
-    """Divisibility check of one pair n | m."""
-
-    n: int
-    m: int
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -101,22 +93,24 @@ class VerificationReport:
     """Outcome of closed-form and divisibility verification.
 
     ``column`` is the column a divisibility report checked, with its
-    ``pairs`` (None and empty for closed-form reports). ``mismatches`` are
-    hard failures (the closed form disagreeing with the Jacobian
-    determinant); ``notes`` are informational only and never fail the
-    report. ``entries`` are the sequence entries that were checked, as
+    ``pairs_checked`` and ``failures``, the pairs (n, m) that fail in
+    checking order (None, 0 and empty for closed-form reports).
+    ``mismatches`` are hard failures (the closed form disagreeing with the
+    Jacobian determinant); ``notes`` are informational only and never fail
+    the report. ``entries`` are the sequence entries that were checked, as
     :func:`generate_sequence` returned them (empty for divisibility reports).
     """
 
     column: str | None = None
-    pairs: tuple[PairCheck, ...] = ()
+    pairs_checked: int = 0
+    failures: tuple[tuple[int, int], ...] = ()
     mismatches: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
     entries: tuple[SequenceEntry, ...] = ()
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches and all(p.passed for p in self.pairs)
+        return not self.mismatches and not self.failures
 
 
 def jacobian_determinant(x: IntMatrix, n: int) -> int:
@@ -171,9 +165,9 @@ def generate_sequence(x: IntMatrix, n_max: int) -> list[SequenceEntry]:
     return _closed_forms(x, range(1, n_max + 1))
 
 
-def factor_table(x: IntMatrix, entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
+def factor_table(entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
                  column: str = "reduced") -> list[Factorization]:
-    """Factorizations of one column of a table of x, from its primitive parts.
+    """Factorizations of one column of a table, from its primitive parts.
 
     Every integer matrix has reduced_n = det(X)^(n-1) * u_n^2, and the
     generalized Lucas number u_n of each entry splits algebraically as
@@ -182,21 +176,23 @@ def factor_table(x: IntMatrix, entries: list[SequenceEntry] | tuple[SequenceEntr
     values of eigenvalue pairs. So det(X) and each nonzero |Psi_k| are
     factored once per table and merged; the "jacobian" column adds n^s.
     |Psi_n| = |u_n| / prod_(k | n, 1 < k < n) |Psi_k|; a division that is
-    not exact, or |u_1| other than 1, raises ``ArithmeticError``, and an
-    entry whose det(X) or s is not x's raises ``ValueError``. A zero value
-    factors to 0. ``entries`` must hold every divisor of each of their n,
-    as the n = 1..n_max of :func:`generate_sequence` do.
+    not exact, or |u_1| other than 1, raises ``ArithmeticError``, and
+    entries that disagree on det(X) or s raise ``ValueError``. A zero value
+    factors to 0, no entries to []. ``entries`` must hold every divisor of
+    each of their n, as the n = 1..n_max of :func:`generate_sequence` do.
     """
-    _check_column(column)
-    s, det_x = x.dim, det_bareiss(x)
+    _check_choice("column", column, COLUMNS)
+    if not entries:
+        return []
+    det_x, s = entries[0].det_x, entries[0].s
+    if any((e.det_x, e.s) != (det_x, s) for e in entries):
+        raise ValueError("the entries disagree on det(X) or s")
     det_f = factorize(det_x)
     psi: dict[int, int] = {}  # Psi_k for each k >= 2 with u_k != 0
     psi_f: dict[int, Factorization] = {}
     out = []
     for e in entries:
         n = e.n
-        if (e.det_x, e.s) != (det_x, s):
-            raise ValueError(f"n={n}: the entry is not one of this matrix")
         if e.reduced == 0:
             out.append(Factorization(sign=0))
             continue
@@ -230,15 +226,16 @@ def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...]
 
     ``column`` selects which value is checked: "reduced" or "jacobian".
     """
-    _check_column(column)
+    _check_choice("column", column, COLUMNS)
     values = {e.n: e.value(column) for e in entries}
-    n_max = max(values) if values else 0
-    pairs = []
+    n_max = max(values, default=0)
+    pairs_checked, failures = 0, []
     for n in sorted(values):
-        for m in range(2 * n, n_max + 1, n):
-            if m in values:
-                pairs.append(PairCheck(n=n, m=m, passed=_divides(values[n], values[m])))
-    return VerificationReport(column=column, pairs=tuple(pairs))
+        ms = [m for m in range(2 * n, n_max + 1, n) if m in values]
+        pairs_checked += len(ms)
+        failures += [(n, m) for m in ms if not _divides(values[n], values[m])]
+    return VerificationReport(column=column, pairs_checked=pairs_checked,
+                              failures=tuple(failures))
 
 
 def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
@@ -255,17 +252,15 @@ def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
     """
     entries = tuple(generate_sequence(x, n_max))
     mismatches = []
-    notes = []
-    n_squared_note_done = False
+    notes = []  # the n^2 variant's first difference, if any
     for entry, oracle in zip(entries, jacobian_determinants(x, n_max)):
         n = entry.n
         if entry.jacobian_det != oracle:
             mismatches.append(f"n={n}: closed form {entry.jacobian_det} "
                               f"!= Jacobian determinant {oracle}")
-        if entry.n_squared_value != oracle and not n_squared_note_done:
+        if not notes and entry.n_squared_value != oracle:
             notes.append(f"informational: n^2 variant gives {entry.n_squared_value} "
                          f"at n={n} but the Jacobian determinant is {oracle} "
                          f"(dim {entry.s} carries n^{entry.s})")
-            n_squared_note_done = True
     return VerificationReport(mismatches=tuple(mismatches), notes=tuple(notes),
                               entries=entries)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from math import prod
 from pathlib import Path
 
@@ -124,7 +125,7 @@ def test_run_table_json_factorizations_match_the_text_table():
 
 def test_run_table_json_renders_a_cofactor(monkeypatch):
     hard = 1000000000039 * 1000000000061
-    monkeypatch.setattr(matdivseq.cli, "factor_table", lambda x, entries, column: [
+    monkeypatch.setattr(matdivseq.cli, "factor_table", lambda entries, column: [
         Factorization(sign=1, factors=((2, 1),), cofactor=hard) for _ in entries])
     f = json.loads(run_table(MatrixDocument(matrix=X4), 1, "json", factor=True)[0])[
         "entries"][0]["factorization"]
@@ -146,6 +147,43 @@ def test_run_table_jacobian_column():
 def test_run_table_rejects_an_unknown_column(fmt, factor):
     with pytest.raises(ValueError, match="column must be 'reduced' or 'jacobian'"):
         run_table(parse_matrix(X3_JSON), 3, fmt, factor=factor, column="bogus")
+
+
+# argparse rejects any other --format; a library caller gets a ValueError instead of
+# text in one of the three formats.
+UNKNOWN_FORMAT = "format must be 'text' or 'csv' or 'json'"
+
+
+def test_run_table_rejects_an_unknown_format():
+    for fmt in ("xml", "JSON", ""):
+        with pytest.raises(ValueError, match=UNKNOWN_FORMAT):
+            run_table(parse_matrix(X3_JSON), 3, fmt)
+
+
+def test_run_verify_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match=UNKNOWN_FORMAT):
+        run_verify(parse_matrix(X3_JSON), 2, "JSON")
+
+
+def test_run_charpoly_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match=UNKNOWN_FORMAT):
+        run_charpoly(parse_matrix(X3_JSON), "yaml")
+
+
+def test_run_jacobian_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match=UNKNOWN_FORMAT):
+        run_jacobian(parse_matrix(X3_JSON), 1, "tsv")
+
+
+def test_every_command_takes_the_formats_of_the_library():
+    parser = matdivseq.cli.build_parser()
+    for command in ("table", "verify", "charpoly", "jacobian"):
+        for fmt in matdivseq.cli.FORMATS:
+            assert parser.parse_args([command, "m", "--format", fmt]).format == fmt
+        for fmt in ("xml", "JSON"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "m", "--format", fmt])
+    assert matdivseq.cli.FORMATS == ("text", "csv", "json")
 
 
 def test_run_table_formats_agree():
@@ -179,6 +217,19 @@ def int_str_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def decimal_calls(monkeypatch):
+    """The values that matdivseq.cli converts with Decimal(), in call order."""
+    calls = []
+
+    def spy(value):
+        calls.append(value)
+        return Decimal(value)
+
+    monkeypatch.setattr(matdivseq.cli, "Decimal", spy)
+    return calls
+
+
 @pytest.mark.parametrize("x", [
     IntMatrix([[-3]]),  # s = 1: n^2 > n^s, and reduced < 0 at even n
     X3,
@@ -188,7 +239,8 @@ def int_str_calls(monkeypatch):
     random_matrix(random.Random(1), 6),  # past 400 digits at n_max 64
 ], ids=["minus3", "X3", "X4", "singular", "rotation", "random6"])
 @pytest.mark.parametrize("column", ["reduced", "jacobian"])
-def test_run_table_json_columns_equal_str_of_the_entries(int_str_calls, x, column):
+def test_run_table_json_columns_equal_str_of_the_entries(int_str_calls, decimal_calls, x,
+                                                         column):
     n_max = 64 if x.dim == 6 else 24
     entries = generate_sequence(x, n_max)
     out, code = run_table(MatrixDocument(matrix=x), n_max, "json", column=column)
@@ -196,8 +248,10 @@ def test_run_table_json_columns_equal_str_of_the_entries(int_str_calls, x, colum
     rows = json.loads(out)["entries"]
     assert [(r["n"], r["reduced"], r["jacobian_det"], r["n_squared_value"]) for r in rows] == [
         (e.n, str(e.reduced), str(e.jacobian_det), str(e.n_squared_value)) for e in entries]
-    # Each nonzero row converts its u_n alone; the three values come from those digits.
-    assert int_str_calls == [e.u for e in entries if e.reduced]
+    # Each nonzero row converts its u_n alone, int to decimal; the three values
+    # come from those digits, and no u_n goes through str().
+    assert decimal_calls == [e.u for e in entries if e.reduced]
+    assert int_str_calls == []
 
 
 needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -220,7 +274,7 @@ def test_run_table_json_keeps_the_int_str_digit_limit(int_str_calls, entry):
     try:
         out, code = run_table(doc, 635, "json")
         assert code == 0
-        assert int_str_calls == [e.u for e in entries[:-1]]  # 640 digits still fit
+        assert int_str_calls == []  # 640 digits still fit
         last = json.loads(out)["entries"][-1]
         assert [len(last[k].lstrip("-")) for k in ("reduced", "jacobian_det", "n_squared_value")
                 ] == [635, 637, 640]
@@ -239,8 +293,7 @@ def test_run_table_json_digit_limit_excludes_the_sign(int_str_calls):
     try:
         last = json.loads(run_table(doc, 636, "json")[0])["entries"][-1]
         assert last["n_squared_value"] == "-404496" + "0" * 635
-        # u_n only, the last row included
-        assert int_str_calls == [e.u for e in generate_sequence(doc.matrix, 636)]
+        assert int_str_calls == []  # no value, the last row included
         with pytest.raises(ValueError, match="integer string conversion"):
             run_table(doc, 637, "json")
     finally:
@@ -266,7 +319,7 @@ def test_run_table_json_without_get_int_max_str_digits(monkeypatch):
 
 @pytest.mark.parametrize("fmt, column", [("json", "reduced"), ("text", "reduced"),
                                          ("csv", "jacobian")])
-def test_run_table_zero_row_with_a_negative_det_prints_0(int_str_calls, fmt, column):
+def test_run_table_zero_row_with_a_negative_det_prints_0(decimal_calls, fmt, column):
     # u_2 = trace = 0 and det = -7: a decimal product would print -0.
     x = IntMatrix([[1, 2], [3, -1]])
     e = generate_sequence(x, 2)[1]
@@ -278,12 +331,13 @@ def test_run_table_zero_row_with_a_negative_det_prints_0(int_str_calls, fmt, col
         assert [row[k] for k in ("reduced", "jacobian_det", "n_squared_value")] == ["0"] * 3
     else:
         assert out.splitlines()[1] == ("2,0" if fmt == "csv" else "2 | 0")
-    assert 0 not in int_str_calls
+    assert 0 not in decimal_calls
 
 
 @needs_digit_limit
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_main_singular_rows_do_not_convert_u_n(monkeypatch, capsys, int_str_calls, fmt):
+def test_main_singular_rows_do_not_convert_u_n(monkeypatch, capsys, int_str_calls,
+                                               decimal_calls, fmt):
     # [[10, 0], [0, 0]]: u_n = 10^(n-1) passes 640 digits at n = 642, but
     # det(X) = 0 makes every row from n = 2 on zero.
     monkeypatch.setattr("sys.stdin", io.StringIO('{"matrix": [[10, 0], [0, 0]]}'))
@@ -295,7 +349,8 @@ def test_main_singular_rows_do_not_convert_u_n(monkeypatch, capsys, int_str_call
         sys.set_int_max_str_digits(old)
     out = capsys.readouterr().out
     assert code == 0
-    assert int_str_calls == [1]  # u_1 alone
+    assert decimal_calls == [1]  # u_1 alone
+    assert int_str_calls == []
     if fmt == "json":
         assert json.loads(out)["entries"][-1]["n_squared_value"] == "0"
     else:
@@ -320,7 +375,7 @@ def test_run_table_past_the_digit_limit_raises_from_that_value(int_str_calls, fm
             run_table(MatrixDocument(matrix=x), 2, fmt, column=column)
     finally:
         sys.set_int_max_str_digits(old)
-    assert int_str_calls == [1, getattr(e, name)]  # u_1, then the value that raised
+    assert int_str_calls == [getattr(e, name)]  # the value that raised alone
 
 
 @needs_digit_limit
@@ -342,7 +397,7 @@ def test_run_table_text_keeps_the_digit_limit_of_its_column(int_str_calls, colum
             run_table(doc, fits + 1, "text", column=column)
     finally:
         sys.set_int_max_str_digits(old)
-    assert int_str_calls[-1] == getattr(entries[-1], name)
+    assert int_str_calls == [getattr(entries[-1], name)]
 
 
 NILPOTENT3 = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -364,7 +419,7 @@ NILPOTENT3 = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 def test_run_table_json_equals_json_dumps_indent_2(x, n_max, factor, column, name):
     doc = MatrixDocument(matrix=x, name=name)
     entries = generate_sequence(x, n_max)
-    factors = factor_table(x, entries, column) if factor else [None] * n_max
+    factors = factor_table(entries, column) if factor else [None] * n_max
     out, code = run_table(doc, n_max, "json", factor, column)
     assert code == 0
     assert out == table_json(doc, entries, factors, column)
@@ -385,7 +440,7 @@ def test_run_table_json_forced_values_equal_json_dumps_indent_2(monkeypatch, sig
     # render as json.dumps does.
     hard = 1000000000039 * 1000000000061
     forced = [Factorization(sign=sign, factors=((2, 1), (3, 4)), cofactor=hard)] * 3
-    monkeypatch.setattr(matdivseq.cli, "factor_table", lambda x, entries, column: forced)
+    monkeypatch.setattr(matdivseq.cli, "factor_table", lambda entries, column: forced)
     doc = MatrixDocument(matrix=X4, name="X4")
     out, code = run_table(doc, 3, "json", factor=True)
     assert code == 0

@@ -312,7 +312,7 @@ def test_x4_table_splits_without_rho(monkeypatch):
     entries = generate_sequence(X4, 20)
     per_term = [factorize(e.reduced) for e in entries]
     _forbid_rho(monkeypatch)
-    assert factor_table(X4, entries) == per_term
+    assert factor_table(entries) == per_term
     assert all(f.complete for f in per_term)
 
 

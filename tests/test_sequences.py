@@ -8,6 +8,7 @@ from matdivseq import (IntMatrix, SequenceEntry, char_poly, closed_form_entry, d
                        factor_table, factorize, generalized_lucas, generate_sequence,
                        jacobian_determinant, jacobian_power_map, lucas_2x2, mat_mul,
                        verify_closed_form, verify_divisibility)
+from matdivseq.sequences import COLUMNS
 
 from golden_tables import X3, X4, X3_TABLE
 from helpers import discriminant, random_matrix, unimodular_pair
@@ -168,7 +169,7 @@ def test_generate_sequence_x3_first_five():
     entries = generate_sequence(X3, 5)
     reduced = [e.reduced for e in entries]
     assert reduced == [1, 100, 6561, 193600, 808201]
-    rendered = [str(f) for f in factor_table(X3, entries)]
+    rendered = [str(f) for f in factor_table(entries)]
     assert rendered == ["1", "2^2 5^2", "3^8", "2^6 5^2 11^2", "29^2 31^2"]
 
 
@@ -212,10 +213,9 @@ def test_verify_divisibility_x3_reduced():
     entries = generate_sequence(X3, 8)
     report = verify_divisibility(entries, "reduced")
     assert report.passed
-    pair24 = next(p for p in report.pairs if (p.n, p.m) == (2, 4))
-    assert pair24.passed
+    assert report.pairs_checked == 12  # 1 | 2..8, 2 | 4, 6, 8, 3 | 6 and 4 | 8
+    assert report.failures == ()
     assert X3_TABLE[3][1] % X3_TABLE[1][1] == 0  # 193600 / 100 == 1936
-    assert all(p.passed for p in report.pairs if p.n == 1)
 
 
 def _entry(n, u):
@@ -227,8 +227,7 @@ def test_verify_divisibility_forced_failure():
     entries = [_entry(1, 1), _entry(2, 3), _entry(3, 7), _entry(4, 5)]
     report = verify_divisibility(entries, "reduced")
     assert not report.passed
-    failed = [(p.n, p.m) for p in report.pairs if not p.passed]
-    assert (2, 4) in failed
+    assert (2, 4) in report.failures
 
 
 def test_verify_divisibility_zero_convention():
@@ -237,7 +236,7 @@ def test_verify_divisibility_zero_convention():
     assert verify_divisibility(good, "reduced").passed
     bad = [_entry(1, 1), _entry(2, 0), _entry(3, 5), _entry(4, 8)]
     report = verify_divisibility(bad, "reduced")
-    assert [(p.n, p.m) for p in report.pairs if not p.passed] == [(2, 4)]
+    assert report.failures == ((2, 4),)
 
 
 def test_verify_divisibility_bad_column():
@@ -433,7 +432,7 @@ def _assert_factor_table_matches_terms(x, n_max):
     """
     entries = generate_sequence(x, n_max)
     for column in ("reduced", "jacobian"):
-        merged = factor_table(x, entries, column)
+        merged = factor_table(entries, column)
         assert len(merged) == n_max
         for e, f in zip(entries, merged):
             value = e.reduced if column == "reduced" else e.jacobian_det
@@ -466,7 +465,7 @@ def test_factor_table_special_matrices():
     for x in SPECIAL_MATRICES:
         _assert_factor_table_matches_terms(x, 16)
     rotation = IntMatrix([[0, -1], [1, 0]])  # u_n = 0 at every even n
-    merged = factor_table(rotation, generate_sequence(rotation, 6))
+    merged = factor_table(generate_sequence(rotation, 6))
     assert [str(f) for f in merged] == ["1", "0", "1", "0", "1", "0"]
 
 
@@ -498,35 +497,59 @@ def test_factor_table_x4_factors_primitive_parts_not_terms(monkeypatch):
 
     monkeypatch.setattr(sequences, "factorize", counting)
     entries = generate_sequence(X4, 20)
-    merged = factor_table(X4, entries)
+    merged = factor_table(entries)
     # det(X4) and Psi_2 .. Psi_20, each once; R_20 itself has 92 digits.
     assert len(str(entries[-1].reduced)) == 92
     assert len(inputs) <= 20
     assert max(abs(v) for v in inputs) < 10 ** 45
     for e, f in zip(entries, merged):
         assert f == factorize(e.reduced), e.n
-    for e, f in zip(entries, factor_table(X4, entries, "jacobian")):
+    for e, f in zip(entries, factor_table(entries, "jacobian")):
         assert f == factorize(e.jacobian_det), e.n
 
 
 def test_factor_table_raises_on_broken_identity():
     entries = generate_sequence(X3, 6)
     with pytest.raises(ValueError):
-        factor_table(X3, entries, "nope")
+        factor_table(entries, "nope")
     # u_1 = 2, not 1.
     with pytest.raises(ArithmeticError):
-        factor_table(X3, [replace(entries[0], u=2)])
+        factor_table([replace(entries[0], u=2)])
     # u_4 = 3, but Psi_2 = 10 does not divide it.
     with pytest.raises(ArithmeticError):
-        factor_table(X3, [*entries[:3], replace(entries[3], u=3)])
+        factor_table([*entries[:3], replace(entries[3], u=3)])
     # A missing divisor cannot be recovered: n = 4 needs Psi_2.
     with pytest.raises(ArithmeticError):
-        factor_table(X3, [entries[0], entries[3]])
-    # Entries of another matrix: det(diag(2, 3)) = 6 is not det(X3) = 1, and
-    # X4 has det 1 like X3 but s = 4.
-    for x in (IntMatrix([[2, 0], [0, 3]]), X4):
-        with pytest.raises(ValueError, match="not one of this matrix"):
-            factor_table(x, entries)
+        factor_table([entries[0], entries[3]])
+    # Entries of two matrices: diag(2, 3, 1) has s = 3 like X3 but det 6, not
+    # det(X3) = 1, and X4 has det 1 like X3 but s = 4.
+    for x in (IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 1]]), X4):
+        other = generate_sequence(x, 6)
+        for mixed in ([*entries[:3], *other[3:]], [other[0], *entries[1:]]):
+            with pytest.raises(ValueError, match="disagree on det"):
+                factor_table(mixed)
+
+
+def test_factor_table_reads_det_x_and_s_from_the_entries(monkeypatch):
+    import matdivseq.sequences as sequences
+    tables = [generate_sequence(x, 12)
+              for x in (X3, X4, IntMatrix([[0, 1], [1, 1]]), IntMatrix([[1, 2], [2, 4]]))]
+    calls = []
+    monkeypatch.setattr(sequences, "det_bareiss", lambda *args: calls.append(args))
+    for entries in tables:
+        for column in COLUMNS:
+            assert [f.value() for f in factor_table(entries, column)] == [
+                e.value(column) for e in entries]
+    assert factor_table([]) == factor_table([], "jacobian") == []
+    assert calls == []
+
+
+def test_entry_value_rejects_an_unknown_column():
+    e = generate_sequence(X3, 2)[1]
+    assert (e.value("reduced"), e.value("jacobian")) == (100, 800)
+    for column in ("bogus", "jacobian_det", "Reduced"):
+        with pytest.raises(ValueError, match="column must be 'reduced' or 'jacobian'"):
+            e.value(column)
 
 
 def test_every_exported_name_resolves():
@@ -539,7 +562,7 @@ def test_every_exported_name_resolves():
         "IntMatrix", "det_bareiss", "jacobian_power_map", "kronecker",
         "mat_add", "mat_mul", "mat_pow", "mat_vec", "power_map_derivative", "vec",
         "MonicIntPolynomial", "char_poly", "generalized_lucas",
-        "PairCheck", "SequenceEntry", "VerificationReport", "closed_form_entry",
+        "SequenceEntry", "VerificationReport", "closed_form_entry",
         "factor_table", "generate_sequence", "jacobian_determinant", "lucas_2x2",
         "verify_closed_form", "verify_divisibility",
         "__version__",
