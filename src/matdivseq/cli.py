@@ -83,11 +83,9 @@ def _plain_entry(token: str, lineno: int) -> int:
 def _matrix_from_rows(rows) -> IntMatrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise MatrixParseError("matrix must be a non-empty list of rows")
-    if any(len(r) != len(rows) for r in rows):
-        raise MatrixParseError("matrix must be square")
     try:
         return IntMatrix(rows)
-    except ValueError as exc:  # IntMatrix checks the entries are integers
+    except ValueError as exc:  # IntMatrix checks squareness, then integer entries
         raise MatrixParseError(str(exc)) from exc
 
 
@@ -137,8 +135,8 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
                          traps=[decimal.Inexact, decimal.Rounded])
 
 
-# Each value of a table row, by its SequenceEntry attribute, from the row's
-# reduced = u_n^2 * det(X)^(n-1) as an exact decimal.
+# Each value of a table row, by its SequenceEntry attribute (every value of COLUMNS
+# is a key), from the row's reduced = u_n^2 * det(X)^(n-1) as an exact decimal.
 _ROW_VALUES = {"reduced": lambda r, e: r,
                "jacobian_det": lambda r, e: _EXACT.multiply(r, e.n ** e.s),
                "n_squared_value": lambda r, e: _EXACT.multiply(r, e.n * e.n)}
@@ -150,7 +148,7 @@ def _row_digits(entries: Iterable[SequenceEntry], names: tuple[str, ...]) -> Ite
     CPython's int-to-str conversion is quadratic in the digit count, and
     u_n has under half of reduced's digits. So a row converts u_n alone,
     int to decimal with no digit limit, and every value is an exact
-    decimal product of its digits; a zero row converts nothing. CPython's
+    decimal product of its digits; a ``zero`` row converts nothing. CPython's
     digit limit still applies to each value (0: none; no getter before
     3.10.7): a value past it is sent to str() on its int, which raises
     CPython's own ValueError at the same row.
@@ -159,7 +157,7 @@ def _row_digits(entries: Iterable[SequenceEntry], names: tuple[str, ...]) -> Ite
     multiply = _EXACT.multiply
     values = [(name, _ROW_VALUES[name]) for name in names]
     for e in entries:
-        if e.u == 0 or (e.det_x == 0 and e.n > 1):
+        if e.zero:
             yield ["0"] * len(names)  # a decimal product with det(X) < 0 prints "-0"
             continue
         u = Decimal(e.u)
@@ -230,8 +228,7 @@ def run_table(doc: MatrixDocument, n_max: int, fmt: str = "text",
 
     lines = []
     sep = "," if fmt == "csv" else " | "
-    name = "reduced" if column == "reduced" else "jacobian_det"
-    for e, fc, (value,) in zip(entries, factors, _row_digits(entries, (name,))):
+    for e, fc, (value,) in zip(entries, factors, _row_digits(entries, (COLUMNS[column],))):
         line = f"{e.n}{sep}{value}"
         lines.append(line if fc is None else f"{line}{sep}{fc}")
     return "\n".join(lines), 0
@@ -274,8 +271,8 @@ def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str,
     """Closed-form and divisibility verification; exit 1 on any hard failure."""
     _check_choice("format", fmt, FORMATS)
     cf = verify_closed_form(doc.matrix, n_max)
-    div_reports = [verify_divisibility(cf.entries, col) for col in ("jacobian", "reduced")]
-    passed = cf.passed and all(r.passed for r in div_reports)
+    div_reports = {col: verify_divisibility(cf.entries, col) for col in ("jacobian", "reduced")}
+    passed = cf.passed and all(r.passed for r in div_reports.values())
     record = {
         "name": doc.name,
         "matrix": [list(row) for row in doc.matrix.entries],
@@ -283,12 +280,12 @@ def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str,
         "passed": passed,
         "closed_form": {"mismatches": list(cf.mismatches), "notes": list(cf.notes)},
         "divisibility": {
-            rep.column: {
+            col: {
                 "pairs_checked": rep.pairs_checked,
                 "failures": [[n, m] for n, m in rep.failures],
                 "notes": [],  # a divisibility report has none, kept only as a JSON key
             }
-            for rep in div_reports
+            for col, rep in div_reports.items()
         },
     }
     return _render(record, fmt, _verify_text, _verify_csv), 0 if passed else 1

@@ -27,9 +27,9 @@ class IntMatrix:
         object.__setattr__(self, "entries", rows)
         if not rows:
             raise ValueError("matrix must have at least one row")
+        if any(len(row) != len(rows) for row in rows):  # before any entry is checked
+            raise ValueError("matrix must be square")
         for row in rows:
-            if len(row) != len(rows):
-                raise ValueError("matrix must be square")
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ValueError("integer entries required")

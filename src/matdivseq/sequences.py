@@ -44,11 +44,11 @@ from .linalg import IntMatrix, det_bareiss, jacobian_determinants, jacobian_powe
 from .polynomials import char_poly, generalized_lucas
 
 
-# The value columns of a table: "reduced" is d_n / n^s, "jacobian" is d_n.
-COLUMNS = ("reduced", "jacobian")
+# Each value column of a table, to the SequenceEntry value it prints (d_n / n^s, d_n).
+COLUMNS = {"reduced": "reduced", "jacobian": "jacobian_det"}
 
 
-def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+def _check_choice(name: str, value: str, choices: tuple[str, ...] | dict[str, str]) -> None:
     if value not in choices:
         raise ValueError(f"{name} must be {' or '.join(map(repr, choices))}")
 
@@ -57,10 +57,11 @@ def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
 class SequenceEntry:
     """One row of a table: u_n, signed, with det(X) and the dimension s of X.
 
-    The columns derive from them: ``reduced`` = det(X)^(n-1) * u_n^2 =
+    The values derive from them: ``reduced`` = det(X)^(n-1) * u_n^2 =
     d_n / n^s, ``jacobian_det`` = n^s * reduced = d_n, and the n^2 variant
-    ``n_squared_value`` = n^2 * reduced. ``fallback_used`` is always False
-    (every entry comes from the closed form) and stays readable for callers.
+    ``n_squared_value`` = n^2 * reduced; ``zero`` (u_n = 0, or det(X) = 0
+    and n > 1) tells that all are 0 without building one. ``fallback_used``
+    is always False (every entry comes from the closed form), kept for callers.
     """
 
     n: int
@@ -68,6 +69,10 @@ class SequenceEntry:
     det_x: int
     s: int
     fallback_used = False  # unannotated: a class constant, not a field
+
+    @property
+    def zero(self) -> bool:
+        return self.u == 0 or (self.det_x == 0 and self.n > 1)
 
     @property
     def reduced(self) -> int:
@@ -83,25 +88,24 @@ class SequenceEntry:
         return self.n * self.n * self.reduced
 
     def value(self, column: str) -> int:
-        """``reduced`` or ``jacobian_det`` by :data:`COLUMNS`; another column raises ValueError."""
+        """The value ``column`` prints, by :data:`COLUMNS`; another column raises ValueError."""
         _check_choice("column", column, COLUMNS)
-        return self.reduced if column == "reduced" else self.jacobian_det
+        return getattr(self, COLUMNS[column])
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of closed-form and divisibility verification.
 
-    ``column`` is the column a divisibility report checked, with its
-    ``pairs_checked`` and ``failures``, the pairs (n, m) that fail in
-    checking order (None, 0 and empty for closed-form reports).
+    A divisibility report counts its ``pairs_checked`` and lists its
+    ``failures``, the pairs (n, m) that fail in checking order (0 and empty
+    for closed-form reports); the caller knows the column it asked for.
     ``mismatches`` are hard failures (the closed form disagreeing with the
     Jacobian determinant); ``notes`` are informational only and never fail
     the report. ``entries`` are the sequence entries that were checked, as
     :func:`generate_sequence` returned them (empty for divisibility reports).
     """
 
-    column: str | None = None
     pairs_checked: int = 0
     failures: tuple[tuple[int, int], ...] = ()
     mismatches: tuple[str, ...] = ()
@@ -177,7 +181,7 @@ def factor_table(entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
     factored once per table and merged; the "jacobian" column adds n^s.
     |Psi_n| = |u_n| / prod_(k | n, 1 < k < n) |Psi_k|; a division that is
     not exact, or |u_1| other than 1, raises ``ArithmeticError``, and
-    entries that disagree on det(X) or s raise ``ValueError``. A zero value
+    entries that disagree on det(X) or s raise ``ValueError``. A ``zero`` row
     factors to 0, no entries to []. ``entries`` must hold every divisor of
     each of their n, as the n = 1..n_max of :func:`generate_sequence` do.
     """
@@ -193,7 +197,7 @@ def factor_table(entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
     out = []
     for e in entries:
         n = e.n
-        if e.reduced == 0:
+        if e.zero:
             out.append(Factorization(sign=0))
             continue
         parts = [k for k in range(2, n) if n % k == 0]
@@ -234,8 +238,7 @@ def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...]
         ms = [m for m in range(2 * n, n_max + 1, n) if m in values]
         pairs_checked += len(ms)
         failures += [(n, m) for m in ms if not _divides(values[n], values[m])]
-    return VerificationReport(column=column, pairs_checked=pairs_checked,
-                              failures=tuple(failures))
+    return VerificationReport(pairs_checked=pairs_checked, failures=tuple(failures))
 
 
 def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:

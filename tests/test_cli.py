@@ -50,6 +50,9 @@ def test_parse_matrix_not_square():
         parse_matrix('{"matrix": [[1, 2], [3]]}')
     with pytest.raises(MatrixParseError, match="square"):
         parse_matrix("1 2\n3\n")
+    # Every row's length is checked before any entry.
+    with pytest.raises(MatrixParseError, match="^matrix must be square$"):
+        parse_matrix('{"matrix": [[1.5, 2], [3]]}')
 
 
 def test_parse_matrix_rejects_floats_and_bools():
@@ -145,8 +148,9 @@ def test_run_table_jacobian_column():
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("factor", [False, True])
 def test_run_table_rejects_an_unknown_column(fmt, factor):
-    with pytest.raises(ValueError, match="column must be 'reduced' or 'jacobian'"):
-        run_table(parse_matrix(X3_JSON), 3, fmt, factor=factor, column="bogus")
+    for column in ("bogus", "jacobian_det"):  # a value name is not a column
+        with pytest.raises(ValueError, match="column must be 'reduced' or 'jacobian'"):
+            run_table(parse_matrix(X3_JSON), 3, fmt, factor=factor, column=column)
 
 
 # argparse rejects any other --format; a library caller gets a ValueError instead of
@@ -184,6 +188,11 @@ def test_every_command_takes_the_formats_of_the_library():
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "m", "--format", fmt])
     assert matdivseq.cli.FORMATS == ("text", "csv", "json")
+    for column in matdivseq.sequences.COLUMNS:
+        assert parser.parse_args(["table", "m", "--column", column]).column == column
+    for column in ("jacobian_det", "Reduced"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["table", "m", "--column", column])
 
 
 def test_run_table_formats_agree():

@@ -544,6 +544,30 @@ def test_factor_table_reads_det_x_and_s_from_the_entries(monkeypatch):
     assert calls == []
 
 
+def test_factor_table_decides_zero_rows_without_building_reduced(monkeypatch):
+    import matdivseq.sequences as sequences
+    singular = generate_sequence(IntMatrix([[1, 1], [0, 0]]), 12)  # u_n = 1, det(X) = 0
+    tables = [generate_sequence(X3, 16), generate_sequence(X4, 20), singular,
+              generate_sequence(IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 12),
+              generate_sequence(IntMatrix([[0, 1], [-1, 0]]), 12)]  # u_n = 0 at even n
+    expected = {column: [factor_table(entries, column) for entries in tables]
+                for column in COLUMNS}
+
+    def no_reduced(entry):
+        raise AssertionError(f"n={entry.n}: reduced was built")
+
+    monkeypatch.setattr(SequenceEntry, "reduced", property(no_reduced))
+    for column in COLUMNS:
+        assert [factor_table(entries, column) for entries in tables] == expected[column]
+    calls = []
+    monkeypatch.setattr(sequences, "factorize", lambda n: calls.append(n) or factorize(n))
+    # Only det(X), and n^s = 1 of the one nonzero row: no Psi_n of a zero row is factored.
+    for column, factored in (("reduced", [0]), ("jacobian", [0, 1])):
+        calls.clear()
+        assert factor_table(singular, column) == expected[column][2]
+        assert calls == factored
+
+
 def test_entry_value_rejects_an_unknown_column():
     e = generate_sequence(X3, 2)[1]
     assert (e.value("reduced"), e.value("jacobian")) == (100, 800)
