@@ -121,8 +121,6 @@ def parse_matrix(text: str) -> MatrixDocument:
         return MatrixDocument(matrix=_matrix_from_rows(obj["matrix"]), name=name)
     rows = [[_plain_entry(token, lineno) for token in line.split()]
             for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
-    if not rows:
-        raise MatrixParseError("empty input")
     return MatrixDocument(matrix=_matrix_from_rows(rows))
 
 
@@ -191,8 +189,7 @@ def _table_json(doc: MatrixDocument, entries: list[SequenceEntry],
     The pieces join to exactly ``json.dumps(payload, indent=2)`` of the
     table's payload. Only the name and the column can need escaping, so they
     alone go through :func:`json.dumps`; every other value is digits, a
-    literal or the ASCII of ``str(Factorization)``. Rows are yielded, not
-    kept: a row string stays alive only inside the caller's join.
+    literal or the ASCII of ``str(Factorization)``.
     """
     matrix = ",".join("\n    [" + ",".join(f"\n      {v}" for v in row) + "\n    ]"
                       for row in doc.matrix.entries)

@@ -139,7 +139,8 @@ def det_bareiss(a: IntMatrix) -> int:
 
     Every division (c0, both multipliers, each entry) is exact by
     construction; a nonzero remainder would mean the elimination is broken,
-    so it raises immediately.
+    so it raises immediately. :func:`_det_rows` of an empty row list is 1,
+    the determinant of the 0 x 0 matrix.
     """
     return _det_rows([list(row) for row in a.entries])
 
@@ -222,11 +223,11 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
     to symmetric ones and skew to skew, so det J_n = det(Sym) * det(Skew):
     Sym is M_n on the basis E_pp, E_pq + E_qp (p < q), Skew on the basis
     E_pq - E_qp (p < q), and an image's coordinate (p, q) is its entry
-    (p, q), at column-stacking index q*s + p. At s = 1 there is no Skew
-    block. The rows of M_n are stepped already multiplied by that change of
-    basis, so unpacking row (p, q) gives row (p, q) of Sym and, when p < q,
-    of Skew. Both blocks are integer matrices, eliminated as in
-    :func:`det_bareiss`.
+    (p, q), at column-stacking index q*s + p. At s = 1 the Skew block is
+    0 x 0, with determinant 1. The rows of M_n are stepped already
+    multiplied by that change of basis, so unpacking row (p, q) gives row
+    (p, q) of Sym and, when p < q, of Skew. Both blocks are integer
+    matrices, eliminated as in :func:`det_bareiss`.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -246,10 +247,8 @@ def _block_determinants(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[
     n_sym = len(sym)
     for rows, unpack in _packed_steps(x, x, sigma, n_max):
         needed = [unpack(rows[r]) for r, _ in sym]
-        det = _det_rows([row[:n_sym] for row in needed])
-        if skew:
-            det *= _det_rows([row[n_sym:] for row, (i, j) in zip(needed, sym) if i != j])
-        yield det
+        yield (_det_rows([row[:n_sym] for row in needed])
+               * _det_rows([row[n_sym:] for row, (i, j) in zip(needed, sym) if i != j]))
 
 
 def _packed_steps(a: Sequence[Sequence[int]], x: Sequence[Sequence[int]],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .linalg import IntMatrix, _det_rows, mat_mul
+from .linalg import IntMatrix, _det_rows
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class MonicIntPolynomial:
                 parts.append(term if c > 0 else f"-{term}")
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts) if parts else "0"
+        return " ".join(parts)  # the leading term is always there
 
 
 def char_poly(x: IntMatrix) -> MonicIntPolynomial:
@@ -67,19 +67,20 @@ def char_poly(x: IntMatrix) -> MonicIntPolynomial:
 
     Uses the Faddeev-LeVerrier recurrence ``M_(k+1) = X M_k + c_k I``,
     ``c_(k+1) = -tr(X M_(k+1)) / (k+1)``: each step makes one product X M_k,
-    whose trace gives the coefficient and which starts the next M. The
-    division by the step index is exact for every integer matrix, so a
-    remainder is a hard error.
+    whose trace gives the coefficient and which starts the next M. M_k and
+    X M_k are row lists; no matrix is built. The division by the step index
+    is exact for every integer matrix, so a remainder is a hard error.
     """
-    s = x.dim
+    rows = x.entries
+    s = len(rows)
     coeffs = [1]
-    xm = IntMatrix(tuple(tuple(0 for _ in range(s)) for _ in range(s)))  # X M_0
+    xm = [[0] * s for _ in range(s)]  # X M_0
     for k in range(1, s + 1):
-        m = IntMatrix(tuple(tuple(xm.entries[i][j] + (coeffs[k - 1] if i == j else 0)
-                                  for j in range(s))
-                            for i in range(s)))
-        xm = mat_mul(x, m)
-        q, r = divmod(-xm.trace, k)
+        for i in range(s):
+            xm[i][i] += coeffs[k - 1]  # now M_k
+        m_cols = tuple(zip(*xm))
+        xm = [[sum(map(mul, row, col)) for col in m_cols] for row in rows]
+        q, r = divmod(-sum(xm[i][i] for i in range(s)), k)
         if r:
             raise AssertionError("non-exact division in characteristic polynomial recurrence")
         coeffs.append(q)
@@ -89,7 +90,8 @@ def char_poly(x: IntMatrix) -> MonicIntPolynomial:
 def generalized_lucas(f: MonicIntPolynomial, ns: Sequence[int]) -> tuple[int, ...]:
     """u_n = prod_(i<j) (a_i^n - a_j^n)/(a_i - a_j) over the roots a_i of ``f``, per n in ``ns``.
 
-    An integer: the Lucas U_n for degree 2 and 1 for degree 1. A pair of
+    An integer: the Lucas U_n for degree 2, and 1 for degree 1, where the
+    Jacobi-Trudi determinant below is the 0 x 0 one. A pair of
     equal roots a contributes the factor n a^(n-1), so u_n is 0 exactly
     when a_i^n = a_j^n for two unequal roots, or when 0 is a repeated root
     and n >= 2. With distinct roots u_n^2 is the discriminant ratio
@@ -112,8 +114,6 @@ def generalized_lucas(f: MonicIntPolynomial, ns: Sequence[int]) -> tuple[int, ..
     if any(n < 1 for n in ns):
         raise ValueError("n must be positive")
     d = f.degree
-    if d == 1:
-        return (1,) * len(ns)
     c = f.coefficients[1:]
     h = [0] * (d - 1) + [1]  # h[k + d - 1] is h_k
     for _ in range(1, (d - 1) * max(ns, default=0)):

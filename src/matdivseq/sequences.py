@@ -231,7 +231,8 @@ def verify_divisibility(entries: list[SequenceEntry] | tuple[SequenceEntry, ...]
     ``column`` selects which value is checked: "reduced" or "jacobian".
     """
     _check_choice("column", column, COLUMNS)
-    values = {e.n: e.value(column) for e in entries}
+    attr = COLUMNS[column]
+    values = {e.n: getattr(e, attr) for e in entries}
     n_max = max(values, default=0)
     pairs_checked, failures = 0, []
     for n in sorted(values):

@@ -662,14 +662,13 @@ def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
     count_dets(matdivseq.polynomials, "lucas_u", x.dim - 1)
     building = {}
     _count_calls(monkeypatch, matdivseq.linalg, "kronecker", building)
-    for module in (matdivseq.linalg, matdivseq.polynomials):
-        _count_calls(monkeypatch, module, "mat_mul", building)
+    _count_calls(monkeypatch, matdivseq.linalg, "mat_mul", building)
     _out, code = run_verify(MatrixDocument(matrix=x), 6)
     assert code == 0
     assert counts == {name: 6 * k for name, k in per_n.items()}
     # The table's Jacobians come from one recurrence, not a Kronecker sum per n.
     assert "kronecker" not in building
-    assert building.get("mat_mul", 0) <= x.dim  # one char_poly
+    assert building.get("mat_mul", 0) == 0  # char_poly steps row lists
 
 
 def test_verify_closed_form_reports_the_generated_entries():
@@ -732,6 +731,55 @@ def test_main_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "3 | 6561 | 3^8" in out
+
+
+@pytest.fixture
+def matrices_built(monkeypatch):
+    """Every IntMatrix validated while the test runs, in order."""
+    built = []
+    post_init = IntMatrix.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", counted)
+    return built
+
+
+MATRIX_DOCUMENTS = (X3_JSON, "1 1\n0 1\n", "-3\n")  # named 3x3, repeated eigenvalue, s = 1
+
+
+@pytest.mark.parametrize("args", [
+    *(["table", "--format", fmt, "--column", column, *factor]
+      for fmt in ("text", "csv", "json") for column in ("reduced", "jacobian")
+      for factor in ([], ["--factor"])),
+    *(["charpoly", "--format", fmt] for fmt in ("text", "csv", "json")),
+    *(["verify", "--format", fmt] for fmt in ("csv", "json")),
+], ids=" ".join)
+def test_main_validates_only_the_parsed_matrix(tmp_path, capsys, matrices_built, args):
+    path = tmp_path / "x"
+    for document in MATRIX_DOCUMENTS:
+        path.write_text(document, encoding="utf-8")
+        parsed = parse_matrix(document).matrix
+        matrices_built.clear()
+        assert main([args[0], str(path), *args[1:]]) == 0
+        capsys.readouterr()
+        assert matrices_built == [parsed], document
+
+
+def test_main_builds_a_second_matrix_only_to_print_one(tmp_path, capsys, matrices_built):
+    # jacobian returns J_n as an IntMatrix, and a text verify report of an unnamed
+    # matrix prints the input's fingerprint from a second IntMatrix; a named one does not.
+    path = tmp_path / "x"
+    for document, args, built in [
+            (X3_JSON, ["jacobian"], 2), ("-3\n", ["jacobian", "--format", "json"], 2),
+            ("1 1\n0 1\n", ["verify"], 2), (X3_JSON, ["verify"], 1)]:
+        path.write_text(document, encoding="utf-8")
+        matrices_built.clear()
+        assert main([args[0], str(path), *args[1:]]) == 0
+        capsys.readouterr()
+        assert len(matrices_built) == built, (document, args)
 
 
 def test_main_calls_do_not_share_options(tmp_path, capsys):

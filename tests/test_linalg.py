@@ -327,20 +327,24 @@ def test_jacobian_determinants_match_det_of_each_jacobian():
 
 
 def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
-    # det(Skew) = u_n and det(Sym) = n^s det(X)^(n-1) u_n, so the product is d_n.
-    blocks = []
+    # det(Skew) = u_n and det(Sym) = n^s det(X)^(n-1) u_n, so the product is d_n. At s = 1
+    # the Skew block is 0 x 0, with determinant 1 = u_n.
+    blocks, sizes = [], []
     det = linalg._det_rows
 
     def recorded(rows):
+        sizes.append(len(rows))
         blocks.append(det(rows))
         return blocks[-1]
 
     monkeypatch.setattr(linalg, "_det_rows", recorded)
     rng = random.Random(191)
-    for dim in range(2, 6):
+    for dim in (2, 3, 4, 5, 1):  # s = 1 last: the draws of the others stay as they were
         for x in _block_cases(dim, rng):
             blocks.clear()
+            sizes.clear()
             dets = list(linalg.jacobian_determinants(x, 9))
+            assert sizes == [dim * (dim + 1) // 2, dim * (dim - 1) // 2] * 9
             f = char_poly(x)
             det_x = (-1) ** dim * f.coefficients[-1]
             us = list(generalized_lucas(f, range(1, 10)))

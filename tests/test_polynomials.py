@@ -82,21 +82,29 @@ def test_char_poly_similarity_invariance():
 
 
 def test_char_poly_makes_one_product_per_step(monkeypatch):
-    calls = []
-    mul = matdivseq.polynomials.mat_mul
+    # Each step's M_k and product X M_k are row lists: char_poly validates no matrix,
+    # and its s steps make s^3 scalar products each, one X M_k.
+    rng = random.Random(101)
+    xs = [random_matrix(rng, dim) for dim in range(1, 7)]
+    built, products = [], []
+    post_init, mul = IntMatrix.__post_init__, matdivseq.polynomials.mul
 
-    def counted(a, b):
-        calls.append(a.dim)
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_mul(a, b):
+        products.append(1)
         return mul(a, b)
 
-    monkeypatch.setattr(matdivseq.polynomials, "mat_mul", counted)
-    rng = random.Random(101)
-    for dim in range(1, 7):
-        x = random_matrix(rng, dim)
-        calls.clear()
+    monkeypatch.setattr(IntMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(matdivseq.polynomials, "mul", counted_mul)
+    for x in xs:
+        products.clear()
         f = char_poly(x)
-        assert calls == [dim] * dim
-        assert f.coefficients[-1] == (-1) ** dim * det_bareiss(x)
+        assert len(products) == x.dim ** 4
+        assert f.coefficients[-1] == (-1) ** x.dim * det_bareiss(x)
+    assert built == []
 
 
 def test_power_sums_fibonacci():

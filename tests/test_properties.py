@@ -3,11 +3,17 @@
 hypothesis draws small integer matrices, s = 1..4 with entries in -3..3,
 plus the shapes where the closed form is most fragile: zero, scalar,
 strictly upper-triangular (nilpotent), Jordan block, repeated row
-(singular) and negative determinant. Every property compares two routes
-that share no step: the closed form against the Jacobian determinant and
-the 2x2 Lucas form, the per-table factorizations against ``factorize`` of
-each value, and the divisibility check against the count of its pairs.
+(singular), negative determinant, and a block of finite order (a
+reflection, or a rotation of order 3, 4 or 6), where u_n = 0. Every
+property compares two routes that share no step: the closed form against
+the Jacobian determinant, its Kronecker sum and the 2x2 Lucas form, the
+per-table factorizations against ``factorize`` of each value, the
+divisibility check against the count of its pairs, and the characteristic
+polynomial and the fraction-free determinant against Gaussian elimination
+over the rationals.
 """
+
+from functools import reduce
 
 import pytest
 
@@ -15,10 +21,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from matdivseq import (IntMatrix, det_bareiss, factor_table, factorize,
-                       generate_sequence, jacobian_determinant, lucas_2x2, verify_divisibility)
+from matdivseq import (IntMatrix, char_poly, det_bareiss, factor_table, factorize,
+                       generate_sequence, jacobian_determinant, kronecker, lucas_2x2, mat_add,
+                       mat_pow, verify_divisibility)
+from matdivseq import linalg
 from matdivseq.linalg import jacobian_determinants
 from matdivseq.sequences import COLUMNS
+
+from helpers import det_fraction
 
 ENTRY = st.integers(-3, 3)
 DIM = st.integers(1, 4)
@@ -77,6 +87,12 @@ def test_closed_form_equals_the_jacobian_and_lucas_oracles(x, n_max):
         assert e.jacobian_det == jacobian_determinant(x, e.n), e.n
     if x.dim == 2:
         assert [e.jacobian_det for e in entries] == [lucas_2x2(x, e.n) for e in entries]
+    # J_n as the Kronecker sum of (X^T)^k (x) X^(n-1-k), k = 0..n-1.
+    xt = x.transpose()
+    for e in entries[:4]:
+        j = reduce(mat_add, (kronecker(mat_pow(xt, k), mat_pow(x, e.n - 1 - k))
+                             for k in range(e.n)))
+        assert e.jacobian_det == det_bareiss(j), e.n
 
 
 @PROPERTY
@@ -102,3 +118,90 @@ def test_verify_divisibility_passes_on_every_pair(x, n_max):
         report = verify_divisibility(entries, column)
         assert report.passed, column
         assert report.pairs_checked == pairs, column
+
+
+# 2x2 blocks of finite order with two distinct eigenvalues a, b: the reflections (order 2)
+# and the rotations of order 4, 3 and 6. a^n = b^n at every even n, or at every n that 3
+# divides, so u_6 = 0 for each.
+FINITE_ORDER = st.sampled_from(([[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1], [1, 0]],
+                                [[0, -1], [1, -1]], [[1, -1], [1, 0]]))
+
+
+def _block_diagonal(blocks):
+    size = sum(map(len, blocks))
+    rows, offset = [], 0
+    for block in blocks:
+        rows += [[0] * offset + row + [0] * (size - offset - len(block)) for row in block]
+        offset += len(block)
+    return rows
+
+
+# A finite-order block and a drawn block of size 0..2, in either order.
+WITH_ZERO_ROWS = (st.tuples(FINITE_ORDER, st.integers(0, 2).flatmap(_square))
+                  .flatmap(st.permutations).map(_block_diagonal).map(IntMatrix))
+
+
+@PROPERTY
+@given(WITH_ZERO_ROWS, st.integers(6, 12))
+def test_zero_rows_of_finite_order_blocks(x, n_max):
+    entries = generate_sequence(x, n_max)
+    assert entries[5].u == 0
+    assert [e.jacobian_det for e in entries] == list(jacobian_determinants(x, n_max))
+    zero = [e.zero for e in entries]
+    for column in COLUMNS:
+        assert [e.value(column) == 0 for e in entries] == zero, column
+        assert [f.sign == 0 for f in factor_table(entries, column)] == zero, column
+
+
+BIG = st.integers(-10 ** 12, 10 ** 12)
+
+
+@PROPERTY
+@given(st.integers(1, 8).flatmap(lambda s: _square(s, st.one_of(ENTRY, BIG))))
+def test_char_poly_interpolates_det_of_t_minus_x(rows):
+    # Its values at t = 0..s fix a monic polynomial of degree s.
+    f = char_poly(IntMatrix(rows))
+    assert f.degree == len(rows)
+    for t in range(len(rows) + 1):
+        value = reduce(lambda acc, c: acc * t + c, f.coefficients)
+        assert value == det_fraction([[t * (i == j) - v for j, v in enumerate(row)]
+                                      for i, row in enumerate(rows)]), t
+
+
+def _rank_deficient(drawn):
+    """The last row replaced by a combination of the rows kept (a zero row at s = 1)."""
+    rows, a, b = drawn
+    kept = rows[:-1]
+    last = [a * u + b * v for u, v in zip(kept[0], kept[-1])] if kept else [0]
+    return [*kept, last]
+
+
+DET_DIM = st.integers(1, 9)
+SPARSE = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))  # mostly zero
+DET_ROWS = st.one_of(
+    DET_DIM.flatmap(_square),
+    DET_DIM.flatmap(lambda s: _square(s, SPARSE)),
+    st.tuples(DET_DIM.flatmap(_square), ENTRY, ENTRY).map(_rank_deficient),
+    DET_DIM.flatmap(lambda s: _square(s, st.integers(-10 ** 30, 10 ** 30))),
+)
+
+
+@PROPERTY
+@given(DET_ROWS)
+def test_det_bareiss_equals_elimination_over_the_rationals(rows):
+    assert det_bareiss(IntMatrix(rows)) == det_fraction(rows)
+
+
+def test_the_empty_determinant_is_one():
+    # u_n at degree 1 and the Skew block at s = 1 are 0 x 0 determinants.
+    assert linalg._det_rows([]) == 1
+
+
+@pytest.mark.parametrize("a", range(-3, 4))
+def test_one_by_one_gives_n_times_a_to_the_n_minus_1(a):
+    x = IntMatrix([[a]])
+    want = [n * a ** (n - 1) for n in range(1, 11)]  # 0 ** 0 == 1
+    entries = generate_sequence(x, 10)
+    assert [e.u for e in entries] == [1] * 10
+    assert [e.jacobian_det for e in entries] == want
+    assert list(jacobian_determinants(x, 10)) == want

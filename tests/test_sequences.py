@@ -277,8 +277,8 @@ def _record_sequence_dets(monkeypatch):
 
 
 def _oracle_dims(s):
-    """Dimensions of the determinants of one det J_n: Sym, then Skew when s > 1."""
-    return [s * (s + 1) // 2] + ([s * (s - 1) // 2] if s > 1 else [])
+    """Dimensions of the determinants of one det J_n: Sym, then Skew (0 x 0 at s = 1)."""
+    return [s * (s + 1) // 2, s * (s - 1) // 2]
 
 
 def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
