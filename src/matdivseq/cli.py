@@ -239,9 +239,9 @@ def _render(record: dict, fmt: str, text: Callable[[dict], Iterable[str]],
     return "\n".join((csv if fmt == "csv" else text)(record))
 
 
-def _verify_text(r: dict) -> Iterator[str]:
+def _verify_text(r: dict, doc: MatrixDocument) -> Iterator[str]:
     cf = r["closed_form"]
-    yield f"matrix: {r['name'] or IntMatrix(r['matrix']).fingerprint()}"
+    yield f"matrix: {doc.name or doc.matrix.fingerprint()}"
     yield f"checked n = 1..{r['n_max']}"
     if cf["mismatches"]:
         yield f"closed form vs Jacobian determinant: {len(cf['mismatches'])} mismatches"
@@ -285,7 +285,7 @@ def run_verify(doc: MatrixDocument, n_max: int, fmt: str = "text") -> tuple[str,
             for col, rep in div_reports.items()
         },
     }
-    return _render(record, fmt, _verify_text, _verify_csv), 0 if passed else 1
+    return _render(record, fmt, lambda r: _verify_text(r, doc), _verify_csv), 0 if passed else 1
 
 
 def run_charpoly(doc: MatrixDocument, fmt: str = "text") -> tuple[str, int]:

@@ -341,7 +341,8 @@ def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int]) 
     if is_prime(m):
         counts[m] = counts.get(m, 0) + mult
         return 1
-    for k in range(2, m.bit_length() + 1):
+    # A k-th root, free of primes <= TRIAL_LIMIT too, exceeds 2^19: 19k < bit_length.
+    for k in range(2, m.bit_length() // (TRIAL_LIMIT.bit_length() - 1) + 1):
         root = _exact_root(m, k)
         if root ** k == m:
             return _factor_rough(root, mult * k, counts, budget)

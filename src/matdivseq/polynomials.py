@@ -66,16 +66,16 @@ def char_poly(x: IntMatrix) -> MonicIntPolynomial:
     """Characteristic polynomial det(tI - X), monic of degree ``x.dim``.
 
     Uses the Faddeev-LeVerrier recurrence ``M_(k+1) = X M_k + c_k I``,
-    ``c_(k+1) = -tr(X M_(k+1)) / (k+1)``: each step makes one product X M_k,
-    whose trace gives the coefficient and which starts the next M. M_k and
-    X M_k are row lists; no matrix is built. The division by the step index
-    is exact for every integer matrix, so a remainder is a hard error.
+    ``c_(k+1) = -tr(X M_(k+1)) / (k+1)``, on row lists: no matrix is built.
+    M_1 = I, so X M_1 is X itself; each later step makes one product X M_k,
+    s - 1 in all, whose trace gives c_k and which starts the next M. Each
+    division is exact for every integer matrix, so a remainder is a hard error.
     """
     rows = x.entries
     s = len(rows)
-    coeffs = [1]
-    xm = [[0] * s for _ in range(s)]  # X M_0
-    for k in range(1, s + 1):
+    coeffs = [1, -x.trace]
+    xm = [list(row) for row in rows]  # X M_1
+    for k in range(2, s + 1):
         for i in range(s):
             xm[i][i] += coeffs[k - 1]  # now M_k
         m_cols = tuple(zip(*xm))

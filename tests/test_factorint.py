@@ -155,6 +155,28 @@ def test_factorize_perfect_powers():
     assert g.factors == ((2, 100),)
 
 
+def test_perfect_power_search_tries_only_roots_above_the_trial_limit(monkeypatch):
+    # What is left after trial division has no prime factor <= 10^6 > 2^19, so a
+    # k-th root of m is above 2^19 and k <= m.bit_length() // 19.
+    tried = []
+    exact_root = factorint._exact_root
+
+    def counted(n, k):
+        tried.append((n, k))
+        return exact_root(n, k)
+
+    monkeypatch.setattr(factorint, "_exact_root", counted)
+    p, q = 1000003, 1000033
+    for n, factors in [(p ** 2, ((p, 2),)), (p ** 3, ((p, 3),)), (p ** 5, ((p, 5),)),
+                       (p ** 19, ((p, 19),)), ((p * q) ** 2, ((p, 2), (q, 2))),
+                       (p ** 2 * q ** 3, ((p, 2), (q, 3))), (-p ** 4, ((p, 4),))]:
+        tried.clear()
+        f = factorize(n)
+        assert (f.sign, f.factors, f.cofactor) == (-1 if n < 0 else 1, factors, None), n
+        assert tried, n
+        assert all(k <= m.bit_length() // 19 for m, k in tried), n
+
+
 def test_trial_division_stops_at_a_proven_prime(monkeypatch):
     # What is left above 1e10 is tested for primality before the first run
     # and after each run that divides it; a proven prime ends trial division.

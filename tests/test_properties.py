@@ -10,10 +10,14 @@ the Jacobian determinant, its Kronecker sum and the 2x2 Lucas form, the
 per-table factorizations against ``factorize`` of each value, the
 divisibility check against the count of its pairs, and the characteristic
 polynomial and the fraction-free determinant against Gaussian elimination
-over the rationals.
+over the rationals. Three more check u_n, signed, against identities of
+the roots of the characteristic polynomial: the chain rule of the power
+maps, the Krylov determinant of the powers of x modulo the characteristic
+polynomial, and the symmetric and skew blocks of the Jacobian.
 """
 
 from functools import reduce
+from unittest import mock
 
 import pytest
 
@@ -107,6 +111,60 @@ def test_factor_table_factors_each_value_of_both_columns(x, n_max):
             assert f.value() == value, (column, e.n)
             if abs(value) < 10 ** 18:
                 assert f == factorize(value), (column, e.n)
+
+
+@PROPERTY
+@given(MATRICES, st.sampled_from((2, 3)))
+def test_u_follows_the_chain_rule_of_the_power_maps(x, m):
+    # P_m o P_n = P_mn, and X^m has the roots a_i^m of X in the same order, so
+    # u_mn(X) = prod (a_i^mn - a_j^mn)/(a_i - a_j) = u_m(X) u_n(X^m).
+    u = [e.u for e in generate_sequence(x, 12)]
+    u_pow = [e.u for e in generate_sequence(mat_pow(x, m), 12 // m)]
+    for n, v in enumerate(u_pow, 1):
+        assert u[m * n - 1] == u[m - 1] * v, n
+
+
+def _krylov_rows(x, n):
+    """Rows k = 0..s-1: the ascending coefficients of x^(nk) modulo char_poly(x)."""
+    c = char_poly(x).coefficients  # x^s = -(c_1 x^(s-1) + ... + c_s)
+    s = x.dim
+    rows = [[1] + [0] * (s - 1)]
+    row = rows[0]
+    for step in range(1, n * (s - 1) + 1):  # multiply by x, then reduce its x^s term
+        row = [(row[i - 1] if i else 0) - c[s - i] * row[-1] for i in range(s)]
+        if step % n == 0:
+            rows.append(row)
+    return rows
+
+
+@PROPERTY
+@given(MATRICES)
+def test_u_is_the_krylov_determinant_of_the_powers_of_x(x):
+    # At the roots, row k is a_i^(nk) = sum_l C_kl a_i^l: the Vandermonde matrix of the
+    # a_i^n is C times that of the a_i, so det C = prod (a_j^n - a_i^n)/(a_j - a_i) = u_n.
+    u = [e.u for e in generate_sequence(x, 10)]
+    for n in range(1, 11):
+        assert det_fraction(_krylov_rows(x, n)) == u[n - 1], n
+
+
+@PROPERTY
+@given(MATRICES, N_MAX)
+def test_jacobian_blocks_are_u_and_its_cofactor(x, n_max):
+    # det(Skew) = u_n and det(Sym) = n^s det(X)^(n-1) u_n, signed; each n takes its
+    # Sym block first.
+    blocks = []
+    det = linalg._det_rows
+
+    def recorded(rows):
+        blocks.append(det(rows))
+        return blocks[-1]
+
+    with mock.patch.object(linalg, "_det_rows", recorded):
+        dets = list(jacobian_determinants(x, n_max))
+    entries, det_x = generate_sequence(x, n_max), det_bareiss(x)
+    assert blocks[1::2] == [e.u for e in entries]
+    assert blocks[0::2] == [e.n ** x.dim * det_x ** (e.n - 1) * e.u for e in entries]
+    assert dets == [a * b for a, b in zip(blocks[0::2], blocks[1::2])]
 
 
 @PROPERTY
