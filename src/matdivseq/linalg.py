@@ -212,22 +212,35 @@ def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
 
 
 def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
-    """Lazily yield det J_1, ..., det J_(n_max) from two blocks of size s(s+1)/2 and s(s-1)/2.
+    """Lazily yield det J_1, ..., det J_(n_max) from two blocks, of size s and s(s-1)/2.
 
     X^T is similar to X (O. Taussky and H. Zassenhaus, "On the similarity
     transformation between a matrix and its transpose", Pacific J. Math. 9
     (1959)), so J_n = sum_k (X^T)^k (x) X^(n-1-k) is similar to
     M_n = sum_k X^k (x) X^(n-1-k), which the recurrence of
     :func:`jacobian_power_map` steps with X^n in place of (X^T)^n. M_n is
-    the map E -> sum_k X^(n-1-k) E (X^T)^k, which takes symmetric matrices
-    to symmetric ones and skew to skew, so det J_n = det(Sym) * det(Skew):
-    Sym is M_n on the basis E_pp, E_pq + E_qp (p < q), Skew on the basis
-    E_pq - E_qp (p < q), and an image's coordinate (p, q) is its entry
-    (p, q), at column-stacking index q*s + p. At s = 1 the Skew block is
-    0 x 0, with determinant 1. The rows of M_n are stepped already
-    multiplied by that change of basis, so unpacking row (p, q) gives row
-    (p, q) of Sym and, when p < q, of Skew. Both blocks are integer
-    matrices, eliminated as in :func:`det_bareiss`.
+    the map E -> sum_k X^(n-1-k) E (X^T)^k. It takes skew matrices to skew
+    ones: Skew is M_n on the basis E_pq - E_qp (p < q), and det(Skew) = u_n.
+    It takes symmetric matrices to symmetric ones, and keeps
+    W = {S symmetric : XS = SX^T}, where it is S -> n X^(n-1) S, with
+    determinant n^s det(X)^(n-1). phi(S) = XS - SX^T maps symmetric
+    matrices to skew ones, commutes with M_n and has kernel W. dim W >= s,
+    with equality exactly when I, X, ..., X^(s-1) are independent; then,
+    by rank-nullity, phi maps the symmetric matrices onto the skew ones, and
+    det J_n = det(M_n on W) * det(Skew)^2, with
+    det(M_n on W) = det((M_n B)_F) / det(B_F) for the integer basis B of W
+    and the s coordinates F of :func:`_symmetric_kernel`. When dim W > s (X
+    derogatory: the zero and scalar matrices, diag(2, 2, 3), the all-ones
+    matrix), det J_n = det(Sym) * det(Skew) instead, Sym being M_n on the
+    basis E_pp, E_pq + E_qp (p < q).
+
+    An image's coordinate (p, q) is its entry (p, q), at column-stacking
+    index q*s + p. At s = 1 the Skew block is 0 x 0, with determinant 1. The
+    rows of M_n are stepped already multiplied by Sigma = [Skew basis | B]
+    (or [Skew basis | Sym basis]), so unpacking row (p, q) gives row (p, q)
+    of both blocks. Both are integer matrices, eliminated as in
+    :func:`det_bareiss`; a division by det(B_F) that is not exact raises
+    ``AssertionError``.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -235,20 +248,86 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
 
 
 def _block_determinants(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[int]:
+    """det J_1, ..., det J_(n_max): the W (or Sym) block of each n, then its Skew block."""
+    sigma, w_rows, skew_rows, scale, power = _block_basis(x)
+    k = len(skew_rows)
+    for rows, unpack in _packed_steps(x, x, sigma, n_max):
+        needed = {r: unpack(rows[r]) for r in {*w_rows, *skew_rows}}
+        w, r = divmod(_det_rows([needed[r][k:] for r in w_rows]), scale)
+        if r:
+            raise AssertionError("non-exact division by det(B_F)")
+        yield w * _det_rows([needed[r][:k] for r in skew_rows]) ** power
+
+
+def _block_basis(x: Sequence[Sequence[int]]
+                 ) -> tuple[list[list[int]], list[int], list[int], int, int]:
+    """Sigma, the rows of the W (or Sym) block and of Skew, det(B_F), and the power of det(Skew).
+
+    Row r of Sigma is column-stacking index r of each basis matrix: the skew
+    E_pq - E_qp (p < q), then B, or the symmetric E_pp, E_pq + E_qp when X
+    is derogatory (with det(B_F) = 1 and power 1).
+    """
     s = len(x)
-    # Column-stacking indices (i, j) of entries (p, q) and (q, p), p <= q: basis matrix
-    # E_pq + E_qp (or E_pq - E_qp) is column i plus (minus) column j of M_n, and row i
-    # of M_n gives the coordinate (p, q) of an image.
+    # Column-stacking indices (i, j) of entries (p, q) and (q, p), p <= q: row i of M_n
+    # gives the coordinate (p, q) of an image.
     sym = [(q * s + p, p * s + q) for q in range(s) for p in range(q + 1)]
     skew = [(i, j) for i, j in sym if i != j]
-    basis = [(i, j, 1) for i, j in sym] + [(i, j, -1) for i, j in skew]
-    sigma = [[int(r == i) + sign * int(r == j != i) for i, j, sign in basis]
+    basis, free, pivot = _symmetric_kernel(x)
+    scale, power = pivot ** s, 2
+    if len(basis) > s:  # X is derogatory: phi does not map Sym onto Skew
+        basis = [[int(c == k) for c in range(len(sym))] for k in range(len(sym))]
+        free, scale, power = range(len(sym)), 1, 1
+    coordinate = {r: k for k, pair in enumerate(sym) for r in pair}
+    sigma = [[int(r == i) - int(r == j) for i, j in skew] + [b[coordinate[r]] for b in basis]
              for r in range(s * s)]
-    n_sym = len(sym)
-    for rows, unpack in _packed_steps(x, x, sigma, n_max):
-        needed = [unpack(rows[r]) for r, _ in sym]
-        yield (_det_rows([row[:n_sym] for row in needed])
-               * _det_rows([row[n_sym:] for row, (i, j) in zip(needed, sym) if i != j]))
+    return sigma, [sym[c][0] for c in free], [i for i, _ in skew], scale, power
+
+
+def _symmetric_kernel(x: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """An integer basis B of W = {S symmetric : XS = SX^T}, its free coordinates F, and D.
+
+    A symmetric S has the coordinates S_pq, p <= q, ordered by q, then p;
+    phi(S) = XS - SX^T is skew and is read at its entries (a, b), a < b.
+    Fraction-free Gauss-Jordan elimination of phi (a nonzero remainder
+    raises ``AssertionError``) leaves D * I on its pivot columns, D the last
+    pivot (1 when phi = 0). The kernel vector of free column f is D at f and,
+    at the pivot column of row i, minus row i's entry in column f. So
+    B_F = D * I.
+    """
+    s = len(x)
+    pairs = [(p, q) for q in range(s) for p in range(q + 1)]
+    # S = E_pq + E_qp (E_pp when p = q): (XS)_ab sums X_ac over its cells (c, b), and
+    # (SX^T)_ab sums X_bd over its cells (a, d).
+    m = [[sum(x[a][c] * (d == b) - x[b][d] * (c == a) for c, d in {(p, q), (q, p)})
+          for p, q in pairs] for a, b in pairs if a < b]
+    pivots, prev = [], 1
+    for c in range(len(pairs)):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        row_r = m[r]
+        pivot = row_r[c]
+        for i, row in enumerate(m):
+            if i != r:
+                m[i] = [_exact(pivot * v - row[c] * v_r, prev) for v, v_r in zip(row, row_r)]
+        prev = pivot
+        pivots.append(c)
+    free = [c for c in range(len(pairs)) if c not in pivots]
+    basis = [[0] * len(pairs) for _ in free]
+    for b, f in zip(basis, free):
+        b[f] = prev
+        for row, c in zip(m, pivots):
+            b[c] = -row[f]
+    return basis, free, prev
+
+
+def _exact(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise AssertionError("non-exact division in fraction-free elimination")
+    return q
 
 
 def _packed_steps(a: Sequence[Sequence[int]], x: Sequence[Sequence[int]],
@@ -266,16 +345,19 @@ def _packed_steps(a: Sequence[Sequence[int]], x: Sequence[Sequence[int]],
     2s products of a packed row by one entry, s^2 rows per step.
 
     Entries of M_n are at most b_n, b_1 = 1, b_(n+1) = nu b_n + max|A^n|, nu the
-    largest absolute row sum of X; a column of Sigma has at most two entries
-    +-1, so every slot is at most 2 b_n. The slots widen, all rows repacked,
-    before the step whose bound would overflow them, by enough for about
-    eight more steps. Yields each n's rows with the function that unpacks
-    a row into its slot values.
+    largest absolute row sum of X, so slot c of a row is at most b_n times
+    the l1 norm of column c of Sigma, and every slot at most norm * b_n,
+    norm the largest of those l1 norms, and at least 2 (so the identity
+    Sigma of :func:`jacobian_power_map` keeps the slots of a Sym or Skew
+    column). The slots widen, all rows repacked, before the step whose
+    bound would overflow them, by enough for about eight more steps. Yields
+    each n's rows with the function that unpacks a row into its slot values.
     """
     s, slots = len(x), len(sigma[0])
+    norm = max(2, max(sum(abs(row[c]) for row in sigma) for c in range(slots)))
     nu = max(sum(map(abs, row)) for row in x)
     a_cols = tuple(zip(*a))
-    bound = 1
+    bound = norm  # norm * b_n
     w = _slot_width(bound)
     unpack = _unpacker(w, slots)
     rows = [_pack(row, w) for row in sigma]
@@ -283,7 +365,7 @@ def _packed_steps(a: Sequence[Sequence[int]], x: Sequence[Sequence[int]],
     yield rows, unpack
     a_pow = a
     for _ in range(n_max - 1):
-        bound = nu * bound + max(abs(v) for row in a_pow for v in row)
+        bound = nu * bound + norm * max(abs(v) for row in a_pow for v in row)
         if _slot_width(bound) > w:  # about eight more steps' growth of room
             w = _slot_width(bound) + 8 * nu.bit_length()
             rows = [_pack(unpack(row), w) for row in rows]
@@ -297,8 +379,8 @@ def _packed_steps(a: Sequence[Sequence[int]], x: Sequence[Sequence[int]],
 
 
 def _slot_width(bound: int) -> int:
-    """Bits of a signed slot holding any value of magnitude at most 2 * bound."""
-    return bound.bit_length() + 2
+    """Bits of a signed slot holding any value of magnitude at most ``bound``."""
+    return bound.bit_length() + 1
 
 
 def _pack(values: Sequence[int], w: int) -> int:

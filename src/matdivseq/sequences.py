@@ -7,10 +7,12 @@ three ways and cross-checks them:
 
 * :func:`jacobian_determinant` takes the exact determinant of the
   s^2 x s^2 derivative matrix J_n. Brute force, valid for every integer X.
-  :func:`verify_closed_form` takes the same det J_n as det(Sym) * det(Skew),
-  the blocks of size s(s+1)/2 and s(s-1)/2 of the similar matrix
-  M_n = sum_k X^k (x) X^(n-1-k) on symmetric and skew matrices (X^T is
-  similar to X: Taussky and Zassenhaus, Pacific J. Math. 9, 1959).
+  :func:`verify_closed_form` takes the same det J_n from the similar
+  matrix M_n = sum_k X^k (x) X^(n-1-k) (X^T is similar to X: Taussky and
+  Zassenhaus, Pacific J. Math. 9, 1959) as det(M_n on W) * det(Skew)^2:
+  an s x s block on W = {S symmetric : XS = SX^T} and the s(s-1)/2 block
+  on skew matrices. When X is derogatory (dim W > s) it takes
+  det(Sym) * det(Skew), Sym the s(s+1)/2 block on symmetric matrices.
 * :func:`closed_form_entry` evaluates ``n^s * det(X)^(n-1) * u_n^2``, u_n
   the generalized Lucas number of the characteristic polynomial f. Valid
   for every integer X, repeated eigenvalues included: J_n equals
@@ -246,10 +248,15 @@ def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
     """Check the entries of :func:`generate_sequence` against the Jacobian determinant.
 
     The oracle is det J_n, once per n, for every matrix, from
-    :func:`jacobian_determinants`: det(Sym) * det(Skew) of the blocks of the
-    similar M_n = sum_k X^k (x) X^(n-1-k) on symmetric and skew matrices,
-    similar because X^T is similar to X (Taussky and Zassenhaus, Pacific
-    J. Math. 9, 1959). It never uses the characteristic polynomial or u_n.
+    :func:`jacobian_determinants`, through the similar
+    M_n = sum_k X^k (x) X^(n-1-k), similar because X^T is similar to X
+    (Taussky and Zassenhaus, Pacific J. Math. 9, 1959). It is
+    det(M_n on W) * det(Skew)^2, from the s x s block of M_n on
+    W = {S symmetric : XS = SX^T}, with determinant n^s det(X)^(n-1), and
+    its s(s-1)/2 block on skew matrices, with determinant u_n. A derogatory
+    X, where dim W > s, takes det(Sym) * det(Skew) instead, from the
+    s(s+1)/2 block on symmetric matrices. It never uses the characteristic
+    polynomial or u_n.
     A disagreement of the n^s form is a hard mismatch. For dimensions other
     than 2 the n^2 variant's disagreement is expected and recorded as an
     informational note. The report carries the checked entries.

@@ -6,7 +6,10 @@ form's generalized Lucas numbers u_n are checked against: power sums by
 Newton's identities and their inverse, power polynomials (the n-th
 powers of the roots), discriminants as Hankel determinants of power sums,
 and Sylvester resultants. With distinct roots u_n^2 is the discriminant
-ratio ``discriminant(power_polynomial(f, n)) // discriminant(f)``. None of
+ratio ``discriminant(power_polynomial(f, n)) // discriminant(f)``.
+``derogatory`` tells whether I, X, ..., X^(s-1) are dependent, and
+``sym_block`` is the block of M_n = sum_k X^k (x) X^(n-1-k) on symmetric
+matrices that the Jacobian oracle eliminates only for such X. None of
 this runs in the package's routes.
 
 ``table_json`` is the oracle of ``table --format json``: the table's
@@ -16,9 +19,11 @@ payload as a dict, written by ``json.dumps(payload, indent=2)``.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
-from matdivseq import IntMatrix, MonicIntPolynomial, det_bareiss, mat_mul
+from matdivseq import IntMatrix, MonicIntPolynomial, det_bareiss, mat_add, mat_mul, mat_pow
 
 
 def det_cofactor(rows):
@@ -62,6 +67,33 @@ def det_fraction(rows):
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     assert det.denominator == 1
     return det.numerator
+
+
+def derogatory(x: IntMatrix) -> bool:
+    """Whether I, X, ..., X^(s-1) are linearly dependent: their Gram matrix is singular."""
+    powers = [mat_pow(x, k).entries for k in range(x.dim)]
+    flat = [[v for row in p for v in row] for p in powers]
+    return det_fraction([[sum(map(mul, u, v)) for v in flat] for u in flat]) == 0
+
+
+def sym_block(x: IntMatrix, n: int) -> list[list[int]]:
+    """M_n = sum_k X^k (x) X^(n-1-k) on symmetric matrices: an s(s+1)/2 square.
+
+    Column (a, b), a <= b, is sum_k X^(n-1-k) E (X^T)^k for E = E_ab + E_ba
+    (E_aa when a = b), and row (p, q), p <= q, reads its entry (p, q). Its
+    determinant is n^s det(X)^(n-1) u_n.
+    """
+    s = x.dim
+    pairs = [(p, q) for q in range(s) for p in range(q + 1)]
+    powers = [mat_pow(x, k) for k in range(n)]
+    transposed = [p.transpose() for p in powers]
+    columns = []
+    for a, b in pairs:
+        e = IntMatrix([[int((i, j) in {(a, b), (b, a)}) for j in range(s)] for i in range(s)])
+        image = reduce(mat_add, (mat_mul(mat_mul(powers[n - 1 - k], e), transposed[k])
+                                 for k in range(n)))
+        columns.append([image.entries[p][q] for p, q in pairs])
+    return [list(row) for row in zip(*columns)]
 
 
 def random_matrix(rng, dim, lo=-5, hi=5):

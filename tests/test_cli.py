@@ -637,35 +637,35 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+# Sizes of the determinants of each n: the oracle's s x s block (Sym, s(s+1)/2 square, for a
+# derogatory X) and its s(s-1)/2 Skew block, and the closed form's (s-1) x (s-1) u_n.
 @pytest.mark.parametrize("x, per_n", [
-    (X3, {"jacobian_sym": 1, "jacobian_skew": 1, "lucas_u": 1}),
+    (X3, {"oracle": [3, 3], "lucas_u": [2]}),
     # repeated eigenvalue
-    (IntMatrix([[1, 1], [0, 1]]), {"jacobian_sym": 1, "jacobian_skew": 1, "lucas_u": 1}),
+    (IntMatrix([[1, 1], [0, 1]]), {"oracle": [2, 1], "lucas_u": [1]}),
+    # derogatory
+    (IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]), {"oracle": [6, 3], "lucas_u": [2]}),
 ])
 def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
-    counts = {}
+    sizes = {}
 
-    def count_dets(module, name, dim):
+    def record_dets(module, name):
         det = module._det_rows
 
-        def counted_det(rows):
-            if len(rows) == dim:
-                counts[name] = counts.get(name, 0) + 1
+        def recorded(rows):
+            sizes.setdefault(name, []).append(len(rows))
             return det(rows)
 
-        monkeypatch.setattr(module, "_det_rows", counted_det)
+        monkeypatch.setattr(module, "_det_rows", recorded)
 
-    # The oracle det J_n is one s(s+1)/2 and one s(s-1)/2 determinant in linalg.
-    count_dets(matdivseq.linalg, "jacobian_sym", x.dim * (x.dim + 1) // 2)
-    count_dets(matdivseq.linalg, "jacobian_skew", x.dim * (x.dim - 1) // 2)
-    # The closed form's u_n is one (s-1) x (s-1) determinant in polynomials.
-    count_dets(matdivseq.polynomials, "lucas_u", x.dim - 1)
+    record_dets(matdivseq.linalg, "oracle")
+    record_dets(matdivseq.polynomials, "lucas_u")
     building = {}
     _count_calls(monkeypatch, matdivseq.linalg, "kronecker", building)
     _count_calls(monkeypatch, matdivseq.linalg, "mat_mul", building)
     _out, code = run_verify(MatrixDocument(matrix=x), 6)
     assert code == 0
-    assert counts == {name: 6 * k for name, k in per_n.items()}
+    assert sizes == {name: k * 6 for name, k in per_n.items()}
     # The table's Jacobians come from one recurrence, not a Kronecker sum per n.
     assert "kronecker" not in building
     assert building.get("mat_mul", 0) == 0  # char_poly steps row lists

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from operator import mul
 
 import pytest
 
@@ -8,7 +9,8 @@ from matdivseq import (IntMatrix, char_poly, det_bareiss, generalized_lucas, jac
                        kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
 
 from golden_tables import X3
-from helpers import det_cofactor, det_fraction, random_matrix, unimodular_pair
+from helpers import (det_cofactor, det_fraction, derogatory, random_matrix, sym_block,
+                     unimodular_pair)
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 I2 = IntMatrix.identity(2)
@@ -260,12 +262,12 @@ def _special_matrices(dim):
     return [ones, shift, jordan, mat_mul(flip, jordan)]
 
 
-def _kronecker_sum(x, n):
-    """sum_{k=0}^{n-1} (X^T)^k (x) X^(n-1-k), the derivative matrix by definition."""
-    xt = x.transpose()
-    total = kronecker(mat_pow(xt, 0), mat_pow(x, n - 1))
+def _kronecker_sum(x, n, a=None):
+    """sum_{k=0}^{n-1} A^k (x) X^(n-1-k); for A = X^T, the default, J_n by definition."""
+    a = x.transpose() if a is None else a
+    total = kronecker(mat_pow(a, 0), mat_pow(x, n - 1))
     for k in range(1, n):
-        total = mat_add(total, kronecker(mat_pow(xt, k), mat_pow(x, n - 1 - k)))
+        total = mat_add(total, kronecker(mat_pow(a, k), mat_pow(x, n - 1 - k)))
     return total
 
 
@@ -327,8 +329,10 @@ def test_jacobian_determinants_match_det_of_each_jacobian():
 
 
 def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
-    # det(Skew) = u_n and det(Sym) = n^s det(X)^(n-1) u_n, so the product is d_n. At s = 1
-    # the Skew block is 0 x 0, with determinant 1 = u_n.
+    # det(Skew) = u_n. Unless X is derogatory the other block is (M_n B)_F, with determinant
+    # det(B_F) n^s det(X)^(n-1), and d_n = n^s det(X)^(n-1) u_n^2; a derogatory X keeps the
+    # Sym block, det(Sym) = n^s det(X)^(n-1) u_n. At s = 1 the Skew block is 0 x 0, with
+    # determinant 1 = u_n.
     blocks, sizes = [], []
     det = linalg._det_rows
 
@@ -339,19 +343,54 @@ def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
 
     monkeypatch.setattr(linalg, "_det_rows", recorded)
     rng = random.Random(191)
+    kinds = set()
     for dim in (2, 3, 4, 5, 1):  # s = 1 last: the draws of the others stay as they were
         for x in _block_cases(dim, rng):
             blocks.clear()
             sizes.clear()
             dets = list(linalg.jacobian_determinants(x, 9))
-            assert sizes == [dim * (dim + 1) // 2, dim * (dim - 1) // 2] * 9
             f = char_poly(x)
             det_x = (-1) ** dim * f.coefficients[-1]
             us = list(generalized_lucas(f, range(1, 10)))
+            cofactors = [n ** dim * det_x ** (n - 1) for n in range(1, 10)]
             assert blocks[1::2] == us, x.fingerprint()
-            assert blocks[0::2] == [n ** dim * det_x ** (n - 1) * u
-                                    for n, u in enumerate(us, 1)], x.fingerprint()
-            assert dets == [a * b for a, b in zip(blocks[0::2], blocks[1::2])]
+            kind = derogatory(x)
+            kinds.add(kind)
+            if kind:
+                assert sizes == [dim * (dim + 1) // 2, dim * (dim - 1) // 2] * 9
+                assert blocks[0::2] == [c * u for c, u in zip(cofactors, us)], x.fingerprint()
+                assert dets == [a * b for a, b in zip(blocks[0::2], us)]
+            else:
+                scale = linalg._symmetric_kernel(x.entries)[2] ** dim  # det(B_F)
+                assert sizes == [dim, dim * (dim - 1) // 2] * 9
+                assert blocks[0::2] == [scale * c for c in cofactors], x.fingerprint()
+                assert dets == [c * u * u for c, u in zip(cofactors, us)]
+            # The Sym block, which only a derogatory X eliminates, has the same determinant.
+            for n in (1, 2, 5):
+                assert det_fraction(sym_block(x, n)) == cofactors[n - 1] * us[n - 1]
+    assert kinds == {False, True}
+
+
+def test_derogatory_x_needs_the_sym_block(monkeypatch):
+    # With dim W > s, phi maps Sym onto less than Skew, and s matrices of W no longer give
+    # d_n as det(M_n on them) * det(Skew)^2. (The all-ones ones4 cannot show this: it is
+    # singular with a double eigenvalue 0, so d_n = 0 = det(Skew) for every n >= 2.)
+    kernel = linalg._symmetric_kernel
+    ones4 = IntMatrix([[1] * 4] * 4)
+    diag223 = IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
+    ones_plus_i = mat_add(ones4, IntMatrix.identity(4))
+    for x in (ones4, diag223, ones_plus_i, IntMatrix([[0] * 3] * 3), IntMatrix.identity(2)):
+        assert len(kernel(x.entries)[0]) > x.dim, x.fingerprint()
+    for x in (diag223, ones_plus_i):
+        want = [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 7)]
+        assert list(linalg.jacobian_determinants(x, 6)) == want
+        basis, free, pivot = kernel(x.entries)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_symmetric_kernel",
+                      lambda _x: (basis[:x.dim], free[:x.dim], pivot))
+            forced = list(linalg.jacobian_determinants(x, 6))
+        assert forced[0] == want[0] == 1
+        assert all(a != b for a, b in zip(forced[1:], want[1:])), x.fingerprint()
 
 
 def test_jacobian_determinants_yields_n_max_values():
@@ -378,7 +417,11 @@ JORDAN_CONJUGATE_4 = IntMatrix([[5, 1, -5, -2], [0, 1, 0, 0], [2, 0, -1, -1], [6
     (JORDAN_CONJUGATE_4.entries, 4),
 ], ids=["2", "0", "zero3", "nilpotent", "1e30", "jordan4"])
 def test_packed_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
-    """Every n <= 40 unpacks exactly, however far the row-sum bound outruns the values."""
+    """Every n <= 40 unpacks exactly, however far the row-sum bound outruns the values.
+
+    That holds for the identity Sigma of J_n and for the Sigma of the block oracle, whose
+    W basis has entries near 2 * 10^30 for 1e30 and up to 36 for jordan4.
+    """
     x = IntMatrix(rows)
     n_max = 40
     size = x.dim * x.dim
@@ -390,6 +433,13 @@ def test_packed_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
     assert list(linalg.jacobian_determinants(x, n_max)) == [det_bareiss(j) for j in sums]
     for n, j in enumerate(sums, 1):
         assert jacobian_power_map(x, n) == j, n
+    sigma = linalg._block_basis(x.entries)[0]
+    sigma_t = list(zip(*sigma))
+    for n, (packed, unpack) in enumerate(linalg._packed_steps(x.entries, x.entries, sigma, n_max),
+                                         1):
+        m_n = _kronecker_sum(x, n, x).entries
+        assert [unpack(row) for row in packed] == [[sum(map(mul, row, col)) for col in sigma_t]
+                                                   for row in m_n], n
 
 
 def test_jacobian_transpose_invariance():

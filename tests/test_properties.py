@@ -6,14 +6,20 @@ strictly upper-triangular (nilpotent), Jordan block, repeated row
 (singular), negative determinant, and a block of finite order (a
 reflection, or a rotation of order 3, 4 or 6), where u_n = 0. Every
 property compares two routes that share no step: the closed form against
-the Jacobian determinant, its Kronecker sum and the 2x2 Lucas form, the
-per-table factorizations against ``factorize`` of each value, the
-divisibility check against the count of its pairs, and the characteristic
-polynomial and the fraction-free determinant against Gaussian elimination
-over the rationals. Three more check u_n, signed, against identities of
-the roots of the characteristic polynomial: the chain rule of the power
-maps, the Krylov determinant of the powers of x modulo the characteristic
-polynomial, and the symmetric and skew blocks of the Jacobian.
+the Jacobian determinant, its Kronecker sum, sympy's determinant of J_n
+(s <= 3, when sympy is installed) and the 2x2 Lucas form, the per-table
+factorizations against ``factorize`` of each value, the divisibility check
+against the count of its pairs, and the characteristic polynomial and the
+fraction-free determinant against Gaussian elimination over the
+rationals. Three more check u_n, signed, against identities of the roots
+of the characteristic polynomial: the chain rule of the power maps, the
+Krylov determinant of the powers of x modulo the characteristic
+polynomial, and the blocks of the Jacobian oracle. That oracle takes
+det J_n = det(M_n on W) * det(Skew)^2, W the symmetric S with XS = SX^T,
+when dim W = s, and det(Sym) * det(Skew) when X is derogatory; one
+property checks that dim W >= s, with equality exactly when
+I, X, ..., X^(s-1) are independent, and that Sym keeps its determinant
+n^s det(X)^(n-1) u_n either way.
 """
 
 from functools import reduce
@@ -26,13 +32,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from matdivseq import (IntMatrix, char_poly, det_bareiss, factor_table, factorize,
-                       generate_sequence, jacobian_determinant, kronecker, lucas_2x2, mat_add,
-                       mat_pow, verify_divisibility)
+                       generate_sequence, jacobian_determinant, jacobian_power_map, kronecker,
+                       lucas_2x2, mat_add, mat_mul, mat_pow, verify_divisibility)
 from matdivseq import linalg
 from matdivseq.linalg import jacobian_determinants
 from matdivseq.sequences import COLUMNS
 
-from helpers import det_fraction
+from helpers import det_fraction, derogatory, sym_block
 
 ENTRY = st.integers(-3, 3)
 DIM = st.integers(1, 4)
@@ -150,21 +156,59 @@ def test_u_is_the_krylov_determinant_of_the_powers_of_x(x):
 @PROPERTY
 @given(MATRICES, N_MAX)
 def test_jacobian_blocks_are_u_and_its_cofactor(x, n_max):
-    # det(Skew) = u_n and det(Sym) = n^s det(X)^(n-1) u_n, signed; each n takes its
-    # Sym block first.
-    blocks = []
+    # det(Skew) = u_n, signed, after each n's first block: (M_n B)_F, with determinant
+    # det(B_F) n^s det(X)^(n-1), or for a derogatory X the Sym block, with determinant
+    # n^s det(X)^(n-1) u_n. The Sym block's determinant holds for every X.
+    blocks = []  # (dimension, value) of each determinant
     det = linalg._det_rows
 
     def recorded(rows):
-        blocks.append(det(rows))
-        return blocks[-1]
+        blocks.append((len(rows), det(rows)))
+        return blocks[-1][1]
 
     with mock.patch.object(linalg, "_det_rows", recorded):
         dets = list(jacobian_determinants(x, n_max))
-    entries, det_x = generate_sequence(x, n_max), det_bareiss(x)
-    assert blocks[1::2] == [e.u for e in entries]
-    assert blocks[0::2] == [e.n ** x.dim * det_x ** (e.n - 1) * e.u for e in entries]
-    assert dets == [a * b for a, b in zip(blocks[0::2], blocks[1::2])]
+    entries, det_x, s = generate_sequence(x, n_max), det_bareiss(x), x.dim
+    cofactors = [e.n ** s * det_x ** (e.n - 1) for e in entries]
+    assert blocks[1::2] == [(s * (s - 1) // 2, e.u) for e in entries]
+    if derogatory(x):
+        assert blocks[0::2] == [(s * (s + 1) // 2, c * e.u) for c, e in zip(cofactors, entries)]
+    else:
+        scale = linalg._symmetric_kernel(x.entries)[2] ** s  # det(B_F)
+        assert blocks[0::2] == [(s, scale * c) for c in cofactors]
+    assert dets == [e.jacobian_det for e in entries]
+    for e, c in zip(entries[:3], cofactors):
+        assert det_fraction(sym_block(x, e.n)) == c * e.u, e.n
+
+
+@PROPERTY
+@given(MATRICES)
+def test_the_invariant_symmetric_matrices_have_dimension_s_exactly_when_x_is_cyclic(x):
+    # W = {S symmetric : XS = SX^T} has dim W >= s, with equality exactly when I, X, ...,
+    # X^(s-1) are independent: the guard of the s x s block of the Jacobian oracle.
+    basis, free, pivot = linalg._symmetric_kernel(x.entries)
+    s = x.dim
+    assert len(basis) >= s
+    assert (len(basis) == s) == (not derogatory(x))
+    assert [[b[f] for f in free] for b in basis] == [[pivot * (i == j) for j in range(len(free))]
+                                                     for i in range(len(basis))]  # B_F = D * I
+    xt = x.transpose()
+    for b in basis:
+        values = iter(b)
+        rows = [[0] * s for _ in range(s)]
+        for q in range(s):
+            for p in range(q + 1):
+                rows[p][q] = rows[q][p] = next(values)
+        sym = IntMatrix(rows)
+        assert mat_mul(x, sym) == mat_mul(sym, xt)
+
+
+@PROPERTY
+@given(MATRICES.filter(lambda x: x.dim <= 3))
+def test_jacobian_determinants_equal_sympy_determinants(x):
+    sympy = pytest.importorskip("sympy")
+    assert list(jacobian_determinants(x, 6)) == [
+        sympy.Matrix(jacobian_power_map(x, n).entries).det() for n in range(1, 7)]
 
 
 @PROPERTY

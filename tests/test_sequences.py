@@ -11,7 +11,7 @@ from matdivseq import (IntMatrix, SequenceEntry, char_poly, closed_form_entry, d
 from matdivseq.sequences import COLUMNS
 
 from golden_tables import X3, X4, X3_TABLE
-from helpers import discriminant, random_matrix, unimodular_pair
+from helpers import derogatory, discriminant, random_matrix, unimodular_pair
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 JORDAN_2 = IntMatrix([[1, 1], [0, 1]])
@@ -264,21 +264,30 @@ def test_verify_closed_form_eigenvalue_collision_passes():
 
 
 def _record_sequence_dets(monkeypatch):
-    """The dimension of each matrix ``linalg`` takes a determinant of, in order."""
+    """(dimension, value) of each determinant ``linalg`` takes, in order."""
     dets = []
     det = matdivseq.linalg._det_rows
 
-    def counted(rows):
-        dets.append(len(rows))
-        return det(rows)
+    def recorded(rows):
+        dets.append((len(rows), det(rows)))
+        return dets[-1][1]
 
-    monkeypatch.setattr(matdivseq.linalg, "_det_rows", counted)
+    monkeypatch.setattr(matdivseq.linalg, "_det_rows", recorded)
     return dets
 
 
-def _oracle_dims(s):
-    """Dimensions of the determinants of one det J_n: Sym, then Skew (0 x 0 at s = 1)."""
-    return [s * (s + 1) // 2, s * (s - 1) // 2]
+def _oracle_blocks(x, entries):
+    """(dimension, value) of the determinants of each det J_n: first (M_n B)_F, s x s, with
+    value det(B_F) n^s det(X)^(n-1), or for a derogatory X the Sym block, with value
+    n^s det(X)^(n-1) u_n; then Skew, with value u_n (0 x 0 at s = 1)."""
+    s, det_x = x.dim, entries[0].det_x
+    scale = matdivseq.linalg._symmetric_kernel(x.entries)[2] ** s  # det(B_F)
+    blocks = []
+    for e in entries:
+        cofactor = e.n ** s * det_x ** (e.n - 1)
+        first = (s * (s + 1) // 2, cofactor * e.u) if derogatory(x) else (s, scale * cofactor)
+        blocks += [first, (s * (s - 1) // 2, e.u)]
+    return blocks
 
 
 def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
@@ -288,7 +297,7 @@ def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
         report = verify_closed_form(x, 4)
         assert report.passed
         assert not any("closed form unavailable" in n for n in report.notes)
-        assert dets == _oracle_dims(x.dim) * 4
+        assert dets == _oracle_blocks(x, report.entries)
 
 
 def test_verify_oracle_never_evaluates_the_closed_form(monkeypatch):
@@ -396,8 +405,8 @@ def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypat
         assert [e.jacobian_det for e in entries] == stepped, x.fingerprint()
         dets.clear()
         report = verify_closed_form(x, 20)
-        # One Sym and one Skew determinant per n; their product equals the closed form.
-        assert dets == _oracle_dims(x.dim) * 20, x.fingerprint()
+        # Two block determinants per n, whose values give the closed form.
+        assert dets == _oracle_blocks(x, entries), x.fingerprint()
         assert report.passed and not report.mismatches, x.fingerprint()
         assert report.entries == tuple(entries)
 
