@@ -148,12 +148,12 @@ def _row_digits(entries: Iterable[SequenceEntry], names: tuple[str, ...]) -> Ite
     int to decimal with no digit limit, and every value is an exact
     decimal product of its digits; a ``zero`` row converts nothing. CPython's
     digit limit still applies to each value (0: none; no getter before
-    3.10.7): a value past it is sent to str() on its int, which raises
-    CPython's own ValueError at the same row.
+    3.10.7): a value past it raises, at the same row, the ValueError that
+    str() of its int raises, in the wording of CPython 3.11 and later.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     multiply = _EXACT.multiply
-    values = [(name, _ROW_VALUES[name]) for name in names]
+    values = [_ROW_VALUES[name] for name in names]
     for e in entries:
         if e.zero:
             yield ["0"] * len(names)  # a decimal product with det(X) < 0 prints "-0"
@@ -162,10 +162,12 @@ def _row_digits(entries: Iterable[SequenceEntry], names: tuple[str, ...]) -> Ite
         reduced = multiply(multiply(u, u), e.det_x ** (e.n - 1))  # int 0 ** 0 is 1
         cap = limit + reduced.is_signed()  # the limit counts no sign
         row = []
-        for name, value in values:
+        for value in values:
             digits = str(value(reduced, e))
             if limit and len(digits) > cap:
-                str(getattr(e, name))  # raises
+                raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
+                                 "conversion; use sys.set_int_max_str_digits() to increase "
+                                 "the limit")
             row.append(digits)
         yield row
 

@@ -36,8 +36,6 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "IntMatrix":
-        if dim < 1:
-            raise ValueError("dimension must be positive")
         return cls(tuple(tuple(1 if i == j else 0 for j in range(dim))
                          for i in range(dim)))
 
@@ -194,21 +192,24 @@ def _det_rows(m: list[list[int]]) -> int:
 def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
     """Derivative of the power map X -> X^n as an s^2 x s^2 integer matrix.
 
-    The n-th step of ``J_1 = I`` and ``J_(n+1) = (I (x) X) J_n + (X^T)^n (x) I``:
-    block (i, j) of the next J is ``X . block_ij + (X^n)_ji * I``. The rows
-    are stepped as packed integers (see :func:`_packed_steps`, with A = X^T
-    and the identity column map) and unpacked once, at n. With the
+    J_n = sum_k (X^T)^k (x) X^(n-1-k) is M_n = sum_k X^k (x) X^(n-1-k) with
+    its first Kronecker factor transposed: entry ((i, p), (j, q)) of J_n,
+    at index (i s + p, j s + q), is entry ((j, p), (i, q)) of M_n. The rows
+    of M_n are stepped as packed integers (see :func:`_packed_steps`, with
+    the identity Sigma), unpacked once, at n, and shuffled. With the
     column-stacking ``vec`` convention it satisfies
-    ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only one J is
+    ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only one M is
     held at a time, alongside the current power of X.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    size = x.dim * x.dim
-    identity = [[int(r == c) for c in range(size)] for r in range(size)]
-    for rows, unpack in _packed_steps(tuple(zip(*x.entries)), x.entries, identity, n):
+    s = x.dim
+    identity = [[int(r == c) for c in range(s * s)] for r in range(s * s)]
+    for rows, unpack in _packed_steps(x.entries, identity, n):
         pass
-    return IntMatrix([unpack(row) for row in rows])
+    m = [unpack(row) for row in rows]
+    return IntMatrix([[m[j * s + p][i * s + q] for j in range(s) for q in range(s)]
+                      for i in range(s) for p in range(s)])
 
 
 def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
@@ -217,8 +218,8 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
     X^T is similar to X (O. Taussky and H. Zassenhaus, "On the similarity
     transformation between a matrix and its transpose", Pacific J. Math. 9
     (1959)), so J_n = sum_k (X^T)^k (x) X^(n-1-k) is similar to
-    M_n = sum_k X^k (x) X^(n-1-k), which the recurrence of
-    :func:`jacobian_power_map` steps with X^n in place of (X^T)^n. M_n is
+    M_n = sum_k X^k (x) X^(n-1-k), the one operator that :func:`_packed_steps`
+    steps for both routes (J_n is an index shuffle of it). M_n is
     the map E -> sum_k X^(n-1-k) E (X^T)^k. It takes skew matrices to skew
     ones: Skew is M_n on the basis E_pq - E_qp (p < q), and det(Skew) = u_n.
     It takes symmetric matrices to symmetric ones, and keeps
@@ -251,11 +252,9 @@ def _block_determinants(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[
     """det J_1, ..., det J_(n_max): the W (or Sym) block of each n, then its Skew block."""
     sigma, w_rows, skew_rows, scale, power = _block_basis(x)
     k = len(skew_rows)
-    for rows, unpack in _packed_steps(x, x, sigma, n_max):
+    for rows, unpack in _packed_steps(x, sigma, n_max):
         needed = {r: unpack(rows[r]) for r in {*w_rows, *skew_rows}}
-        w, r = divmod(_det_rows([needed[r][k:] for r in w_rows]), scale)
-        if r:
-            raise AssertionError("non-exact division by det(B_F)")
+        w = _exact(_det_rows([needed[r][k:] for r in w_rows]), scale)
         yield w * _det_rows([needed[r][:k] for r in skew_rows]) ** power
 
 
@@ -326,56 +325,56 @@ def _symmetric_kernel(x: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
 def _exact(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
-        raise AssertionError("non-exact division in fraction-free elimination")
+        raise AssertionError("non-exact division where exact division is guaranteed")
     return q
 
 
-def _packed_steps(a: Sequence[Sequence[int]], x: Sequence[Sequence[int]],
-                  sigma: list[list[int]], n_max: int) -> Iterator[tuple[list[int], Callable]]:
-    """Rows of M_n Sigma, M_n = sum_k A^k (x) X^(n-1-k), for n = 1..n_max, as packed ints.
+def _packed_steps(x: Sequence[Sequence[int]], sigma: list[list[int]],
+                  n_max: int) -> Iterator[tuple[list[int], Callable]]:
+    """Rows of M_n Sigma, M_n = sum_k X^k (x) X^(n-1-k), for n = 1..n_max, as packed ints.
 
-    M_n is J_n for A = X^T and the matrix of :func:`jacobian_determinants`
-    for A = X. Row r of M_n Sigma is held as one integer sum_c v_c 2^(w c)
-    of w-bit signed slots (Kronecker substitution: L. Kronecker, 1882; D.
-    Harvey, "Faster polynomial multiplication via multipoint Kronecker
-    substitution", J. Symbolic Comput. 44 (2009)), so a linear combination
-    of rows is the same combination of their integers. M_1 Sigma = Sigma,
-    and row (i, p) of ``M_(n+1) = (I (x) X) M_n + A^n (x) I`` is
-    x_p . (rows (i, 0..s-1)) plus (A^n)_(i, .) . (Sigma rows (0..s-1, p)):
-    2s products of a packed row by one entry, s^2 rows per step.
+    Both Jacobian routes read M_n: :func:`jacobian_power_map` shuffles it
+    into J_n, and :func:`jacobian_determinants` takes its blocks. Row r of
+    M_n Sigma is one integer sum_c v_c 2^(w c) of w-bit signed slots
+    (Kronecker substitution: L. Kronecker, 1882; D. Harvey, "Faster
+    polynomial multiplication via multipoint Kronecker substitution", J.
+    Symbolic Comput. 44 (2009)), so a linear combination of rows is the same
+    combination of their integers. M_1 Sigma = Sigma, and row (i, p) of
+    ``M_(n+1) = (I (x) X) M_n + X^n (x) I`` is x_p . (rows (i, 0..s-1)) plus
+    (X^n)_(i, .) . (Sigma rows (0..s-1, p)): 2s products of a packed row by
+    one entry, s^2 rows per step.
 
-    Entries of M_n are at most b_n, b_1 = 1, b_(n+1) = nu b_n + max|A^n|, nu the
+    Entries of M_n are at most b_n, b_1 = 1, b_(n+1) = nu b_n + max|X^n|, nu the
     largest absolute row sum of X, so slot c of a row is at most b_n times
     the l1 norm of column c of Sigma, and every slot at most norm * b_n,
-    norm the largest of those l1 norms, and at least 2 (so the identity
-    Sigma of :func:`jacobian_power_map` keeps the slots of a Sym or Skew
-    column). The slots widen, all rows repacked, before the step whose
-    bound would overflow them, by enough for about eight more steps. Yields
-    each n's rows with the function that unpacks a row into its slot values.
+    norm the largest of those l1 norms. The slots widen, all rows repacked,
+    before the step whose bound would overflow them, by enough for about
+    eight more steps. Yields each n's rows with the function that unpacks a
+    row into its slot values.
     """
     s, slots = len(x), len(sigma[0])
-    norm = max(2, max(sum(abs(row[c]) for row in sigma) for c in range(slots)))
+    norm = max(sum(abs(row[c]) for row in sigma) for c in range(slots))
     nu = max(sum(map(abs, row)) for row in x)
-    a_cols = tuple(zip(*a))
+    x_cols = tuple(zip(*x))
     bound = norm  # norm * b_n
     w = _slot_width(bound)
     unpack = _unpacker(w, slots)
     rows = [_pack(row, w) for row in sigma]
     sig = [[rows[jb * s + p] for jb in range(s)] for p in range(s)]  # Sigma rows (., p)
     yield rows, unpack
-    a_pow = a
+    x_pow = x
     for _ in range(n_max - 1):
-        bound = nu * bound + norm * max(abs(v) for row in a_pow for v in row)
+        bound = nu * bound + norm * max(abs(v) for row in x_pow for v in row)
         if _slot_width(bound) > w:  # about eight more steps' growth of room
             w = _slot_width(bound) + 8 * nu.bit_length()
             rows = [_pack(unpack(row), w) for row in rows]
             unpack = _unpacker(w, slots)
             sig = [[_pack(sigma[jb * s + p], w) for jb in range(s)] for p in range(s)]
         blocks = [rows[i * s:(i + 1) * s] for i in range(s)]
-        rows = [sum(map(mul, x[p], blocks[i])) + sum(map(mul, a_pow[i], sig[p]))
+        rows = [sum(map(mul, x[p], blocks[i])) + sum(map(mul, x_pow[i], sig[p]))
                 for i in range(s) for p in range(s)]
         yield rows, unpack
-        a_pow = [[sum(map(mul, row, col)) for col in a_cols] for row in a_pow]
+        x_pow = [[sum(map(mul, row, col)) for col in x_cols] for row in x_pow]
 
 
 def _slot_width(bound: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .linalg import IntMatrix, _det_rows
+from .linalg import IntMatrix, _det_rows, _exact
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,7 @@ def char_poly(x: IntMatrix) -> MonicIntPolynomial:
             xm[i][i] += coeffs[k - 1]  # now M_k
         m_cols = tuple(zip(*xm))
         xm = [[sum(map(mul, row, col)) for col in m_cols] for row in rows]
-        q, r = divmod(-sum(xm[i][i] for i in range(s)), k)
-        if r:
-            raise AssertionError("non-exact division in characteristic polynomial recurrence")
-        coeffs.append(q)
+        coeffs.append(_exact(-sum(xm[i][i] for i in range(s)), k))
     return MonicIntPolynomial(tuple(coeffs))
 
 

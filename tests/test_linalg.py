@@ -8,7 +8,7 @@ from matdivseq import linalg
 from matdivseq import (IntMatrix, char_poly, det_bareiss, generalized_lucas, jacobian_power_map,
                        kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
 
-from golden_tables import X3
+from golden_tables import X3, X4
 from helpers import (det_cofactor, det_fraction, derogatory, random_matrix, sym_block,
                      unimodular_pair)
 
@@ -25,6 +25,9 @@ def test_matrix_validation():
         IntMatrix([[True]])
     with pytest.raises(ValueError):
         IntMatrix([])
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="at least one row"):
+            IntMatrix.identity(dim)
 
 
 def test_mat_mul_identity_law():
@@ -44,6 +47,11 @@ def test_mat_mul_involution():
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         mat_mul(I2, IntMatrix.identity(3))
+    with pytest.raises(ValueError, match="dimension"):
+        mat_add(I2, IntMatrix.identity(3))
+    for v in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="dimension"):
+            mat_vec(I2, v)
 
 
 def test_mat_pow_zero_is_identity():
@@ -393,6 +401,14 @@ def test_derogatory_x_needs_the_sym_block(monkeypatch):
         assert all(a != b for a, b in zip(forced[1:], want[1:])), x.fingerprint()
 
 
+def test_exact_divides_or_raises():
+    assert linalg._exact(-12, 4) == -3
+    assert linalg._exact(0, 7) == 0
+    for a, b in ((7, 2), (-7, 2), (1, -3)):
+        with pytest.raises(AssertionError, match="non-exact division"):
+            linalg._exact(a, b)
+
+
 def test_jacobian_determinants_yields_n_max_values():
     for x in (IntMatrix([[-3]]), FIB, X3):
         for n_max in (1, 2, 7):
@@ -419,15 +435,15 @@ JORDAN_CONJUGATE_4 = IntMatrix([[5, 1, -5, -2], [0, 1, 0, 0], [2, 0, -1, -1], [6
 def test_packed_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
     """Every n <= 40 unpacks exactly, however far the row-sum bound outruns the values.
 
-    That holds for the identity Sigma of J_n and for the Sigma of the block oracle, whose
-    W basis has entries near 2 * 10^30 for 1e30 and up to 36 for jordan4.
+    That holds for the identity Sigma, whose M_n is shuffled into J_n, and for the Sigma of
+    the block oracle, whose W basis has entries near 2 * 10^30 for 1e30 and up to 36 for
+    jordan4.
     """
     x = IntMatrix(rows)
     n_max = 40
-    size = x.dim * x.dim
-    identity = [[int(r == c) for c in range(size)] for r in range(size)]
-    unpackers = [unpack for _rows, unpack in
-                 linalg._packed_steps(tuple(zip(*x.entries)), x.entries, identity, n_max)]
+    s = x.dim
+    identity = [[int(r == c) for c in range(s * s)] for r in range(s * s)]
+    unpackers = [unpack for _rows, unpack in linalg._packed_steps(x.entries, identity, n_max)]
     assert len(set(unpackers)) >= min_widths
     sums = [_kronecker_sum(x, n) for n in range(1, n_max + 1)]
     assert list(linalg.jacobian_determinants(x, n_max)) == [det_bareiss(j) for j in sums]
@@ -435,11 +451,29 @@ def test_packed_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
         assert jacobian_power_map(x, n) == j, n
     sigma = linalg._block_basis(x.entries)[0]
     sigma_t = list(zip(*sigma))
-    for n, (packed, unpack) in enumerate(linalg._packed_steps(x.entries, x.entries, sigma, n_max),
-                                         1):
+    for n, (packed, unpack) in enumerate(linalg._packed_steps(x.entries, sigma, n_max), 1):
         m_n = _kronecker_sum(x, n, x).entries
         assert [unpack(row) for row in packed] == [[sum(map(mul, row, col)) for col in sigma_t]
                                                    for row in m_n], n
+        # J_n is M_n with its first Kronecker factor transposed, entry by entry.
+        j_n = sums[n - 1].entries
+        assert all(j_n[i * s + p][j * s + q] == m_n[j * s + p][i * s + q]
+                   for i in range(s) for p in range(s) for j in range(s) for q in range(s)), n
+
+
+def test_jacobian_determinants_check_the_division_by_det_b_f(monkeypatch):
+    # A planted det(B_F) of (2D)^s for D^s: at n = 1 the W block's determinant is D^s,
+    # which (2D)^s does not divide.
+    kernel = linalg._symmetric_kernel
+
+    def doubled(x):
+        basis, free, pivot = kernel(x)
+        return basis, free, 2 * pivot
+
+    monkeypatch.setattr(linalg, "_symmetric_kernel", doubled)
+    for x in (X3, X4, IntMatrix([[2, 1], [1, 1]]), JORDAN_CONJUGATE_4):
+        with pytest.raises(AssertionError, match="exact division is guaranteed"):
+            next(linalg.jacobian_determinants(x, 4))
 
 
 def test_jacobian_transpose_invariance():

@@ -84,11 +84,12 @@ def test_char_poly_similarity_invariance():
 def test_char_poly_makes_one_product_per_step(monkeypatch):
     # Each step's M_k and product X M_k are row lists: char_poly validates no matrix.
     # X M_1 is X itself, so only steps 2..s make a product X M_k, s^3 scalar products
-    # each: none at s = 1.
+    # each: none at s = 1. Step k divides by k through the checked _exact.
     rng = random.Random(101)
     xs = [random_matrix(rng, dim) for dim in range(1, 7)]
-    built, products = [], []
+    built, products, divisions = [], [], []
     post_init, mul = IntMatrix.__post_init__, matdivseq.polynomials.mul
+    exact = matdivseq.polynomials._exact
 
     def counted_post_init(self):
         built.append(self)
@@ -98,13 +99,20 @@ def test_char_poly_makes_one_product_per_step(monkeypatch):
         products.append(1)
         return mul(a, b)
 
+    def recorded_exact(a, b):
+        divisions.append((b, exact(a, b)))
+        return divisions[-1][1]
+
     monkeypatch.setattr(IntMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(matdivseq.polynomials, "mul", counted_mul)
+    monkeypatch.setattr(matdivseq.polynomials, "_exact", recorded_exact)
     for x in xs:
         products.clear()
+        divisions.clear()
         f = char_poly(x)
         assert len(products) == (x.dim - 1) * x.dim ** 3
         assert f.coefficients[-1] == (-1) ** x.dim * det_bareiss(x)
+        assert divisions == list(zip(range(2, x.dim + 1), f.coefficients[2:]))
     assert built == []
 
 
