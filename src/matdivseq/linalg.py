@@ -195,17 +195,16 @@ def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
     J_n = sum_k (X^T)^k (x) X^(n-1-k) is M_n = sum_k X^k (x) X^(n-1-k) with
     its first Kronecker factor transposed: entry ((i, p), (j, q)) of J_n,
     at index (i s + p, j s + q), is entry ((j, p), (i, q)) of M_n. The rows
-    of M_n are stepped as packed integers (see :func:`_packed_steps`, with
-    the identity Sigma), unpacked once, at n, and shuffled. With the
-    column-stacking ``vec`` convention it satisfies
+    of M_n are stepped as packed integers (see :func:`_packed_steps`),
+    unpacked once, at n, and shuffled. With the column-stacking ``vec``
+    convention it satisfies
     ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only one M is
     held at a time, alongside the current power of X.
     """
     if n < 1:
         raise ValueError("n must be positive")
     s = x.dim
-    identity = [[int(r == c) for c in range(s * s)] for r in range(s * s)]
-    for rows, unpack in _packed_steps(x.entries, identity, n):
+    for rows, unpack in _packed_steps(x.entries, n):
         pass
     m = [unpack(row) for row in rows]
     return IntMatrix([[m[j * s + p][i * s + q] for j in range(s) for q in range(s)]
@@ -213,35 +212,37 @@ def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
 
 
 def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
-    """Lazily yield det J_1, ..., det J_(n_max) from two blocks, of size s and s(s-1)/2.
+    """Lazily yield det J_1, ..., det J_(n_max), each from an s(s-1)/2 block Skew_n.
 
     X^T is similar to X (O. Taussky and H. Zassenhaus, "On the similarity
     transformation between a matrix and its transpose", Pacific J. Math. 9
     (1959)), so J_n = sum_k (X^T)^k (x) X^(n-1-k) is similar to
-    M_n = sum_k X^k (x) X^(n-1-k), the one operator that :func:`_packed_steps`
-    steps for both routes (J_n is an index shuffle of it). M_n is
-    the map E -> sum_k X^(n-1-k) E (X^T)^k. It takes skew matrices to skew
-    ones: Skew is M_n on the basis E_pq - E_qp (p < q), and det(Skew) = u_n.
-    It takes symmetric matrices to symmetric ones, and keeps
-    W = {S symmetric : XS = SX^T}, where it is S -> n X^(n-1) S, with
-    determinant n^s det(X)^(n-1). phi(S) = XS - SX^T maps symmetric
-    matrices to skew ones, commutes with M_n and has kernel W. dim W >= s,
-    with equality exactly when I, X, ..., X^(s-1) are independent; then,
-    by rank-nullity, phi maps the symmetric matrices onto the skew ones, and
-    det J_n = det(M_n on W) * det(Skew)^2, with
-    det(M_n on W) = det((M_n B)_F) / det(B_F) for the integer basis B of W
-    and the s coordinates F of :func:`_symmetric_kernel`. When dim W > s (X
-    derogatory: the zero and scalar matrices, diag(2, 2, 3), the all-ones
-    matrix), det J_n = det(Sym) * det(Skew) instead, Sym being M_n on the
-    basis E_pp, E_pq + E_qp (p < q).
+    M_n = sum_k X^k (x) X^(n-1-k), the map L_n: E -> sum_k X^(n-1-k) E (X^T)^k.
+    L_n takes skew matrices to skew ones: Skew_n is L_n on the basis
+    E_pq - E_qp (p < q), and det(Skew_n) = u_n. It takes symmetric matrices
+    to symmetric ones, and keeps W = {S symmetric : XS = SX^T}, where it is
+    S -> n X^(n-1) S. phi(S) = XS - SX^T maps symmetric matrices to skew
+    ones, commutes with L_n and has kernel W. dim W >= s, with equality
+    exactly when I, X, ..., X^(s-1) are independent; then, by rank-nullity,
+    phi maps the symmetric matrices onto the skew ones, and
+    det J_n = det(L_n on W) * det(Skew_n)^2 = n^s det(R)^(n-1) det(Skew_n)^2,
+    R being S -> XS on W. det(R) = det((XB)_F) / det(B_F), for the integer
+    basis B of W and the s coordinates F of :func:`_symmetric_kernel`, is
+    taken once per call. When dim W > s (X derogatory: the zero and scalar
+    matrices, diag(2, 2, 3), the all-ones matrix), det J_n = det(Sym_n) *
+    det(Skew_n) instead, Sym_n being L_n on the basis E_pp, E_pq + E_qp
+    (p < q).
 
-    An image's coordinate (p, q) is its entry (p, q), at column-stacking
-    index q*s + p. At s = 1 the Skew block is 0 x 0, with determinant 1. The
-    rows of M_n are stepped already multiplied by Sigma = [Skew basis | B]
-    (or [Skew basis | Sym basis]), so unpacking row (p, q) gives row (p, q)
-    of both blocks. Both are integer matrices, eliminated as in
-    :func:`det_bareiss`; a division by det(B_F) that is not exact raises
-    ``AssertionError``.
+    The trade-off: that L_n is n X^(n-1) on W, and that det(R) = det(X), are
+    theorems, so the W factor is checked once per call, through det(R), and
+    is not stepped per n. Skew_n, which carries u_n, is stepped through every
+    n by :func:`_compound_steps`, independently of the characteristic
+    polynomial.
+
+    An image's coordinate (p, q) is its entry (p, q). At s = 1 the Skew
+    block is 0 x 0, with determinant 1. Every block is an integer matrix,
+    eliminated as in :func:`det_bareiss`; a division by det(B_F) that is not
+    exact raises ``AssertionError``.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -249,37 +250,33 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
 
 
 def _block_determinants(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[int]:
-    """det J_1, ..., det J_(n_max): the W (or Sym) block of each n, then its Skew block."""
-    sigma, w_rows, skew_rows, scale, power = _block_basis(x)
-    k = len(skew_rows)
-    for rows, unpack in _packed_steps(x, sigma, n_max):
-        needed = {r: unpack(rows[r]) for r in {*w_rows, *skew_rows}}
-        w = _exact(_det_rows([needed[r][k:] for r in w_rows]), scale)
-        yield w * _det_rows([needed[r][:k] for r in skew_rows]) ** power
+    """det J_1, ..., det J_(n_max): det(R) once, then Skew_n (or Sym_n and Skew_n) for each n.
 
-
-def _block_basis(x: Sequence[Sequence[int]]
-                 ) -> tuple[list[list[int]], list[int], list[int], int, int]:
-    """Sigma, the rows of the W (or Sym) block and of Skew, det(B_F), and the power of det(Skew).
-
-    Row r of Sigma is column-stacking index r of each basis matrix: the skew
-    E_pq - E_qp (p < q), then B, or the symmetric E_pp, E_pq + E_qp when X
-    is derogatory (with det(B_F) = 1 and power 1).
+    For a nonderogatory X, det J_n = n^s det(R)^(n-1) det(Skew_n)^2, with
+    det(R) = det((XB)_F) / D^s taken once, before the first n. A derogatory X
+    steps Sym_n beside Skew_n, both by :func:`_compound_steps`, and
+    det J_n = det(Sym_n) * det(Skew_n).
     """
     s = len(x)
-    # Column-stacking indices (i, j) of entries (p, q) and (q, p), p <= q: row i of M_n
-    # gives the coordinate (p, q) of an image.
-    sym = [(q * s + p, p * s + q) for q in range(s) for p in range(q + 1)]
-    skew = [(i, j) for i, j in sym if i != j]
     basis, free, pivot = _symmetric_kernel(x)
-    scale, power = pivot ** s, 2
+    skew = _compound_steps(x, -1, n_max)
     if len(basis) > s:  # X is derogatory: phi does not map Sym onto Skew
-        basis = [[int(c == k) for c in range(len(sym))] for k in range(len(sym))]
-        free, scale, power = range(len(sym)), 1, 1
-    coordinate = {r: k for k, pair in enumerate(sym) for r in pair}
-    sigma = [[int(r == i) - int(r == j) for i, j in skew] + [b[coordinate[r]] for b in basis]
-             for r in range(s * s)]
-    return sigma, [sym[c][0] for c in free], [i for i, _ in skew], scale, power
+        for (sym, unpack_sym), (rows, unpack) in zip(_compound_steps(x, 1, n_max), skew):
+            yield _det_rows(list(map(unpack_sym, sym))) * _det_rows(list(map(unpack, rows)))
+        return
+    pairs = [(p, q) for q in range(s) for p in range(q + 1)]
+    xb_f = []  # row j: the coordinates F of X S_j, S_j the j-th matrix of B
+    for b in basis:
+        sym = [[0] * s for _ in range(s)]
+        for (p, q), v in zip(pairs, b):
+            sym[p][q] = sym[q][p] = v
+        xb_f.append([sum(x[p][c] * sym[c][q] for c in range(s))
+                     for p, q in map(pairs.__getitem__, free)])
+    det_r = _exact(_det_rows(xb_f), pivot ** s)
+    power = 1  # det(R)^(n-1)
+    for n, (rows, unpack) in enumerate(skew, 1):
+        yield n ** s * power * _det_rows(list(map(unpack, rows))) ** 2
+        power *= det_r
 
 
 def _symmetric_kernel(x: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
@@ -329,52 +326,123 @@ def _exact(a: int, b: int) -> int:
     return q
 
 
-def _packed_steps(x: Sequence[Sequence[int]], sigma: list[list[int]],
+def _packed_steps(x: Sequence[Sequence[int]],
                   n_max: int) -> Iterator[tuple[list[int], Callable]]:
-    """Rows of M_n Sigma, M_n = sum_k X^k (x) X^(n-1-k), for n = 1..n_max, as packed ints.
+    """Rows of M_n = sum_k X^k (x) X^(n-1-k), for n = 1..n_max, as packed ints.
 
-    Both Jacobian routes read M_n: :func:`jacobian_power_map` shuffles it
-    into J_n, and :func:`jacobian_determinants` takes its blocks. Row r of
-    M_n Sigma is one integer sum_c v_c 2^(w c) of w-bit signed slots
-    (Kronecker substitution: L. Kronecker, 1882; D. Harvey, "Faster
-    polynomial multiplication via multipoint Kronecker substitution", J.
-    Symbolic Comput. 44 (2009)), so a linear combination of rows is the same
-    combination of their integers. M_1 Sigma = Sigma, and row (i, p) of
-    ``M_(n+1) = (I (x) X) M_n + X^n (x) I`` is x_p . (rows (i, 0..s-1)) plus
-    (X^n)_(i, .) . (Sigma rows (0..s-1, p)): 2s products of a packed row by
-    one entry, s^2 rows per step.
+    :func:`jacobian_power_map` shuffles M_n into J_n. Row r of M_n is one
+    integer sum_c v_c 2^(w c) of w-bit signed slots (Kronecker substitution:
+    L. Kronecker, 1882; D. Harvey, "Faster polynomial multiplication via
+    multipoint Kronecker substitution", J. Symbolic Comput. 44 (2009)), so a
+    linear combination of rows is the same combination of their integers.
+    M_1 = I, and row (i, p) of ``M_(n+1) = (I (x) X) M_n + X^n (x) I`` is
+    x_p . (rows (i, 0..s-1)) plus (X^n)_(i, .) . (unit rows (0..s-1, p)): 2s
+    products of a packed row by one entry, s^2 rows per step.
 
-    Entries of M_n are at most b_n, b_1 = 1, b_(n+1) = nu b_n + max|X^n|, nu the
-    largest absolute row sum of X, so slot c of a row is at most b_n times
-    the l1 norm of column c of Sigma, and every slot at most norm * b_n,
-    norm the largest of those l1 norms. The slots widen, all rows repacked,
+    Entries of M_n are at most b_n, b_1 = 1, b_(n+1) = nu b_n + max|X^n|, nu
+    the largest absolute row sum of X. The slots widen, all rows repacked,
     before the step whose bound would overflow them, by enough for about
     eight more steps. Yields each n's rows with the function that unpacks a
     row into its slot values.
     """
-    s, slots = len(x), len(sigma[0])
-    norm = max(sum(abs(row[c]) for row in sigma) for c in range(slots))
+    s = len(x)
+    slots = s * s
     nu = max(sum(map(abs, row)) for row in x)
     x_cols = tuple(zip(*x))
-    bound = norm  # norm * b_n
+    bound = 1  # b_n
     w = _slot_width(bound)
     unpack = _unpacker(w, slots)
-    rows = [_pack(row, w) for row in sigma]
-    sig = [[rows[jb * s + p] for jb in range(s)] for p in range(s)]  # Sigma rows (., p)
+    rows = [1 << (w * r) for r in range(slots)]
+    units = [rows[p::s] for p in range(s)]  # unit rows (., p)
     yield rows, unpack
     x_pow = x
     for _ in range(n_max - 1):
-        bound = nu * bound + norm * max(abs(v) for row in x_pow for v in row)
+        bound = nu * bound + max(abs(v) for row in x_pow for v in row)
         if _slot_width(bound) > w:  # about eight more steps' growth of room
             w = _slot_width(bound) + 8 * nu.bit_length()
             rows = [_pack(unpack(row), w) for row in rows]
             unpack = _unpacker(w, slots)
-            sig = [[_pack(sigma[jb * s + p], w) for jb in range(s)] for p in range(s)]
+            units = [[1 << (w * r) for r in range(p, slots, s)] for p in range(s)]
         blocks = [rows[i * s:(i + 1) * s] for i in range(s)]
-        rows = [sum(map(mul, x[p], blocks[i])) + sum(map(mul, x_pow[i], sig[p]))
+        rows = [sum(map(mul, x[p], blocks[i])) + sum(map(mul, x_pow[i], units[p]))
                 for i in range(s) for p in range(s)]
         yield rows, unpack
         x_pow = [[sum(map(mul, row, col)) for col in x_cols] for row in x_pow]
+
+
+def _compound_steps(x: Sequence[Sequence[int]], sign: int,
+                    n_max: int) -> Iterator[tuple[list[int], Callable]]:
+    """Rows of L_n on skew (``sign`` -1) or symmetric (+1) matrices, n = 1..n_max, packed.
+
+    L_n(E) = sum_k X^(n-1-k) E (X^T)^k. Its coordinates are the pairs
+    (p, q), p < q on skew and p <= q on symmetric matrices, ordered by q,
+    then p: column (p, q) is the image of E_pq + sign E_qp (of E_pp when
+    p = q), and row (a, b) reads its entry (a, b). With D_A(F) = AF + FA^T,
+    summing the terms of L_n gives 2 L_(n+1) = D_X L_n + D_(X^n). On skew
+    matrices D_A is A's second additive compound A^[2] (M. Fiedler,
+    "Additive compound matrices and an inequality for eigenvalues of
+    symmetric stochastic matrices", Czech. Math. J. 24 (1974)), with
+    a_aa + a_bb on its diagonal and 2s - 3 nonzeros per row. So L_1 = I, and
+    Skew_(n+1) = (X^[2] Skew_n + (X^n)^[2]) / 2.
+
+    Rows are packed as in :func:`_packed_steps`. Row (a, b) of L_(n+1) is
+    row (a, b) of D_X applied to the rows of L_n, plus the packed row (a, b)
+    of D_(X^n), shifted right once. Packing is linear, so that sum is
+    exactly twice the packed row: the shift is exact, and needs no room in
+    the slots. Entries of L_n are at most c_n, c_1 = 1,
+    c_(n+1) = nu c_n + max|X^n|, nu the largest absolute row sum of X, and the
+    slots widen as in :func:`_packed_steps`. Yields each n's rows with the
+    function that unpacks a row into its slot values.
+    """
+    s = len(x)
+    pairs = [(p, q) for q in range(s) for p in range(q + (sign > 0))]
+    slots = len(pairs)
+    cells = {}  # entry (a, c) of a basis matrix: its coordinate and sign (none on a skew diagonal)
+    for k, (p, q) in enumerate(pairs):
+        cells[q, p] = (k, sign)
+        cells[p, q] = (k, 1)
+    d_x = []  # row (a, b) of D_X, on L_n: x_bc times row (a, c) plus x_ac times row (c, b)
+    for a, b in pairs:
+        row = [0] * slots
+        for c in range(s):
+            for cell, v in (((a, c), x[b][c]), ((c, b), x[a][c])):
+                if cell in cells:
+                    k, t = cells[cell]
+                    row[k] += t * v
+        d_x.append(([v for v in row if v], [k for k, v in enumerate(row) if v]))
+    nu = max(sum(map(abs, row)) for row in x)
+    x_cols = tuple(zip(*x))
+    bound = 1  # c_n
+    w = _slot_width(bound)
+    unpack = _unpacker(w, slots)
+    rows = [1 << (w * k) for k in range(slots)]
+    units = _units(cells, s, w)
+    yield rows, unpack
+    x_pow = x
+    for _ in range(n_max - 1):
+        bound = nu * bound + max(abs(v) for row in x_pow for v in row)
+        if _slot_width(bound) > w:  # about eight more steps' growth of room
+            w = _slot_width(bound) + 8 * nu.bit_length()
+            rows = [_pack(unpack(row), w) for row in rows]
+            unpack = _unpacker(w, slots)
+            units = _units(cells, s, w)
+        # Row (a, b) of D_(X^n) is (X^n)_b . U[a] + sign (X^n)_a . U[b], U the unit rows.
+        rows = [(sum(map(mul, coefficients, map(rows.__getitem__, sources)))
+                 + sum(map(mul, x_pow[b], units[a])) + sign * sum(map(mul, x_pow[a], units[b])))
+                >> 1 for (coefficients, sources), (a, b) in zip(d_x, pairs)]
+        yield rows, unpack
+        x_pow = [[sum(map(mul, row, col)) for col in x_cols] for row in x_pow]
+
+
+def _units(cells: dict[tuple[int, int], tuple[int, int]], s: int, w: int) -> list[list[int]]:
+    """U[a][c]: entry (a, c) of each basis matrix of ``cells``, packed into a row of w-bit slots.
+
+    That is row (a, c) of L_1 = I, and for a > c its mirror times the sign.
+    """
+    units = [[0] * s for _ in range(s)]
+    for (a, c), (k, t) in cells.items():
+        units[a][c] = t << (w * k)
+    return units
 
 
 def _slot_width(bound: int) -> int:

@@ -22,7 +22,7 @@ from matdivseq.cli import (MatrixDocument, MatrixParseError, main, parse_matrix,
                            run_charpoly, run_jacobian, run_table, run_verify)
 
 from golden_tables import X3, X4
-from helpers import random_matrix, table_json
+from helpers import derogatory, random_matrix, table_json
 
 X3_JSON = '{"matrix": [[1, -2, -6], [0, 1, 3], [-1, 0, 1]], "name": "X3"}'
 
@@ -643,16 +643,18 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-# Sizes of the determinants of each n: the oracle's s x s block (Sym, s(s+1)/2 square, for a
-# derogatory X) and its s(s-1)/2 Skew block, and the closed form's (s-1) x (s-1) u_n.
+# Sizes of the determinants of each n: the oracle's s(s-1)/2 Skew block (after the s(s+1)/2
+# Sym block for a derogatory X) and the closed form's (s-1) x (s-1) u_n. Before the first n, a
+# nonderogatory X takes one s x s determinant, det(R).
 @pytest.mark.parametrize("x, per_n", [
-    (X3, {"oracle": [3, 3], "lucas_u": [2]}),
+    (X3, {"oracle": [3], "lucas_u": [2]}),
     # repeated eigenvalue
-    (IntMatrix([[1, 1], [0, 1]]), {"oracle": [2, 1], "lucas_u": [1]}),
+    (IntMatrix([[1, 1], [0, 1]]), {"oracle": [1], "lucas_u": [1]}),
     # derogatory
     (IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]), {"oracle": [6, 3], "lucas_u": [2]}),
 ])
 def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
+    once = [] if derogatory(x) else [x.dim]
     sizes = {}
 
     def record_dets(module, name):
@@ -667,14 +669,17 @@ def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
     record_dets(matdivseq.linalg, "oracle")
     record_dets(matdivseq.polynomials, "lucas_u")
     building = {}
-    _count_calls(monkeypatch, matdivseq.linalg, "kronecker", building)
-    _count_calls(monkeypatch, matdivseq.linalg, "mat_mul", building)
+    for name in ("kronecker", "mat_mul", "_packed_steps", "_compound_steps"):
+        _count_calls(monkeypatch, matdivseq.linalg, name, building)
     _out, code = run_verify(MatrixDocument(matrix=x), 6)
     assert code == 0
-    assert sizes == {name: k * 6 for name, k in per_n.items()}
-    # The table's Jacobians come from one recurrence, not a Kronecker sum per n.
+    assert sizes == {"oracle": once + per_n["oracle"] * 6, "lucas_u": per_n["lucas_u"] * 6}
+    # The table's Jacobians come from one recurrence, not a Kronecker sum per n, and the
+    # oracle steps the compounds (Sym only for a derogatory X), never M_n.
     assert "kronecker" not in building
     assert building.get("mat_mul", 0) == 0  # char_poly steps row lists
+    assert "_packed_steps" not in building
+    assert building["_compound_steps"] == len(per_n["oracle"])
 
 
 def test_verify_closed_form_reports_the_generated_entries():

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from operator import mul
 
 import pytest
 
@@ -337,10 +336,10 @@ def test_jacobian_determinants_match_det_of_each_jacobian():
 
 
 def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
-    # det(Skew) = u_n. Unless X is derogatory the other block is (M_n B)_F, with determinant
-    # det(B_F) n^s det(X)^(n-1), and d_n = n^s det(X)^(n-1) u_n^2; a derogatory X keeps the
-    # Sym block, det(Sym) = n^s det(X)^(n-1) u_n. At s = 1 the Skew block is 0 x 0, with
-    # determinant 1 = u_n.
+    # det(Skew_n) = u_n. Unless X is derogatory, one block per call comes first: (XB)_F, with
+    # determinant det(B_F) det(X), and d_n = n^s det(X)^(n-1) u_n^2; a derogatory X takes the
+    # Sym block before each Skew block, det(Sym) = n^s det(X)^(n-1) u_n. At s = 1 the Skew
+    # block is 0 x 0, with determinant 1 = u_n.
     blocks, sizes = [], []
     det = linalg._det_rows
 
@@ -361,17 +360,18 @@ def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
             det_x = (-1) ** dim * f.coefficients[-1]
             us = list(generalized_lucas(f, range(1, 10)))
             cofactors = [n ** dim * det_x ** (n - 1) for n in range(1, 10)]
-            assert blocks[1::2] == us, x.fingerprint()
             kind = derogatory(x)
             kinds.add(kind)
             if kind:
                 assert sizes == [dim * (dim + 1) // 2, dim * (dim - 1) // 2] * 9
+                assert blocks[1::2] == us, x.fingerprint()
                 assert blocks[0::2] == [c * u for c, u in zip(cofactors, us)], x.fingerprint()
                 assert dets == [a * b for a, b in zip(blocks[0::2], us)]
             else:
                 scale = linalg._symmetric_kernel(x.entries)[2] ** dim  # det(B_F)
-                assert sizes == [dim, dim * (dim - 1) // 2] * 9
-                assert blocks[0::2] == [scale * c for c in cofactors], x.fingerprint()
+                assert sizes == [dim] + [dim * (dim - 1) // 2] * 9
+                assert blocks[1:] == us, x.fingerprint()
+                assert blocks[0] == scale * det_x, x.fingerprint()
                 assert dets == [c * u * u for c, u in zip(cofactors, us)]
             # The Sym block, which only a derogatory X eliminates, has the same determinant.
             for n in (1, 2, 5):
@@ -435,30 +435,38 @@ JORDAN_CONJUGATE_4 = IntMatrix([[5, 1, -5, -2], [0, 1, 0, 0], [2, 0, -1, -1], [6
 def test_packed_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
     """Every n <= 40 unpacks exactly, however far the row-sum bound outruns the values.
 
-    That holds for the identity Sigma, whose M_n is shuffled into J_n, and for the Sigma of
-    the block oracle, whose W basis has entries near 2 * 10^30 for 1e30 and up to 36 for
-    jordan4.
+    That holds for M_n, which is shuffled into J_n, and for the compounds L_n on skew and
+    on symmetric matrices, which the oracle steps in their own coordinates: values near
+    10^(30 n) for 1e30, and below 2^35 for jordan4, whose row-sum bound passes 19^39.
     """
     x = IntMatrix(rows)
     n_max = 40
     s = x.dim
-    identity = [[int(r == c) for c in range(s * s)] for r in range(s * s)]
-    unpackers = [unpack for _rows, unpack in linalg._packed_steps(x.entries, identity, n_max)]
+    unpackers = [unpack for _rows, unpack in linalg._packed_steps(x.entries, n_max)]
     assert len(set(unpackers)) >= min_widths
     sums = [_kronecker_sum(x, n) for n in range(1, n_max + 1)]
     assert list(linalg.jacobian_determinants(x, n_max)) == [det_bareiss(j) for j in sums]
-    for n, j in enumerate(sums, 1):
+    m_sums = [_kronecker_sum(x, n, x).entries for n in range(1, n_max + 1)]
+    for n, (j, m_n) in enumerate(zip(sums, m_sums), 1):
         assert jacobian_power_map(x, n) == j, n
-    sigma = linalg._block_basis(x.entries)[0]
-    sigma_t = list(zip(*sigma))
-    for n, (packed, unpack) in enumerate(linalg._packed_steps(x.entries, sigma, n_max), 1):
-        m_n = _kronecker_sum(x, n, x).entries
-        assert [unpack(row) for row in packed] == [[sum(map(mul, row, col)) for col in sigma_t]
-                                                   for row in m_n], n
         # J_n is M_n with its first Kronecker factor transposed, entry by entry.
-        j_n = sums[n - 1].entries
-        assert all(j_n[i * s + p][j * s + q] == m_n[j * s + p][i * s + q]
-                   for i in range(s) for p in range(s) for j in range(s) for q in range(s)), n
+        assert all(j.entries[i * s + p][k * s + q] == m_n[k * s + p][i * s + q]
+                   for i in range(s) for p in range(s) for k in range(s) for q in range(s)), n
+    for sign in (-1, 1):
+        steps = list(linalg._compound_steps(x.entries, sign, n_max))
+        assert len({unpack for _rows, unpack in steps}) >= min_widths, sign
+        for n, ((packed, unpack), m_n) in enumerate(zip(steps, m_sums), 1):
+            assert [unpack(row) for row in packed] == _compound_block(m_n, s, sign), (sign, n)
+
+
+def _compound_block(m_n, s, sign):
+    """M_n on the matrices E_pq + sign E_qp (p < q; also E_pp for sign 1), read at their
+    entries (a, b): L_n in the coordinates of ``_compound_steps``. Entry (i, j) of a matrix
+    is at column-stacking index j s + i."""
+    pairs = [(p, q) for q in range(s) for p in range(q + (sign > 0))]
+    columns = [[(q * s + p, 1)] + ([(p * s + q, sign)] if p != q else []) for p, q in pairs]
+    return [[sum(m_n[b * s + a][r] * v for r, v in column) for column in columns]
+            for a, b in pairs]
 
 
 def test_jacobian_determinants_check_the_division_by_det_b_f(monkeypatch):
@@ -474,6 +482,24 @@ def test_jacobian_determinants_check_the_division_by_det_b_f(monkeypatch):
     for x in (X3, X4, IntMatrix([[2, 1], [1, 1]]), JORDAN_CONJUGATE_4):
         with pytest.raises(AssertionError, match="exact division is guaranteed"):
             next(linalg.jacobian_determinants(x, 4))
+
+
+def test_jacobian_determinants_need_b_f_to_be_d_times_i(monkeypatch):
+    # With one basis matrix doubled, B_F is no longer D * I: (XB)_F / D^s is 2 det(X), still
+    # an exact division, and the det(R)^(n-1) it feeds is wrong from n = 2 on.
+    kernel = linalg._symmetric_kernel
+
+    def doubled(x):
+        basis, free, pivot = kernel(x)
+        return [[2 * v for v in basis[0]], *basis[1:]], free, pivot
+
+    cases = (X3, X4, JORDAN_CONJUGATE_4)
+    want = [[det_bareiss(jacobian_power_map(x, n)) for n in range(1, 7)] for x in cases]
+    monkeypatch.setattr(linalg, "_symmetric_kernel", doubled)
+    for x, dets in zip(cases, want):
+        got = list(linalg.jacobian_determinants(x, 6))
+        assert got[0] == dets[0]
+        assert any(a != b for a, b in zip(got[1:], dets[1:])), x.fingerprint()
 
 
 def test_jacobian_transpose_invariance():

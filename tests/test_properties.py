@@ -19,7 +19,9 @@ det J_n = det(M_n on W) * det(Skew)^2, W the symmetric S with XS = SX^T,
 when dim W = s, and det(Sym) * det(Skew) when X is derogatory; one
 property checks that dim W >= s, with equality exactly when
 I, X, ..., X^(s-1) are independent, and that Sym keeps its determinant
-n^s det(X)^(n-1) u_n either way.
+n^s det(X)^(n-1) u_n either way; another, that S -> XS on W has
+determinant det(X) when dim W = s, which is why the oracle takes that
+factor once per call.
 """
 
 from functools import reduce
@@ -29,7 +31,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matdivseq import (IntMatrix, char_poly, det_bareiss, factor_table, factorize,
                        generate_sequence, jacobian_determinant, jacobian_power_map, kronecker,
@@ -156,9 +158,10 @@ def test_u_is_the_krylov_determinant_of_the_powers_of_x(x):
 @PROPERTY
 @given(MATRICES, N_MAX)
 def test_jacobian_blocks_are_u_and_its_cofactor(x, n_max):
-    # det(Skew) = u_n, signed, after each n's first block: (M_n B)_F, with determinant
-    # det(B_F) n^s det(X)^(n-1), or for a derogatory X the Sym block, with determinant
-    # n^s det(X)^(n-1) u_n. The Sym block's determinant holds for every X.
+    # det(Skew_n) = u_n, signed. Unless X is derogatory, one block per call comes first:
+    # (XB)_F, with determinant det(B_F) det(X); a derogatory X takes the Sym block before each
+    # Skew block, with determinant n^s det(X)^(n-1) u_n. The Sym block's determinant holds for
+    # every X.
     blocks = []  # (dimension, value) of each determinant
     det = linalg._det_rows
 
@@ -170,15 +173,26 @@ def test_jacobian_blocks_are_u_and_its_cofactor(x, n_max):
         dets = list(jacobian_determinants(x, n_max))
     entries, det_x, s = generate_sequence(x, n_max), det_bareiss(x), x.dim
     cofactors = [e.n ** s * det_x ** (e.n - 1) for e in entries]
-    assert blocks[1::2] == [(s * (s - 1) // 2, e.u) for e in entries]
+    skew = [(s * (s - 1) // 2, e.u) for e in entries]
     if derogatory(x):
+        assert blocks[1::2] == skew
         assert blocks[0::2] == [(s * (s + 1) // 2, c * e.u) for c, e in zip(cofactors, entries)]
     else:
         scale = linalg._symmetric_kernel(x.entries)[2] ** s  # det(B_F)
-        assert blocks[0::2] == [(s, scale * c) for c in cofactors]
+        assert blocks == [(s, scale * det_x)] + skew
     assert dets == [e.jacobian_det for e in entries]
     for e, c in zip(entries[:3], cofactors):
         assert det_fraction(sym_block(x, e.n)) == c * e.u, e.n
+
+
+def _symmetric(b, s):
+    """The symmetric matrix with coordinates b: entries (p, q), p <= q, ordered by q, then p."""
+    values = iter(b)
+    rows = [[0] * s for _ in range(s)]
+    for q in range(s):
+        for p in range(q + 1):
+            rows[p][q] = rows[q][p] = next(values)
+    return IntMatrix(rows)
 
 
 @PROPERTY
@@ -194,13 +208,23 @@ def test_the_invariant_symmetric_matrices_have_dimension_s_exactly_when_x_is_cyc
                                                      for i in range(len(basis))]  # B_F = D * I
     xt = x.transpose()
     for b in basis:
-        values = iter(b)
-        rows = [[0] * s for _ in range(s)]
-        for q in range(s):
-            for p in range(q + 1):
-                rows[p][q] = rows[q][p] = next(values)
-        sym = IntMatrix(rows)
+        sym = _symmetric(b, s)
         assert mat_mul(x, sym) == mat_mul(sym, xt)
+
+
+@PROPERTY
+@given(MATRICES)
+def test_x_on_the_invariant_symmetric_matrices_has_determinant_det_x(x):
+    # For a nonderogatory X, R: S -> XS on W, in the basis B, has
+    # det(R) = det((XB)_F) / det(B_F) = det(X): the theorem that lets the Jacobian oracle
+    # check the W factor of det J_n once per call instead of stepping it at every n.
+    assume(not derogatory(x))
+    basis, free, pivot = linalg._symmetric_kernel(x.entries)
+    s = x.dim
+    pairs = [(p, q) for q in range(s) for p in range(q + 1)]
+    xb_f = [[xs.entries[p][q] for p, q in map(pairs.__getitem__, free)]
+            for xs in (mat_mul(x, _symmetric(b, s)) for b in basis)]
+    assert det_fraction(xb_f) == pivot ** s * det_fraction(x.entries)
 
 
 @PROPERTY

@@ -277,16 +277,17 @@ def _record_sequence_dets(monkeypatch):
 
 
 def _oracle_blocks(x, entries):
-    """(dimension, value) of the determinants of each det J_n: first (M_n B)_F, s x s, with
-    value det(B_F) n^s det(X)^(n-1), or for a derogatory X the Sym block, with value
-    n^s det(X)^(n-1) u_n; then Skew, with value u_n (0 x 0 at s = 1)."""
+    """(dimension, value) of the oracle's determinants: first (XB)_F, s x s, once per call,
+    with value det(B_F) det(X), then Skew_n for each n, with value u_n (0 x 0 at s = 1); or for
+    a derogatory X the Sym block of each n, with value n^s det(X)^(n-1) u_n, before its Skew_n."""
     s, det_x = x.dim, entries[0].det_x
-    scale = matdivseq.linalg._symmetric_kernel(x.entries)[2] ** s  # det(B_F)
+    skew = s * (s - 1) // 2
+    if not derogatory(x):
+        scale = matdivseq.linalg._symmetric_kernel(x.entries)[2] ** s  # det(B_F)
+        return [(s, scale * det_x)] + [(skew, e.u) for e in entries]
     blocks = []
     for e in entries:
-        cofactor = e.n ** s * det_x ** (e.n - 1)
-        first = (s * (s + 1) // 2, cofactor * e.u) if derogatory(x) else (s, scale * cofactor)
-        blocks += [first, (s * (s - 1) // 2, e.u)]
+        blocks += [(s * (s + 1) // 2, e.n ** s * det_x ** (e.n - 1) * e.u), (skew, e.u)]
     return blocks
 
 
@@ -405,7 +406,8 @@ def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypat
         assert [e.jacobian_det for e in entries] == stepped, x.fingerprint()
         dets.clear()
         report = verify_closed_form(x, 20)
-        # Two block determinants per n, whose values give the closed form.
+        # det(R) once, then one block determinant per n; a derogatory X takes two per n and no
+        # det(R). Their values give the closed form.
         assert dets == _oracle_blocks(x, entries), x.fingerprint()
         assert report.passed and not report.mismatches, x.fingerprint()
         assert report.entries == tuple(entries)
