@@ -194,17 +194,17 @@ def jacobian_power_map(x: IntMatrix, n: int) -> IntMatrix:
 
     J_n = sum_k (X^T)^k (x) X^(n-1-k) is M_n = sum_k X^k (x) X^(n-1-k) with
     its first Kronecker factor transposed: entry ((i, p), (j, q)) of J_n,
-    at index (i s + p, j s + q), is entry ((j, p), (i, q)) of M_n. The rows
-    of M_n are stepped as packed integers (see :func:`_packed_steps`),
-    unpacked once, at n, and shuffled. With the column-stacking ``vec``
-    convention it satisfies
-    ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only one M is
+    at index (i s + p, j s + q), is entry ((j, p), (i, q)) of M_n. M_n is
+    L_n on all s^2 matrices, whose rows :func:`_compound_steps` steps (sign
+    0) as packed integers; they are unpacked once, at n, and shuffled. With
+    the column-stacking ``vec`` convention it satisfies
+    ``J_n . vec(E) == vec(power_map_derivative(x, E, n))``. Only one L_n is
     held at a time, alongside the current power of X.
     """
     if n < 1:
         raise ValueError("n must be positive")
     s = x.dim
-    for rows, unpack in _packed_steps(x.entries, n):
+    for rows, unpack in _compound_steps(x.entries, 0, n):
         pass
     m = [unpack(row) for row in rows]
     return IntMatrix([[m[j * s + p][i * s + q] for j in range(s) for q in range(s)]
@@ -326,97 +326,57 @@ def _exact(a: int, b: int) -> int:
     return q
 
 
-def _packed_steps(x: Sequence[Sequence[int]],
-                  n_max: int) -> Iterator[tuple[list[int], Callable]]:
-    """Rows of M_n = sum_k X^k (x) X^(n-1-k), for n = 1..n_max, as packed ints.
-
-    :func:`jacobian_power_map` shuffles M_n into J_n. Row r of M_n is one
-    integer sum_c v_c 2^(w c) of w-bit signed slots (Kronecker substitution:
-    L. Kronecker, 1882; D. Harvey, "Faster polynomial multiplication via
-    multipoint Kronecker substitution", J. Symbolic Comput. 44 (2009)), so a
-    linear combination of rows is the same combination of their integers.
-    M_1 = I, and row (i, p) of ``M_(n+1) = (I (x) X) M_n + X^n (x) I`` is
-    x_p . (rows (i, 0..s-1)) plus (X^n)_(i, .) . (unit rows (0..s-1, p)): 2s
-    products of a packed row by one entry, s^2 rows per step.
-
-    Entries of M_n are at most b_n, b_1 = 1, b_(n+1) = nu b_n + max|X^n|, nu
-    the largest absolute row sum of X. The slots widen, all rows repacked,
-    before the step whose bound would overflow them, by enough for about
-    eight more steps. Yields each n's rows with the function that unpacks a
-    row into its slot values.
-    """
-    s = len(x)
-    slots = s * s
-    nu = max(sum(map(abs, row)) for row in x)
-    x_cols = tuple(zip(*x))
-    bound = 1  # b_n
-    w = _slot_width(bound)
-    unpack = _unpacker(w, slots)
-    rows = [1 << (w * r) for r in range(slots)]
-    units = [rows[p::s] for p in range(s)]  # unit rows (., p)
-    yield rows, unpack
-    x_pow = x
-    for _ in range(n_max - 1):
-        bound = nu * bound + max(abs(v) for row in x_pow for v in row)
-        if _slot_width(bound) > w:  # about eight more steps' growth of room
-            w = _slot_width(bound) + 8 * nu.bit_length()
-            rows = [_pack(unpack(row), w) for row in rows]
-            unpack = _unpacker(w, slots)
-            units = [[1 << (w * r) for r in range(p, slots, s)] for p in range(s)]
-        blocks = [rows[i * s:(i + 1) * s] for i in range(s)]
-        rows = [sum(map(mul, x[p], blocks[i])) + sum(map(mul, x_pow[i], units[p]))
-                for i in range(s) for p in range(s)]
-        yield rows, unpack
-        x_pow = [[sum(map(mul, row, col)) for col in x_cols] for row in x_pow]
-
-
 def _compound_steps(x: Sequence[Sequence[int]], sign: int,
                     n_max: int) -> Iterator[tuple[list[int], Callable]]:
-    """Rows of L_n on skew (``sign`` -1) or symmetric (+1) matrices, n = 1..n_max, packed.
+    """Rows of L_n on skew (``sign`` -1), symmetric (+1) or all (0) matrices, n = 1..n_max, packed.
 
     L_n(E) = sum_k X^(n-1-k) E (X^T)^k. Its coordinates are the pairs
-    (p, q), p < q on skew and p <= q on symmetric matrices, ordered by q,
-    then p: column (p, q) is the image of E_pq + sign E_qp (of E_pp when
-    p = q), and row (a, b) reads its entry (a, b). With D_A(F) = AF + FA^T,
-    summing the terms of L_n gives 2 L_(n+1) = D_X L_n + D_(X^n). On skew
-    matrices D_A is A's second additive compound A^[2] (M. Fiedler,
-    "Additive compound matrices and an inequality for eigenvalues of
-    symmetric stochastic matrices", Czech. Math. J. 24 (1974)), with
-    a_aa + a_bb on its diagonal and 2s - 3 nonzeros per row. So L_1 = I, and
-    Skew_(n+1) = (X^[2] Skew_n + (X^n)^[2]) / 2.
+    (p, q), ordered by q, then p: p < q on skew, p <= q on symmetric, and
+    every p on all matrices. Column (p, q) is the image of E_pq + sign E_qp
+    (of E_pp when p = q), and row (a, b) reads its entry (a, b). With sign 0
+    coordinate (p, q) is q s + p, the column-stacking ``vec`` index, and L_n
+    is M_n = sum_k X^k (x) X^(n-1-k). L_1 = I, and
+    L_(n+1)(E) = X L_n(E) + E (X^T)^n. L_n(E) is skew or symmetric with E,
+    so its entry (c, b) is sign times its entry (b, c), and 0 on a skew
+    diagonal. Row (a, b) of L_(n+1) is thus x_ac times row (c, b) of L_n,
+    read through that mirror, summed over c, plus (X^n)_b . U[a] (see
+    :func:`_units`), the packed row (a, b) of E (X^T)^n: on all matrices,
+    M_(n+1) = (I (x) X) M_n + X^n (x) I, s + s products per row. The
+    two-sided 2 L_(n+1) = D_X L_n + D_(X^n), D_A(F) = AF + FA^T, which on
+    skew matrices is A's second additive compound (M. Fiedler, "Additive
+    compound matrices and an inequality for eigenvalues of symmetric
+    stochastic matrices", Czech. Math. J. 24 (1974)), takes about twice the
+    products.
 
-    Rows are packed as in :func:`_packed_steps`. Row (a, b) of L_(n+1) is
-    row (a, b) of D_X applied to the rows of L_n, plus the packed row (a, b)
-    of D_(X^n), shifted right once. Packing is linear, so that sum is
-    exactly twice the packed row: the shift is exact, and needs no room in
-    the slots. Entries of L_n are at most c_n, c_1 = 1,
-    c_(n+1) = nu c_n + max|X^n|, nu the largest absolute row sum of X, and the
-    slots widen as in :func:`_packed_steps`. Yields each n's rows with the
-    function that unpacks a row into its slot values.
+    Row r of L_n is one integer sum_c v_c 2^(w c) of w-bit signed slots
+    (Kronecker substitution: L. Kronecker, 1882; D. Harvey, "Faster
+    polynomial multiplication via multipoint Kronecker substitution",
+    J. Symbolic Comput. 44 (2009)), so a linear combination of rows is the
+    same combination of their integers. Entries of L_n are at most c_n,
+    c_1 = 1, c_(n+1) = nu c_n + max|X^n|, nu the largest absolute row sum of
+    X. The slots widen, all rows repacked, before the step whose bound would
+    overflow them, by enough for about eight more steps. Yields each n's
+    rows with the function that unpacks a row into its slot values.
     """
     s = len(x)
-    pairs = [(p, q) for q in range(s) for p in range(q + (sign > 0))]
+    pairs = [(p, q) for q in range(s) for p in range(q + (sign > 0) if sign else s)]
     slots = len(pairs)
-    cells = {}  # entry (a, c) of a basis matrix: its coordinate and sign (none on a skew diagonal)
+    cells = [[None] * s for _ in range(s)]  # entry (a, c) of the basis: (coordinate, sign) or None
     for k, (p, q) in enumerate(pairs):
-        cells[q, p] = (k, sign)
-        cells[p, q] = (k, 1)
-    d_x = []  # row (a, b) of D_X, on L_n: x_bc times row (a, c) plus x_ac times row (c, b)
+        if sign:
+            cells[q][p] = (k, sign)
+        cells[p][q] = (k, 1)
+    x_l = []  # row (a, b) of X L_n: x_ac times row (c, b), one distinct coordinate per c
     for a, b in pairs:
-        row = [0] * slots
-        for c in range(s):
-            for cell, v in (((a, c), x[b][c]), ((c, b), x[a][c])):
-                if cell in cells:
-                    k, t = cells[cell]
-                    row[k] += t * v
-        d_x.append(([v for v in row if v], [k for k, v in enumerate(row) if v]))
+        terms = [(v, cells[c][b]) for c, v in enumerate(x[a]) if v and cells[c][b]]
+        x_l.append(([v * t for v, (_k, t) in terms], [k for _v, (k, _t) in terms]))
     nu = max(sum(map(abs, row)) for row in x)
     x_cols = tuple(zip(*x))
     bound = 1  # c_n
     w = _slot_width(bound)
     unpack = _unpacker(w, slots)
     rows = [1 << (w * k) for k in range(slots)]
-    units = _units(cells, s, w)
+    units = _units(cells, w)
     yield rows, unpack
     x_pow = x
     for _ in range(n_max - 1):
@@ -425,24 +385,21 @@ def _compound_steps(x: Sequence[Sequence[int]], sign: int,
             w = _slot_width(bound) + 8 * nu.bit_length()
             rows = [_pack(unpack(row), w) for row in rows]
             unpack = _unpacker(w, slots)
-            units = _units(cells, s, w)
-        # Row (a, b) of D_(X^n) is (X^n)_b . U[a] + sign (X^n)_a . U[b], U the unit rows.
-        rows = [(sum(map(mul, coefficients, map(rows.__getitem__, sources)))
-                 + sum(map(mul, x_pow[b], units[a])) + sign * sum(map(mul, x_pow[a], units[b])))
-                >> 1 for (coefficients, sources), (a, b) in zip(d_x, pairs)]
+            units = _units(cells, w)
+        rows = [sum(map(mul, coefficients, map(rows.__getitem__, sources)))
+                + sum(map(mul, x_pow[b], units[a]))
+                for (coefficients, sources), (a, b) in zip(x_l, pairs)]
         yield rows, unpack
         x_pow = [[sum(map(mul, row, col)) for col in x_cols] for row in x_pow]
 
 
-def _units(cells: dict[tuple[int, int], tuple[int, int]], s: int, w: int) -> list[list[int]]:
+def _units(cells: list[list[tuple[int, int] | None]], w: int) -> list[list[int]]:
     """U[a][c]: entry (a, c) of each basis matrix of ``cells``, packed into a row of w-bit slots.
 
-    That is row (a, c) of L_1 = I, and for a > c its mirror times the sign.
+    That is row (a, c) of L_1 = I, and on skew or symmetric matrices, for
+    a > c, its mirror times the sign; 0 on a skew diagonal.
     """
-    units = [[0] * s for _ in range(s)]
-    for (a, c), (k, t) in cells.items():
-        units[a][c] = t << (w * k)
-    return units
+    return [[cell[1] << (w * cell[0]) if cell else 0 for cell in row] for row in cells]
 
 
 def _slot_width(bound: int) -> int:

@@ -252,14 +252,14 @@ def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
     M_n = sum_k X^k (x) X^(n-1-k), similar because X^T is similar to X
     (Taussky and Zassenhaus, Pacific J. Math. 9, 1959). It is
     n^s det(R)^(n-1) * det(Skew_n)^2: Skew_n, M_n's s(s-1)/2 block on skew
-    matrices, with determinant u_n, is stepped through every n by the
-    second additive compound of X, and det(R), R being S -> XS on
-    W = {S symmetric : XS = SX^T}, is taken once per call. That M_n is
-    n X^(n-1) on W, and that det(R) = det(X), are theorems, so this factor
-    is checked once, not per n. A derogatory X, where dim W > s, takes
-    det(Sym_n) * det(Skew_n) instead, stepping the s(s+1)/2 block on
-    symmetric matrices beside Skew_n. It never uses the characteristic
-    polynomial or u_n.
+    matrices, with determinant u_n, is stepped through every n by
+    L_(n+1)(E) = X L_n(E) + E (X^T)^n, which also builds J_n, and det(R),
+    R being S -> XS on W = {S symmetric : XS = SX^T}, is taken once per
+    call. That M_n is n X^(n-1) on W, and that det(R) = det(X), are
+    theorems, so this factor is checked once, not per n. A derogatory X,
+    where dim W > s, takes det(Sym_n) * det(Skew_n) instead, stepping the
+    s(s+1)/2 block on symmetric matrices beside Skew_n. It never uses the
+    characteristic polynomial or u_n.
     A disagreement of the n^s form is a hard mismatch. For dimensions other
     than 2 the n^2 variant's disagreement is expected and recorded as an
     informational note. The report carries the checked entries.

@@ -669,17 +669,25 @@ def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
     record_dets(matdivseq.linalg, "oracle")
     record_dets(matdivseq.polynomials, "lucas_u")
     building = {}
-    for name in ("kronecker", "mat_mul", "_packed_steps", "_compound_steps"):
+    for name in ("kronecker", "mat_mul"):
         _count_calls(monkeypatch, matdivseq.linalg, name, building)
+    signs = []
+    steps = matdivseq.linalg._compound_steps
+
+    def recorded_steps(x, sign, n_max):
+        signs.append(sign)
+        return steps(x, sign, n_max)
+
+    monkeypatch.setattr(matdivseq.linalg, "_compound_steps", recorded_steps)
     _out, code = run_verify(MatrixDocument(matrix=x), 6)
     assert code == 0
     assert sizes == {"oracle": once + per_n["oracle"] * 6, "lucas_u": per_n["lucas_u"] * 6}
     # The table's Jacobians come from one recurrence, not a Kronecker sum per n, and the
-    # oracle steps the compounds (Sym only for a derogatory X), never M_n.
+    # oracle steps the compounds on skew matrices (and on symmetric ones only for a
+    # derogatory X), never on all s^2 matrices, as M_n.
     assert "kronecker" not in building
     assert building.get("mat_mul", 0) == 0  # char_poly steps row lists
-    assert "_packed_steps" not in building
-    assert building["_compound_steps"] == len(per_n["oracle"])
+    assert sorted(signs) == ([-1, 1] if derogatory(x) else [-1])
 
 
 def test_verify_closed_form_reports_the_generated_entries():

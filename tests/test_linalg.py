@@ -432,18 +432,17 @@ JORDAN_CONJUGATE_4 = IntMatrix([[5, 1, -5, -2], [0, 1, 0, 0], [2, 0, -1, -1], [6
     ([[10 ** 30, 1], [1, -10 ** 30]], 4),
     (JORDAN_CONJUGATE_4.entries, 4),
 ], ids=["2", "0", "zero3", "nilpotent", "1e30", "jordan4"])
-def test_packed_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
+def test_compound_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
     """Every n <= 40 unpacks exactly, however far the row-sum bound outruns the values.
 
-    That holds for M_n, which is shuffled into J_n, and for the compounds L_n on skew and
-    on symmetric matrices, which the oracle steps in their own coordinates: values near
-    10^(30 n) for 1e30, and below 2^35 for jordan4, whose row-sum bound passes 19^39.
+    That holds for L_n on all matrices, which is M_n and is shuffled into J_n, and for L_n
+    on skew and on symmetric matrices, which the oracle steps in their own coordinates:
+    values near 10^(30 n) for 1e30, and below 2^35 for jordan4, whose row-sum bound passes
+    19^39.
     """
     x = IntMatrix(rows)
     n_max = 40
     s = x.dim
-    unpackers = [unpack for _rows, unpack in linalg._packed_steps(x.entries, n_max)]
-    assert len(set(unpackers)) >= min_widths
     sums = [_kronecker_sum(x, n) for n in range(1, n_max + 1)]
     assert list(linalg.jacobian_determinants(x, n_max)) == [det_bareiss(j) for j in sums]
     m_sums = [_kronecker_sum(x, n, x).entries for n in range(1, n_max + 1)]
@@ -452,7 +451,7 @@ def test_packed_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
         # J_n is M_n with its first Kronecker factor transposed, entry by entry.
         assert all(j.entries[i * s + p][k * s + q] == m_n[k * s + p][i * s + q]
                    for i in range(s) for p in range(s) for k in range(s) for q in range(s)), n
-    for sign in (-1, 1):
+    for sign in (-1, 0, 1):
         steps = list(linalg._compound_steps(x.entries, sign, n_max))
         assert len({unpack for _rows, unpack in steps}) >= min_widths, sign
         for n, ((packed, unpack), m_n) in enumerate(zip(steps, m_sums), 1):
@@ -460,11 +459,12 @@ def test_packed_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths):
 
 
 def _compound_block(m_n, s, sign):
-    """M_n on the matrices E_pq + sign E_qp (p < q; also E_pp for sign 1), read at their
-    entries (a, b): L_n in the coordinates of ``_compound_steps``. Entry (i, j) of a matrix
-    is at column-stacking index j s + i."""
-    pairs = [(p, q) for q in range(s) for p in range(q + (sign > 0))]
-    columns = [[(q * s + p, 1)] + ([(p * s + q, sign)] if p != q else []) for p, q in pairs]
+    """M_n on the matrices E_pq + sign E_qp (p < q; also E_pp for sign 1; all (p, q) for
+    sign 0), read at their entries (a, b): L_n in the coordinates of ``_compound_steps``.
+    Entry (i, j) of a matrix is at column-stacking index j s + i."""
+    pairs = [(p, q) for q in range(s) for p in range(q + (sign > 0) if sign else s)]
+    columns = [[(q * s + p, 1)] + ([(p * s + q, sign)] if sign and p != q else [])
+               for p, q in pairs]
     return [[sum(m_n[b * s + a][r] * v for r, v in column) for column in columns]
             for a, b in pairs]
 
