@@ -5,7 +5,8 @@ Three facts carry the whole construction:
 1. the Kronecker mixed product (A x C)(B x D) = AB x CD,
 2. the derivative matrix of X -> X^n is the Kronecker sum
    J_n = sum_k (X^T)^k x X^(n-1-k), which the package reaches by stepping
-   J_(n+1) = (I x X) J_n + (X^T)^n x I from J_1 = I,
+   M_n = sum_k X^k x X^(n-1-k) as packed rows,
+   M_(n+1) = (I x X) M_n + X^n x I from M_1 = I, and shuffling M_n into J_n,
 3. with column-stacking vec, J_n . vec(E) = vec(sum_k X^k E X^(n-1-k)),
    i.e. J_n really is the derivative in the usual directional sense.
 

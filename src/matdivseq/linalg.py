@@ -226,12 +226,11 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
     exactly when I, X, ..., X^(s-1) are independent; then, by rank-nullity,
     phi maps the symmetric matrices onto the skew ones, and
     det J_n = det(L_n on W) * det(Skew_n)^2 = n^s det(R)^(n-1) det(Skew_n)^2,
-    R being S -> XS on W. det(R) = det((XB)_F) / det(B_F), for the integer
-    basis B of W and the s coordinates F of :func:`_symmetric_kernel`, is
-    taken once per call. When dim W > s (X derogatory: the zero and scalar
-    matrices, diag(2, 2, 3), the all-ones matrix), det J_n = det(Sym_n) *
-    det(Skew_n) instead, Sym_n being L_n on the basis E_pp, E_pq + E_qp
-    (p < q).
+    R being S -> XS on W. :func:`_w_determinant` takes det(R) once per
+    call, and returns None when dim W > s (X derogatory: the zero and
+    scalar matrices, diag(2, 2, 3), the all-ones matrix); then
+    det J_n = det(Sym_n) * det(Skew_n) instead, Sym_n being L_n on the
+    basis E_pp, E_pq + E_qp (p < q).
 
     The trade-off: that L_n is n X^(n-1) on W, and that det(R) = det(X), are
     theorems, so the W factor is checked once per call, through det(R), and
@@ -241,8 +240,8 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
 
     An image's coordinate (p, q) is its entry (p, q). At s = 1 the Skew
     block is 0 x 0, with determinant 1. Every block is an integer matrix,
-    eliminated as in :func:`det_bareiss`; a division by det(B_F) that is not
-    exact raises ``AssertionError``.
+    eliminated as in :func:`det_bareiss`; a division in
+    :func:`_w_determinant` that is not exact raises ``AssertionError``.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -253,42 +252,35 @@ def _block_determinants(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[
     """det J_1, ..., det J_(n_max): det(R) once, then Skew_n (or Sym_n and Skew_n) for each n.
 
     For a nonderogatory X, det J_n = n^s det(R)^(n-1) det(Skew_n)^2, with
-    det(R) = det((XB)_F) / D^s taken once, before the first n. A derogatory X
-    steps Sym_n beside Skew_n, both by :func:`_compound_steps`, and
-    det J_n = det(Sym_n) * det(Skew_n).
+    det(R) from :func:`_w_determinant`, taken once, before the first n. A
+    derogatory X, for which it returns None, steps Sym_n beside Skew_n, both
+    by :func:`_compound_steps`, and det J_n = det(Sym_n) * det(Skew_n).
     """
     s = len(x)
-    basis, free, pivot = _symmetric_kernel(x)
+    det_r = _w_determinant(x)
     skew = _compound_steps(x, -1, n_max)
-    if len(basis) > s:  # X is derogatory: phi does not map Sym onto Skew
+    if det_r is None:  # X is derogatory: phi does not map Sym onto Skew
         for (sym, unpack_sym), (rows, unpack) in zip(_compound_steps(x, 1, n_max), skew):
             yield _det_rows(list(map(unpack_sym, sym))) * _det_rows(list(map(unpack, rows)))
         return
-    pairs = [(p, q) for q in range(s) for p in range(q + 1)]
-    xb_f = []  # row j: the coordinates F of X S_j, S_j the j-th matrix of B
-    for b in basis:
-        sym = [[0] * s for _ in range(s)]
-        for (p, q), v in zip(pairs, b):
-            sym[p][q] = sym[q][p] = v
-        xb_f.append([sum(x[p][c] * sym[c][q] for c in range(s))
-                     for p, q in map(pairs.__getitem__, free)])
-    det_r = _exact(_det_rows(xb_f), pivot ** s)
     power = 1  # det(R)^(n-1)
     for n, (rows, unpack) in enumerate(skew, 1):
         yield n ** s * power * _det_rows(list(map(unpack, rows))) ** 2
         power *= det_r
 
 
-def _symmetric_kernel(x: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
-    """An integer basis B of W = {S symmetric : XS = SX^T}, its free coordinates F, and D.
+def _w_determinant(x: Sequence[Sequence[int]]) -> int | None:
+    """det(R), R being S -> XS on W = {S symmetric : XS = SX^T}; None when dim W > s.
 
-    A symmetric S has the coordinates S_pq, p <= q, ordered by q, then p;
-    phi(S) = XS - SX^T is skew and is read at its entries (a, b), a < b.
-    Fraction-free Gauss-Jordan elimination of phi (a nonzero remainder
-    raises ``AssertionError``) leaves D * I on its pivot columns, D the last
-    pivot (1 when phi = 0). The kernel vector of free column f is D at f and,
-    at the pivot column of row i, minus row i's entry in column f. So
-    B_F = D * I.
+    A symmetric S has the coordinates S_pq, p <= q, ordered by q, then p, so
+    S_pq is coordinate q(q+1)/2 + p; phi(S) = XS - SX^T is skew and is read
+    at its entries (a, b), a < b. Fraction-free Gauss-Jordan elimination of
+    phi (a nonzero remainder raises ``AssertionError``) leaves D * I on its
+    pivot columns, D the last pivot (1 when phi = 0). Its free columns F
+    number dim W. When there are more than s, X is derogatory. Otherwise the
+    kernel vector of free column f, D at f and, at the pivot column of row i,
+    minus row i's entry in column f, makes an integer basis B of W with
+    B_F = D * I, and det(R) = det((XB)_F) / D^s, a division that must be exact.
     """
     s = len(x)
     pairs = [(p, q) for q in range(s) for p in range(q + 1)]
@@ -311,12 +303,18 @@ def _symmetric_kernel(x: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
         prev = pivot
         pivots.append(c)
     free = [c for c in range(len(pairs)) if c not in pivots]
-    basis = [[0] * len(pairs) for _ in free]
-    for b, f in zip(basis, free):
+    if len(free) > s:
+        return None
+    at = [[max(c, q) * (max(c, q) + 1) // 2 + min(c, q) for q in range(s)] for c in range(s)]
+    xb_f = []  # row j: the coordinates F of X S_j, S_j the j-th matrix of B
+    for f in free:
+        b = [0] * len(pairs)
         b[f] = prev
         for row, c in zip(m, pivots):
             b[c] = -row[f]
-    return basis, free, prev
+        xb_f.append([sum(x[p][c] * b[at[c][q]] for c in range(s))
+                     for p, q in map(pairs.__getitem__, free)])
+    return _exact(_det_rows(xb_f), prev ** s)
 
 
 def _exact(a: int, b: int) -> int:
@@ -341,12 +339,7 @@ def _compound_steps(x: Sequence[Sequence[int]], sign: int,
     diagonal. Row (a, b) of L_(n+1) is thus x_ac times row (c, b) of L_n,
     read through that mirror, summed over c, plus (X^n)_b . U[a] (see
     :func:`_units`), the packed row (a, b) of E (X^T)^n: on all matrices,
-    M_(n+1) = (I (x) X) M_n + X^n (x) I, s + s products per row. The
-    two-sided 2 L_(n+1) = D_X L_n + D_(X^n), D_A(F) = AF + FA^T, which on
-    skew matrices is A's second additive compound (M. Fiedler, "Additive
-    compound matrices and an inequality for eigenvalues of symmetric
-    stochastic matrices", Czech. Math. J. 24 (1974)), takes about twice the
-    products.
+    M_(n+1) = (I (x) X) M_n + X^n (x) I, s + s products per row.
 
     Row r of L_n is one integer sum_c v_c 2^(w c) of w-bit signed slots
     (Kronecker substitution: L. Kronecker, 1882; D. Harvey, "Faster

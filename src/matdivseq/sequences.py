@@ -63,7 +63,8 @@ class SequenceEntry:
     d_n / n^s, ``jacobian_det`` = n^s * reduced = d_n, and the n^2 variant
     ``n_squared_value`` = n^2 * reduced; ``zero`` (u_n = 0, or det(X) = 0
     and n > 1) tells that all are 0 without building one. ``fallback_used``
-    is always False (every entry comes from the closed form), kept for callers.
+    is always False (every entry comes from the closed form), kept for
+    ``perfbench/tracer.py``, which counts it.
     """
 
     n: int

@@ -316,7 +316,9 @@ def test_jacobian_power_map_holds_one_matrix():
 
 def _block_cases(dim, rng):
     """Random, singular, nilpotent, Jordan, negative-determinant, scalar 2I,
-    a Jordan-block conjugate and, at dim 3, the derogatory diag(2, 2, 3)."""
+    a Jordan-block conjugate and, at dim 3, the derogatory diag(2, 2, 3) and a
+    conjugate of J_2(-1) (+) [-1], at dim 4, J_2(2) (+) J_2(2). The last two
+    are derogatory and not semisimple; they draw nothing from ``rng``."""
     cases = [random_matrix(rng, dim, -3, 3) for _ in range(2)] + _special_matrices(dim)
     cases.append(IntMatrix([[2 * int(i == j) for j in range(dim)] for i in range(dim)]))
     if dim > 1:
@@ -324,6 +326,9 @@ def _block_cases(dim, rng):
         cases.append(mat_mul(mat_mul(p, cases[4]), p_inv))
     if dim == 3:
         cases.append(IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]))
+        cases.append(IntMatrix([[-1, 0, -1], [0, -1, -1], [0, 0, -1]]))  # dim W = 4
+    if dim == 4:
+        cases.append(IntMatrix([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]))
     return cases
 
 
@@ -336,10 +341,10 @@ def test_jacobian_determinants_match_det_of_each_jacobian():
 
 
 def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
-    # det(Skew_n) = u_n. Unless X is derogatory, one block per call comes first: (XB)_F, with
-    # determinant det(B_F) det(X), and d_n = n^s det(X)^(n-1) u_n^2; a derogatory X takes the
-    # Sym block before each Skew block, det(Sym) = n^s det(X)^(n-1) u_n. At s = 1 the Skew
-    # block is 0 x 0, with determinant 1 = u_n.
+    # det(Skew_n) = u_n. Unless X is derogatory, one s x s block per call comes first, inside
+    # _w_determinant, which returns det(X), and d_n = n^s det(X)^(n-1) u_n^2; a derogatory X
+    # takes the Sym block before each Skew block, det(Sym) = n^s det(X)^(n-1) u_n. At s = 1
+    # the Skew block is 0 x 0, with determinant 1 = u_n.
     blocks, sizes = [], []
     det = linalg._det_rows
 
@@ -368,11 +373,10 @@ def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
                 assert blocks[0::2] == [c * u for c, u in zip(cofactors, us)], x.fingerprint()
                 assert dets == [a * b for a, b in zip(blocks[0::2], us)]
             else:
-                scale = linalg._symmetric_kernel(x.entries)[2] ** dim  # det(B_F)
                 assert sizes == [dim] + [dim * (dim - 1) // 2] * 9
                 assert blocks[1:] == us, x.fingerprint()
-                assert blocks[0] == scale * det_x, x.fingerprint()
                 assert dets == [c * u * u for c, u in zip(cofactors, us)]
+                assert linalg._w_determinant(x.entries) == det_x, x.fingerprint()
             # The Sym block, which only a derogatory X eliminates, has the same determinant.
             for n in (1, 2, 5):
                 assert det_fraction(sym_block(x, n)) == cofactors[n - 1] * us[n - 1]
@@ -380,25 +384,36 @@ def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
 
 
 def test_derogatory_x_needs_the_sym_block(monkeypatch):
-    # With dim W > s, phi maps Sym onto less than Skew, and s matrices of W no longer give
-    # d_n as det(M_n on them) * det(Skew)^2. (The all-ones ones4 cannot show this: it is
-    # singular with a double eigenvalue 0, so d_n = 0 = det(Skew) for every n >= 2.)
-    kernel = linalg._symmetric_kernel
+    # With dim W > s, phi maps Sym onto less than Skew, and W gives no s x s block whose
+    # determinant is det(X), so _w_determinant returns None. d_n = n^s det(X)^(n-1) u_n^2
+    # still holds for every X, so a planted det(X) gives every d_n through Skew_n alone; but
+    # R on all of W has another determinant. On diag(2, 2, 3), W is the symmetric matrices
+    # that commute with X, spanned by E_11, E_12 + E_21 and E_22, where R is 2, and E_33,
+    # where it is 3: det(R) = 24, not 12. On J_2(2) (+) J_2(2), dim W = 6 and R has the
+    # single eigenvalue 2: det(R) = 64, not 16. (On the all-ones ones4 plus I, R has the
+    # eigenvalues 5 and six times 1, so det(R) = 5 = det(X). The all-ones ones4 cannot show
+    # this either: it is singular with a double eigenvalue 0, so d_n = 0 = det(Skew) for
+    # every n >= 2.)
     ones4 = IntMatrix([[1] * 4] * 4)
     diag223 = IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
     ones_plus_i = mat_add(ones4, IntMatrix.identity(4))
-    for x in (ones4, diag223, ones_plus_i, IntMatrix([[0] * 3] * 3), IntMatrix.identity(2)):
-        assert len(kernel(x.entries)[0]) > x.dim, x.fingerprint()
-    for x in (diag223, ones_plus_i):
-        want = [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 7)]
-        assert list(linalg.jacobian_determinants(x, 6)) == want
-        basis, free, pivot = kernel(x.entries)
+    jordan22 = IntMatrix([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]])
+    for x in (ones4, diag223, ones_plus_i, jordan22, IntMatrix([[0] * 3] * 3),
+              IntMatrix.identity(2)):
+        assert linalg._w_determinant(x.entries) is None, x.fingerprint()
+    want = {x: [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 7)]
+            for x in (diag223, ones_plus_i, jordan22)}
+    for x, det_r in ((diag223, 12), (ones_plus_i, 5), (jordan22, 16), (diag223, 24),
+                     (jordan22, 64)):
+        assert list(linalg.jacobian_determinants(x, 6)) == want[x]
         with monkeypatch.context() as m:
-            m.setattr(linalg, "_symmetric_kernel",
-                      lambda _x: (basis[:x.dim], free[:x.dim], pivot))
+            m.setattr(linalg, "_w_determinant", lambda _x: det_r)
             forced = list(linalg.jacobian_determinants(x, 6))
-        assert forced[0] == want[0] == 1
-        assert all(a != b for a, b in zip(forced[1:], want[1:])), x.fingerprint()
+        if det_r == det_bareiss(x):
+            assert forced == want[x], x.fingerprint()
+        else:
+            assert forced[0] == want[x][0] == 1
+            assert all(a != b for a, b in zip(forced[1:], want[x][1:])), x.fingerprint()
 
 
 def test_exact_divides_or_raises():
@@ -470,36 +485,14 @@ def _compound_block(m_n, s, sign):
 
 
 def test_jacobian_determinants_check_the_division_by_det_b_f(monkeypatch):
-    # A planted det(B_F) of (2D)^s for D^s: at n = 1 the W block's determinant is D^s,
-    # which (2D)^s does not divide.
-    kernel = linalg._symmetric_kernel
-
-    def doubled(x):
-        basis, free, pivot = kernel(x)
-        return basis, free, 2 * pivot
-
-    monkeypatch.setattr(linalg, "_symmetric_kernel", doubled)
-    for x in (X3, X4, IntMatrix([[2, 1], [1, 1]]), JORDAN_CONJUGATE_4):
+    # The first determinant taken is the s x s block (XB)_F inside _w_determinant, with value
+    # D^s det(X), D being -2, 4 and -36 here. Planted off by one, it is no longer a multiple
+    # of D^s, and the division must raise.
+    det = linalg._det_rows
+    monkeypatch.setattr(linalg, "_det_rows", lambda rows: det(rows) + 1)
+    for x in (X3, X4, JORDAN_CONJUGATE_4):
         with pytest.raises(AssertionError, match="exact division is guaranteed"):
             next(linalg.jacobian_determinants(x, 4))
-
-
-def test_jacobian_determinants_need_b_f_to_be_d_times_i(monkeypatch):
-    # With one basis matrix doubled, B_F is no longer D * I: (XB)_F / D^s is 2 det(X), still
-    # an exact division, and the det(R)^(n-1) it feeds is wrong from n = 2 on.
-    kernel = linalg._symmetric_kernel
-
-    def doubled(x):
-        basis, free, pivot = kernel(x)
-        return [[2 * v for v in basis[0]], *basis[1:]], free, pivot
-
-    cases = (X3, X4, JORDAN_CONJUGATE_4)
-    want = [[det_bareiss(jacobian_power_map(x, n)) for n in range(1, 7)] for x in cases]
-    monkeypatch.setattr(linalg, "_symmetric_kernel", doubled)
-    for x, dets in zip(cases, want):
-        got = list(linalg.jacobian_determinants(x, 6))
-        assert got[0] == dets[0]
-        assert any(a != b for a, b in zip(got[1:], dets[1:])), x.fingerprint()
 
 
 def test_jacobian_transpose_invariance():

@@ -35,7 +35,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from matdivseq import (IntMatrix, char_poly, det_bareiss, factor_table, factorize,
                        generate_sequence, jacobian_determinant, jacobian_power_map, kronecker,
-                       lucas_2x2, mat_add, mat_mul, mat_pow, verify_divisibility)
+                       lucas_2x2, mat_add, mat_pow, verify_divisibility)
 from matdivseq import linalg
 from matdivseq.linalg import jacobian_determinants
 from matdivseq.sequences import COLUMNS
@@ -158,10 +158,10 @@ def test_u_is_the_krylov_determinant_of_the_powers_of_x(x):
 @PROPERTY
 @given(MATRICES, N_MAX)
 def test_jacobian_blocks_are_u_and_its_cofactor(x, n_max):
-    # det(Skew_n) = u_n, signed. Unless X is derogatory, one block per call comes first:
-    # (XB)_F, with determinant det(B_F) det(X); a derogatory X takes the Sym block before each
-    # Skew block, with determinant n^s det(X)^(n-1) u_n. The Sym block's determinant holds for
-    # every X.
+    # det(Skew_n) = u_n, signed. Unless X is derogatory, one s x s block per call comes first,
+    # inside _w_determinant, which returns det(X); a derogatory X takes the Sym block before
+    # each Skew block, with determinant n^s det(X)^(n-1) u_n. The Sym block's determinant
+    # holds for every X.
     blocks = []  # (dimension, value) of each determinant
     det = linalg._det_rows
 
@@ -178,53 +178,31 @@ def test_jacobian_blocks_are_u_and_its_cofactor(x, n_max):
         assert blocks[1::2] == skew
         assert blocks[0::2] == [(s * (s + 1) // 2, c * e.u) for c, e in zip(cofactors, entries)]
     else:
-        scale = linalg._symmetric_kernel(x.entries)[2] ** s  # det(B_F)
-        assert blocks == [(s, scale * det_x)] + skew
+        assert blocks[0][0] == s
+        assert blocks[1:] == skew
+        assert linalg._w_determinant(x.entries) == det_x
     assert dets == [e.jacobian_det for e in entries]
     for e, c in zip(entries[:3], cofactors):
         assert det_fraction(sym_block(x, e.n)) == c * e.u, e.n
-
-
-def _symmetric(b, s):
-    """The symmetric matrix with coordinates b: entries (p, q), p <= q, ordered by q, then p."""
-    values = iter(b)
-    rows = [[0] * s for _ in range(s)]
-    for q in range(s):
-        for p in range(q + 1):
-            rows[p][q] = rows[q][p] = next(values)
-    return IntMatrix(rows)
 
 
 @PROPERTY
 @given(MATRICES)
 def test_the_invariant_symmetric_matrices_have_dimension_s_exactly_when_x_is_cyclic(x):
     # W = {S symmetric : XS = SX^T} has dim W >= s, with equality exactly when I, X, ...,
-    # X^(s-1) are independent: the guard of the s x s block of the Jacobian oracle.
-    basis, free, pivot = linalg._symmetric_kernel(x.entries)
-    s = x.dim
-    assert len(basis) >= s
-    assert (len(basis) == s) == (not derogatory(x))
-    assert [[b[f] for f in free] for b in basis] == [[pivot * (i == j) for j in range(len(free))]
-                                                     for i in range(len(basis))]  # B_F = D * I
-    xt = x.transpose()
-    for b in basis:
-        sym = _symmetric(b, s)
-        assert mat_mul(x, sym) == mat_mul(sym, xt)
+    # X^(s-1) are independent: the guard of the s x s block of the Jacobian oracle, which
+    # _w_determinant signals by returning None.
+    assert (linalg._w_determinant(x.entries) is None) == derogatory(x)
 
 
 @PROPERTY
 @given(MATRICES)
 def test_x_on_the_invariant_symmetric_matrices_has_determinant_det_x(x):
-    # For a nonderogatory X, R: S -> XS on W, in the basis B, has
-    # det(R) = det((XB)_F) / det(B_F) = det(X): the theorem that lets the Jacobian oracle
-    # check the W factor of det J_n once per call instead of stepping it at every n.
+    # For a nonderogatory X, R: S -> XS on W has det(R) = det(X): the theorem that lets the
+    # Jacobian oracle check the W factor of det J_n once per call instead of stepping it at
+    # every n.
     assume(not derogatory(x))
-    basis, free, pivot = linalg._symmetric_kernel(x.entries)
-    s = x.dim
-    pairs = [(p, q) for q in range(s) for p in range(q + 1)]
-    xb_f = [[xs.entries[p][q] for p, q in map(pairs.__getitem__, free)]
-            for xs in (mat_mul(x, _symmetric(b, s)) for b in basis)]
-    assert det_fraction(xb_f) == pivot ** s * det_fraction(x.entries)
+    assert linalg._w_determinant(x.entries) == det_bareiss(x)
 
 
 @PROPERTY

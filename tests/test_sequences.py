@@ -276,19 +276,22 @@ def _record_sequence_dets(monkeypatch):
     return dets
 
 
-def _oracle_blocks(x, entries):
-    """(dimension, value) of the oracle's determinants: first (XB)_F, s x s, once per call,
-    with value det(B_F) det(X), then Skew_n for each n, with value u_n (0 x 0 at s = 1); or for
-    a derogatory X the Sym block of each n, with value n^s det(X)^(n-1) u_n, before its Skew_n."""
+def _check_oracle_blocks(dets, x, entries):
+    """``dets``, the (dimension, value) of the oracle's determinants, must be: first an s x s
+    block, once per call, inside ``_w_determinant``, which returns det(X), then Skew_n for each
+    n, with value u_n (0 x 0 at s = 1); or for a derogatory X the Sym block of each n, with
+    value n^s det(X)^(n-1) u_n, before its Skew_n."""
     s, det_x = x.dim, entries[0].det_x
     skew = s * (s - 1) // 2
-    if not derogatory(x):
-        scale = matdivseq.linalg._symmetric_kernel(x.entries)[2] ** s  # det(B_F)
-        return [(s, scale * det_x)] + [(skew, e.u) for e in entries]
-    blocks = []
-    for e in entries:
-        blocks += [(s * (s + 1) // 2, e.n ** s * det_x ** (e.n - 1) * e.u), (skew, e.u)]
-    return blocks
+    if derogatory(x):
+        blocks = []
+        for e in entries:
+            blocks += [(s * (s + 1) // 2, e.n ** s * det_x ** (e.n - 1) * e.u), (skew, e.u)]
+        assert dets == blocks, x.fingerprint()
+    else:
+        assert dets[0][0] == s, x.fingerprint()
+        assert dets[1:] == [(skew, e.u) for e in entries], x.fingerprint()
+        assert matdivseq.linalg._w_determinant(x.entries) == det_x, x.fingerprint()
 
 
 def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
@@ -298,7 +301,7 @@ def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
         report = verify_closed_form(x, 4)
         assert report.passed
         assert not any("closed form unavailable" in n for n in report.notes)
-        assert dets == _oracle_blocks(x, report.entries)
+        _check_oracle_blocks(dets, x, report.entries)
 
 
 def test_verify_oracle_never_evaluates_the_closed_form(monkeypatch):
@@ -408,7 +411,7 @@ def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypat
         report = verify_closed_form(x, 20)
         # det(R) once, then one block determinant per n; a derogatory X takes two per n and no
         # det(R). Their values give the closed form.
-        assert dets == _oracle_blocks(x, entries), x.fingerprint()
+        _check_oracle_blocks(dets, x, entries)
         assert report.passed and not report.mismatches, x.fingerprint()
         assert report.entries == tuple(entries)
 
