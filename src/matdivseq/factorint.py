@@ -259,9 +259,7 @@ def _stage_plan() -> tuple[tuple[int, ...], tuple[tuple[int, array], ...], int]:
 
 
 def _lucas_v(v: int, k: int, n: int) -> int:
-    """V_k mod ``n`` of the Lucas sequence V_0 = 2, V_1 = v, V_(i+1) = v V_i - V_(i-1)."""
-    if k == 0:
-        return 2
+    """V_k mod ``n`` for k >= 1: V_0 = 2, V_1 = v, V_(i+1) = v V_i - V_(i-1)."""
     x, y = v, (v * v - 2) % n  # V_i, V_(i+1)
     for bit in bin(k)[3:]:
         if bit == "1":
@@ -296,8 +294,7 @@ def _lucas_split(n: int, v: int) -> int | None:
     while len(baby) < _D // 4:
         baby.append((baby[-1] * v2 - baby[-2]) % n)
     vd = _lucas_v(v, _D, n)
-    k = plan[0][0]
-    prev, cur = _lucas_v(vd, k - 1, n), _lucas_v(vd, k, n)
+    k, prev, cur = 0, vd, 2  # V_((k-1)D), V_kD at k = 0: V_-D = V_D as Q = 1
     acc = 1
     for target, js in plan:
         while k < target:
@@ -389,20 +386,18 @@ def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
         m >>= twos
     primes, products = _prime_runs()
     cofactor = 1
-    untested = True  # is_prime has not seen m since it last changed
+    untested = True  # no screen has run yet, or the last one divided m
     for start, product in zip(range(0, len(primes), _RUN), products):
         if primes[start] ** 2 > m:  # so m is 1 or a prime, as after the break below
             break
-        if untested and _PRIME_TEST_ABOVE < m < _DETERMINISTIC_BOUND:
-            # A proven prime ends the search here instead of after the runs up
-            # to its square root, which are all of them above TRIAL_LIMIT^2.
-            untested = False
-            if is_prime(m):
-                break
+        # A proven prime ends the search here instead of after the runs up to
+        # its square root, which are all of them above TRIAL_LIMIT^2.
+        if untested and _PRIME_TEST_ABOVE < m < _DETERMINISTIC_BOUND and is_prime(m):
+            break
         g = gcd(m, product)
+        untested = g > 1
         if g == 1:
             continue
-        untested = True
         for q in primes[start:start + _RUN]:
             if g % q == 0:
                 g //= q

@@ -17,8 +17,14 @@ The calls:
 * every op of the three benchmark workloads of ``perfbench/workloads.py`` at
   seeds 1 and 2, the known-defect op with its exception text.
 
-Regenerate the expected file, only for an intended output change, from the
+Compare the outputs with the expected file, with no pytest needed, from the
 repository root:
+
+    PYTHONPATH=src python3 -m tests.corpus
+
+It prints how many calls match out of the file's total and the key of each
+call that differs, and exits 1 if any does. Regenerate the expected file,
+only for an intended output change, with:
 
     PYTHONPATH=src python3 -m tests.corpus --write
 """
@@ -191,7 +197,16 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"rewrite {EXPECTED.name} from the current outputs")
     args = parser.parse_args(argv)
     if not args.write:
-        parser.error("nothing to do: pass --write (pytest runs the comparison)")
+        expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+        corpus = calls()
+        differ = [key for key, argv, stdin in corpus if key not in expected
+                  or record(run(argv, stdin))["sha256"] != expected[key]["sha256"]]
+        keys = {key for key, _, _ in corpus}
+        stale = [key for key in expected if key not in keys]  # calls that no longer run
+        print(f"{len(corpus) - len(differ)}/{len(expected)} calls match {EXPECTED.name}")
+        for key in differ + stale:
+            print(f"differs: {key}")
+        return 1 if differ or stale else 0
     # One line per call, so that a regenerated file diffs call by call.
     lines = [f"{json.dumps(key, ensure_ascii=False)}: "
              f"{json.dumps(record(run(argv, stdin)), ensure_ascii=False)}"

@@ -10,20 +10,25 @@ ratio ``discriminant(power_polynomial(f, n)) // discriminant(f)``.
 ``derogatory`` tells whether I, X, ..., X^(s-1) are dependent, and
 ``sym_block`` is the block of M_n = sum_k X^k (x) X^(n-1-k) on symmetric
 matrices that the Jacobian oracle eliminates only for such X. None of
-this runs in the package's routes.
+this runs in the package's routes. ``record_det_rows`` records the
+determinants a module takes, and ``check_oracle_blocks`` states the ones
+the Jacobian oracle must take.
 
 ``table_json`` is the oracle of ``table --format json``: the table's
 payload as a dict, written by ``json.dumps(payload, indent=2)``.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 from typing import Sequence
+from unittest import mock
 
-from matdivseq import IntMatrix, MonicIntPolynomial, det_bareiss, mat_add, mat_mul, mat_pow
+from matdivseq import (IntMatrix, MonicIntPolynomial, det_bareiss, linalg, mat_add, mat_mul,
+                       mat_pow)
 
 
 def det_cofactor(rows):
@@ -94,6 +99,40 @@ def sym_block(x: IntMatrix, n: int) -> list[list[int]]:
                                  for k in range(n)))
         columns.append([image.entries[p][q] for p, q in pairs])
     return [list(row) for row in zip(*columns)]
+
+
+@contextmanager
+def record_det_rows(module):
+    """Within the block, ``module._det_rows`` appends the (size, value) of each
+    determinant it takes to the list yielded."""
+    dets = []
+    det = module._det_rows
+
+    def recorded(rows):
+        dets.append((len(rows), det(rows)))
+        return dets[-1][1]
+
+    with mock.patch.object(module, "_det_rows", recorded):
+        yield dets
+
+
+def check_oracle_blocks(dets, x: IntMatrix, det_x: int, us: Sequence[int]) -> None:
+    """``dets``, the (size, value) of each determinant ``linalg.jacobian_determinants(x,
+    len(us))`` took, given det(X) and u_1, u_2, ..., must be: first an s x s block, once per
+    call, inside ``_w_determinant``, which returns det(X), then Skew_n for each n, with value
+    u_n (0 x 0 at s = 1); or for a derogatory X the Sym block of each n, with value
+    n^s det(X)^(n-1) u_n, before its Skew_n.
+    """
+    s = x.dim
+    skew = s * (s - 1) // 2
+    if derogatory(x):
+        assert dets == [block for n, u in enumerate(us, 1) for block in (
+            (s * (s + 1) // 2, n ** s * det_x ** (n - 1) * u), (skew, u))], x.fingerprint()
+        return
+    # The s x s block's value is D^s det(X), D a pivot inside _w_determinant.
+    assert dets == [(s, mock.ANY)] + [(skew, u) for u in us], x.fingerprint()
+    # Last: under record_det_rows this call appends a block to ``dets``.
+    assert linalg._w_determinant(x.entries) == det_x, x.fingerprint()
 
 
 def random_matrix(rng, dim, lo=-5, hi=5):

@@ -22,7 +22,8 @@ from matdivseq.cli import (MatrixDocument, MatrixParseError, main, parse_matrix,
                            run_charpoly, run_jacobian, run_table, run_verify)
 
 from golden_tables import X3, X4
-from helpers import derogatory, random_matrix, table_json
+from helpers import (check_oracle_blocks, derogatory, random_matrix, record_det_rows,
+                     table_json)
 
 X3_JSON = '{"matrix": [[1, -2, -6], [0, 1, 3], [-1, 0, 1]], "name": "X3"}'
 
@@ -643,31 +644,16 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-# Sizes of the determinants of each n: the oracle's s(s-1)/2 Skew block (after the s(s+1)/2
-# Sym block for a derogatory X) and the closed form's (s-1) x (s-1) u_n. Before the first n, a
-# nonderogatory X takes one s x s determinant, det(R).
+# Sizes of the closed form's determinants of each n: the (s-1) x (s-1) u_n. The oracle's are
+# the blocks of check_oracle_blocks.
 @pytest.mark.parametrize("x, per_n", [
-    (X3, {"oracle": [3], "lucas_u": [2]}),
+    (X3, [2]),
     # repeated eigenvalue
-    (IntMatrix([[1, 1], [0, 1]]), {"oracle": [1], "lucas_u": [1]}),
+    (IntMatrix([[1, 1], [0, 1]]), [1]),
     # derogatory
-    (IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]), {"oracle": [6, 3], "lucas_u": [2]}),
+    (IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]), [2]),
 ])
 def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
-    once = [] if derogatory(x) else [x.dim]
-    sizes = {}
-
-    def record_dets(module, name):
-        det = module._det_rows
-
-        def recorded(rows):
-            sizes.setdefault(name, []).append(len(rows))
-            return det(rows)
-
-        monkeypatch.setattr(module, "_det_rows", recorded)
-
-    record_dets(matdivseq.linalg, "oracle")
-    record_dets(matdivseq.polynomials, "lucas_u")
     building = {}
     for name in ("kronecker", "mat_mul"):
         _count_calls(monkeypatch, matdivseq.linalg, name, building)
@@ -679,15 +665,20 @@ def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
         return steps(x, sign, n_max)
 
     monkeypatch.setattr(matdivseq.linalg, "_compound_steps", recorded_steps)
-    _out, code = run_verify(MatrixDocument(matrix=x), 6)
+    with (record_det_rows(matdivseq.linalg) as oracle,
+          record_det_rows(matdivseq.polynomials) as lucas_u):
+        _out, code = run_verify(MatrixDocument(matrix=x), 6)
     assert code == 0
-    assert sizes == {"oracle": once + per_n["oracle"] * 6, "lucas_u": per_n["lucas_u"] * 6}
+    assert [size for size, _v in lucas_u] == per_n * 6
     # The table's Jacobians come from one recurrence, not a Kronecker sum per n, and the
     # oracle steps the compounds on skew matrices (and on symmetric ones only for a
     # derogatory X), never on all s^2 matrices, as M_n.
     assert "kronecker" not in building
     assert building.get("mat_mul", 0) == 0  # char_poly steps row lists
     assert sorted(signs) == ([-1, 1] if derogatory(x) else [-1])
+    # After the mat_mul count: the check's derogatory(x) multiplies matrices.
+    entries = generate_sequence(x, 6)
+    check_oracle_blocks(oracle, x, entries[0].det_x, [e.u for e in entries])
 
 
 def test_verify_closed_form_reports_the_generated_entries():

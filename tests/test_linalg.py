@@ -8,8 +8,8 @@ from matdivseq import (IntMatrix, char_poly, det_bareiss, generalized_lucas, jac
                        kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
 
 from golden_tables import X3, X4
-from helpers import (det_cofactor, det_fraction, derogatory, random_matrix, sym_block,
-                     unimodular_pair)
+from helpers import (check_oracle_blocks, det_cofactor, det_fraction, derogatory, random_matrix,
+                     record_det_rows, sym_block, unimodular_pair)
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 I2 = IntMatrix.identity(2)
@@ -340,46 +340,28 @@ def test_jacobian_determinants_match_det_of_each_jacobian():
             assert list(linalg.jacobian_determinants(x, 12)) == want, x.fingerprint()
 
 
-def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor(monkeypatch):
-    # det(Skew_n) = u_n. Unless X is derogatory, one s x s block per call comes first, inside
-    # _w_determinant, which returns det(X), and d_n = n^s det(X)^(n-1) u_n^2; a derogatory X
-    # takes the Sym block before each Skew block, det(Sym) = n^s det(X)^(n-1) u_n. At s = 1
-    # the Skew block is 0 x 0, with determinant 1 = u_n.
-    blocks, sizes = [], []
-    det = linalg._det_rows
-
-    def recorded(rows):
-        sizes.append(len(rows))
-        blocks.append(det(rows))
-        return blocks[-1]
-
-    monkeypatch.setattr(linalg, "_det_rows", recorded)
+def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor():
+    # The oracle's blocks (see check_oracle_blocks) and d_n = n^s det(X)^(n-1) u_n^2, which a
+    # derogatory X gets as det(Sym) u_n. At s = 1 the Skew block is 0 x 0, with determinant
+    # 1 = u_n.
     rng = random.Random(191)
     kinds = set()
-    for dim in (2, 3, 4, 5, 1):  # s = 1 last: the draws of the others stay as they were
-        for x in _block_cases(dim, rng):
-            blocks.clear()
-            sizes.clear()
-            dets = list(linalg.jacobian_determinants(x, 9))
-            f = char_poly(x)
-            det_x = (-1) ** dim * f.coefficients[-1]
-            us = list(generalized_lucas(f, range(1, 10)))
-            cofactors = [n ** dim * det_x ** (n - 1) for n in range(1, 10)]
-            kind = derogatory(x)
-            kinds.add(kind)
-            if kind:
-                assert sizes == [dim * (dim + 1) // 2, dim * (dim - 1) // 2] * 9
-                assert blocks[1::2] == us, x.fingerprint()
-                assert blocks[0::2] == [c * u for c, u in zip(cofactors, us)], x.fingerprint()
-                assert dets == [a * b for a, b in zip(blocks[0::2], us)]
-            else:
-                assert sizes == [dim] + [dim * (dim - 1) // 2] * 9
-                assert blocks[1:] == us, x.fingerprint()
+    with record_det_rows(linalg) as blocks:
+        for dim in (2, 3, 4, 5, 1):  # s = 1 last: the draws of the others stay as they were
+            for x in _block_cases(dim, rng):
+                blocks.clear()
+                dets = list(linalg.jacobian_determinants(x, 9))
+                f = char_poly(x)
+                det_x = (-1) ** dim * f.coefficients[-1]
+                us = list(generalized_lucas(f, range(1, 10)))
+                cofactors = [n ** dim * det_x ** (n - 1) for n in range(1, 10)]
+                kinds.add(derogatory(x))
+                check_oracle_blocks(blocks, x, det_x, us)
                 assert dets == [c * u * u for c, u in zip(cofactors, us)]
-                assert linalg._w_determinant(x.entries) == det_x, x.fingerprint()
-            # The Sym block, which only a derogatory X eliminates, has the same determinant.
-            for n in (1, 2, 5):
-                assert det_fraction(sym_block(x, n)) == cofactors[n - 1] * us[n - 1]
+                # The Sym block, which only a derogatory X eliminates, has the same
+                # determinant.
+                for n in (1, 2, 5):
+                    assert det_fraction(sym_block(x, n)) == cofactors[n - 1] * us[n - 1]
     assert kinds == {False, True}
 
 

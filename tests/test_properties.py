@@ -25,7 +25,6 @@ factor once per call.
 """
 
 from functools import reduce
-from unittest import mock
 
 import pytest
 
@@ -40,7 +39,7 @@ from matdivseq import linalg
 from matdivseq.linalg import jacobian_determinants
 from matdivseq.sequences import COLUMNS
 
-from helpers import det_fraction, derogatory, sym_block
+from helpers import check_oracle_blocks, det_fraction, derogatory, record_det_rows, sym_block
 
 ENTRY = st.integers(-3, 3)
 DIM = st.integers(1, 4)
@@ -158,29 +157,13 @@ def test_u_is_the_krylov_determinant_of_the_powers_of_x(x):
 @PROPERTY
 @given(MATRICES, N_MAX)
 def test_jacobian_blocks_are_u_and_its_cofactor(x, n_max):
-    # det(Skew_n) = u_n, signed. Unless X is derogatory, one s x s block per call comes first,
-    # inside _w_determinant, which returns det(X); a derogatory X takes the Sym block before
-    # each Skew block, with determinant n^s det(X)^(n-1) u_n. The Sym block's determinant
-    # holds for every X.
-    blocks = []  # (dimension, value) of each determinant
-    det = linalg._det_rows
-
-    def recorded(rows):
-        blocks.append((len(rows), det(rows)))
-        return blocks[-1][1]
-
-    with mock.patch.object(linalg, "_det_rows", recorded):
+    # The oracle's blocks (see check_oracle_blocks), with det(Skew_n) = u_n signed. The Sym
+    # block's determinant n^s det(X)^(n-1) u_n holds for every X.
+    with record_det_rows(linalg) as blocks:
         dets = list(jacobian_determinants(x, n_max))
     entries, det_x, s = generate_sequence(x, n_max), det_bareiss(x), x.dim
     cofactors = [e.n ** s * det_x ** (e.n - 1) for e in entries]
-    skew = [(s * (s - 1) // 2, e.u) for e in entries]
-    if derogatory(x):
-        assert blocks[1::2] == skew
-        assert blocks[0::2] == [(s * (s + 1) // 2, c * e.u) for c, e in zip(cofactors, entries)]
-    else:
-        assert blocks[0][0] == s
-        assert blocks[1:] == skew
-        assert linalg._w_determinant(x.entries) == det_x
+    check_oracle_blocks(blocks, x, det_x, [e.u for e in entries])
     assert dets == [e.jacobian_det for e in entries]
     for e, c in zip(entries[:3], cofactors):
         assert det_fraction(sym_block(x, e.n)) == c * e.u, e.n

@@ -11,7 +11,8 @@ from matdivseq import (IntMatrix, SequenceEntry, char_poly, closed_form_entry, d
 from matdivseq.sequences import COLUMNS
 
 from golden_tables import X3, X4, X3_TABLE
-from helpers import derogatory, discriminant, random_matrix, unimodular_pair
+from helpers import (check_oracle_blocks, discriminant, random_matrix, record_det_rows,
+                     unimodular_pair)
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 JORDAN_2 = IntMatrix([[1, 1], [0, 1]])
@@ -263,45 +264,13 @@ def test_verify_closed_form_eigenvalue_collision_passes():
     assert report.passed
 
 
-def _record_sequence_dets(monkeypatch):
-    """(dimension, value) of each determinant ``linalg`` takes, in order."""
-    dets = []
-    det = matdivseq.linalg._det_rows
-
-    def recorded(rows):
-        dets.append((len(rows), det(rows)))
-        return dets[-1][1]
-
-    monkeypatch.setattr(matdivseq.linalg, "_det_rows", recorded)
-    return dets
-
-
-def _check_oracle_blocks(dets, x, entries):
-    """``dets``, the (dimension, value) of the oracle's determinants, must be: first an s x s
-    block, once per call, inside ``_w_determinant``, which returns det(X), then Skew_n for each
-    n, with value u_n (0 x 0 at s = 1); or for a derogatory X the Sym block of each n, with
-    value n^s det(X)^(n-1) u_n, before its Skew_n."""
-    s, det_x = x.dim, entries[0].det_x
-    skew = s * (s - 1) // 2
-    if derogatory(x):
-        blocks = []
-        for e in entries:
-            blocks += [(s * (s + 1) // 2, e.n ** s * det_x ** (e.n - 1) * e.u), (skew, e.u)]
-        assert dets == blocks, x.fingerprint()
-    else:
-        assert dets[0][0] == s, x.fingerprint()
-        assert dets[1:] == [(skew, e.u) for e in entries], x.fingerprint()
-        assert matdivseq.linalg._w_determinant(x.entries) == det_x, x.fingerprint()
-
-
-def test_verify_closed_form_repeated_eigenvalues_checks_every_n(monkeypatch):
-    dets = _record_sequence_dets(monkeypatch)
+def test_verify_closed_form_repeated_eigenvalues_checks_every_n():
     for x in (JORDAN_2, JORDAN_3):
-        dets.clear()
-        report = verify_closed_form(x, 4)
+        with record_det_rows(matdivseq.linalg) as dets:
+            report = verify_closed_form(x, 4)
         assert report.passed
         assert not any("closed form unavailable" in n for n in report.notes)
-        _check_oracle_blocks(dets, x, report.entries)
+        check_oracle_blocks(dets, x, report.entries[0].det_x, [e.u for e in report.entries])
 
 
 def test_verify_oracle_never_evaluates_the_closed_form(monkeypatch):
@@ -393,8 +362,6 @@ def _repeated_eigenvalue_cases():
 
 
 def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypatch):
-    dets = _record_sequence_dets(monkeypatch)
-
     def no_jacobian(*args):
         raise AssertionError("generate_sequence builds no Jacobian")
 
@@ -407,11 +374,11 @@ def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypat
         assert not any(e.fallback_used for e in entries)
         stepped = [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 21)]
         assert [e.jacobian_det for e in entries] == stepped, x.fingerprint()
-        dets.clear()
-        report = verify_closed_form(x, 20)
+        with record_det_rows(matdivseq.linalg) as dets:
+            report = verify_closed_form(x, 20)
         # det(R) once, then one block determinant per n; a derogatory X takes two per n and no
         # det(R). Their values give the closed form.
-        _check_oracle_blocks(dets, x, entries)
+        check_oracle_blocks(dets, x, entries[0].det_x, [e.u for e in entries])
         assert report.passed and not report.mismatches, x.fingerprint()
         assert report.entries == tuple(entries)
 
