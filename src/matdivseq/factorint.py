@@ -14,7 +14,8 @@ unfactored part survives the budget come back with a composite cofactor
 instead of hanging.
 
 Every prime factor below 3.3e24 is proven: by trial division, or by
-:func:`is_prime`, whose fixed bases decide primality below that bound. A
+:func:`is_prime`, whose fixed bases decide primality below that bound,
+taking the first 4, 7, 9, 12 or 13 primes as bases by the size of n. A
 factor above it is only a strong probable prime; X4 at n = 19 already
 yields one, 888088211095373020531497427.
 
@@ -32,7 +33,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import compress, groupby, islice
 from math import gcd, isqrt, prod
 
@@ -110,10 +111,14 @@ class Factorization:
         return f"-{body}" if self.sign < 0 else body
 
 
-# Bases of primes through 41 decide primality for n < 3317044064679887385961981
-# (about 3.3e24); above that the same test with primes through 97 is a strong
-# probable-prime check with no known counterexample.
-_DETERMINISTIC_BOUND = 3317044064679887385961981
+# The first k prime bases decide primality for every n below psi_k, the least
+# strong pseudoprime to all of them (Jaeschke, Math. Comp. 61, 1993; Sorenson
+# and Webster, Math. Comp. 86, 2017): (psi_k, k) for k = 4, 7, 9, 12 and 13.
+# psi_13, about 3.3e24, bounds the proofs; above it the test with the primes
+# through 97 is a strong probable-prime check with no known counterexample.
+_BASE_TIERS = ((3215031751, 4), (341550071728321, 7), (3825123056546413051, 9),
+               (318665857834031151167461, 12), (3317044064679887385961981, 13))
+_DETERMINISTIC_BOUND = _BASE_TIERS[-1][0]
 _SMALL_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _LARGE_BASES = _SMALL_BASES + (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -132,6 +137,9 @@ _RUN = 128
 # of 1e10-1e12).
 _PRIME_TEST_ABOVE = 10 ** 10
 
+# Stage-1 multipliers per ladder and gcd in the p-1/p+1 stages; a chunk whose
+# gcd is not 1 is replayed one multiplier at a time.
+_CHUNK = 24
 # Stage 2 pairs the primes q = kD +- j around multiples of D.
 _D = 2310
 # Seeds V_1 = a/b (mod n) of the Lucas-sequence stages. 10/3 = 3 + 1/3 makes
@@ -144,7 +152,8 @@ _SEEDS = ((10, 3), (2, 7), (6, 5))
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test with fixed bases (see module constants).
 
-    Deterministic below 3.3e24, strong probable prime above.
+    Deterministic below 3.3e24, with the fewest leading prime bases that
+    decide n's size; a strong probable prime above.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -158,7 +167,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _SMALL_BASES if n < _DETERMINISTIC_BOUND else _LARGE_BASES
+    k = next((k for bound, k in _BASE_TIERS if n < bound), len(_LARGE_BASES))
+    bases = _LARGE_BASES[:k]
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -230,14 +240,16 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
 
 
 @cache
-def _stage_plan() -> tuple[tuple[int, ...], tuple[tuple[int, array], ...], int]:
+def _stage_plan() -> tuple[tuple[int, ...], tuple[tuple[int, array], ...], int,
+                           tuple[int, ...]]:
     """What one Lucas-sequence stage runs, from a slice of :func:`_prime_runs`.
 
     Returns the stage-1 multipliers (each prime p <= STAGE1_BOUND repeated
     once per power of p up to the bound), the stage-2 giant steps (k with
     the j // 2 of the odd j < D/2 such that kD - j or kD + j is a prime in
-    (STAGE1_BOUND, STAGE2_BOUND]), and the stage's cost in modular
-    multiplications. Built on the first stage run, not at import.
+    (STAGE1_BOUND, STAGE2_BOUND]), the stage's nominal cost in modular
+    multiplications, and the product of each run of ``_CHUNK`` consecutive
+    multipliers. Built on the first stage run, not at import.
     """
     primes = _prime_runs()[0]
     stop = bisect_right(primes, STAGE2_BOUND)
@@ -252,10 +264,13 @@ def _stage_plan() -> tuple[tuple[int, ...], tuple[tuple[int, array], ...], int]:
     plan = tuple((k, array("H", sorted({abs(q - k * _D) >> 1 for q in qs})))
                  for k, qs in groupby(islice(primes, split, stop),
                                       key=lambda q: (q + _D // 2) // _D))
-    # Two per ladder bit, one per baby step, one per giant step, one per pair.
+    # Nominal: two per bit of one ladder per multiplier, one per baby step, one
+    # per giant step, one per pair. Stage 1 runs fewer (a ladder per chunk, or
+    # the built-in pow), but the budget charges this so that it splits as before.
     cost = (sum(2 * p.bit_length() for p in steps) + _D // 4 + plan[-1][0]
             + sum(len(js) for _k, js in plan))
-    return tuple(steps), plan, cost
+    chunks = tuple(prod(steps[i:i + _CHUNK]) for i in range(0, len(steps), _CHUNK))
+    return tuple(steps), plan, cost, chunks
 
 
 def _lucas_v(v: int, k: int, n: int) -> int:
@@ -274,21 +289,37 @@ def _lucas_split(n: int, v: int) -> int | None:
 
     With V_1 = v = alpha + 1/alpha, a prime p of ``n`` divides V_E - 2 once
     the order of alpha, a divisor of p - 1 or p + 1, divides E. Stage 1 takes
-    E over the prime powers up to STAGE1_BOUND with a gcd per prime; stage 2
-    then finds one more prime q = kD +- j <= STAGE2_BOUND, since
-    V_kD - V_j = 0 (mod p) when alpha^(E(kD - j)) or alpha^(E(kD + j)) is 1
-    (baby-step giant-step, a gcd per giant step). A stage-1 gcd equal to
-    ``n`` gives up; a stage-2 one is replayed term by term first.
+    E over the prime powers up to STAGE1_BOUND, one ladder and gcd per chunk
+    of ``_CHUNK`` of them (V_ab = V_a(V_b)). The gcd only grows along a chunk,
+    as alpha^a - 1 divides alpha^(ab) - 1, so a chunk whose gcd is not 1 is
+    replayed prime by prime from its start, and the first prime whose gcd
+    is not 1 decides. The p-1 seed v = 3 + 1/3 has alpha = 3 in Z/n: its
+    stage 1 raises 3 by the built-in pow and takes the gcd of
+    (alpha^E - 1)^2 = alpha^E (V_E - 2). Stage 2 then finds one more prime
+    q = kD +- j <= STAGE2_BOUND, since V_kD - V_j = 0 (mod p) when
+    alpha^(E(kD - j)) or alpha^(E(kD + j)) is 1 (baby-step giant-step, a
+    gcd per giant step). A stage-1 gcd equal to ``n`` gives up; a stage-2
+    one is replayed term by term first.
     """
-    steps, plan, _cost = _stage_plan()
-    for p in steps:
-        w = _lucas_v(v, p, n)
-        g = gcd(w - 2, n)
-        if g == n:
-            return None
-        if g > 1:
-            return g
-        v = w
+    steps, plan, _cost, chunks = _stage_plan()
+    power = v == (3 + pow(3, -1, n)) % n
+    if power:  # x is alpha^E
+        x, step, test = 3, partial(pow, mod=n), lambda t: (t - 1) ** 2
+    else:  # x is V_E
+        x, step, test = v, partial(_lucas_v, n=n), lambda w: w - 2
+    for start, e in zip(range(0, len(steps), _CHUNK), chunks):
+        y = step(x, e)
+        if gcd(test(y), n) == 1:
+            x = y
+            continue
+        for p in steps[start:start + _CHUNK]:
+            x = step(x, p)
+            g = gcd(test(x), n)
+            if g == n:
+                return None
+            if g > 1:
+                return g
+    v = (x + pow(x, -1, n)) % n if power else x
     v2 = (v * v - 2) % n
     baby = [v, (v * v2 - v) % n]  # V_j for odd j: V_(j+2) = V_j V_2 - V_(j-2)
     while len(baby) < _D // 4:
@@ -316,7 +347,9 @@ def _lucas_split(n: int, v: int) -> int | None:
 
 
 def _exact_root(n: int, k: int) -> int:
-    """Floor of the k-th root of ``n`` by bisection."""
+    """Floor of the k-th root of ``n``: :func:`math.isqrt` for k = 2, else bisection."""
+    if k == 2:
+        return isqrt(n)
     hi = 1 << (n.bit_length() // k + 2)
     lo = 0
     while lo < hi - 1:
@@ -339,7 +372,11 @@ def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int]) 
         counts[m] = counts.get(m, 0) + mult
         return 1
     # A k-th root, free of primes <= TRIAL_LIMIT too, exceeds 2^19: 19k < bit_length.
-    for k in range(2, m.bit_length() // (TRIAL_LIMIT.bit_length() - 1) + 1):
+    # Prime k suffice: a (pq)-th power is a p-th power, found first. m, composite,
+    # exceeds TRIAL_LIMIT^2 > 2^39, so 2 is always in range.
+    primes = _prime_runs()[0]
+    top = m.bit_length() // (TRIAL_LIMIT.bit_length() - 1)
+    for k in (2, *islice(primes, bisect_right(primes, top))):
         root = _exact_root(m, k)
         if root ** k == m:
             return _factor_rough(root, mult * k, counts, budget)
@@ -360,6 +397,27 @@ def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int]) 
             * _factor_rough(m // d, mult, counts, budget))
 
 
+def _divide_out(m: int, q: int) -> tuple[int, int]:
+    """``m`` with every factor ``q`` divided out, and their count, for q | m.
+
+    When q divides twice, it divides by q, q^2, q^4, ... while they divide,
+    then by the same powers back down, so q^k costs O(log k) divisions, not k.
+    """
+    m //= q
+    if m % q:
+        return m, 1
+    e, powers = 1, [q]  # powers[i] = q^(2^i)
+    while m % powers[-1] == 0:
+        m //= powers[-1]
+        e += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for i in range(len(powers) - 2, -1, -1):
+        if m % powers[i] == 0:
+            m //= powers[i]
+            e += 1 << i
+    return m, e
+
+
 def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
     """Factor any integer; incompleteness is represented, never raised.
 
@@ -368,8 +426,11 @@ def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
     not proven ones. ``rho_steps`` is one budget for all the work spent
     splitting what remains, counted in modular multiplications: each run
     of the p-1/p+1 stages (one per seed, on each composite piece) is
-    charged its fixed cost, about 40000, before it starts and is skipped
-    when the rest of the budget cannot pay it; a rho step counts one, and
+    charged a fixed 39846 before it starts and is skipped when the rest of
+    the budget cannot pay it. That is a nominal count, one Lucas ladder per
+    stage-1 prime power, kept although stage 1 now runs one ladder (or one
+    built-in pow) per chunk of them, so that the budget and what it splits
+    do not move. A rho step counts one, and
     rho starts a doubling block of steps while any budget remains, so its
     last block may overrun. When the budget is spent the product of the
     unsplit pieces is reported as a composite cofactor; ``rho_steps=0``
@@ -401,11 +462,7 @@ def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
         for q in primes[start:start + _RUN]:
             if g % q == 0:
                 g //= q
-                e = 0
-                while m % q == 0:
-                    m //= q
-                    e += 1
-                counts[q] = e
+                m, counts[q] = _divide_out(m, q)
                 if g == 1:
                     break
     else:

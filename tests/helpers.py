@@ -16,6 +16,10 @@ the Jacobian oracle must take.
 
 ``table_json`` is the oracle of ``table --format json``: the table's
 payload as a dict, written by ``json.dumps(payload, indent=2)``.
+
+``lucas_split_per_prime`` is the p-1/p+1 split with its stage 1 run one
+Lucas ladder and one gcd per stage-1 prime power, the reference the
+chunked stage 1 of ``factorint._lucas_split`` must agree with.
 """
 
 import json
@@ -24,11 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+from math import gcd
 from typing import Sequence
 from unittest import mock
 
-from matdivseq import (IntMatrix, MonicIntPolynomial, det_bareiss, linalg, mat_add, mat_mul,
-                       mat_pow)
+from matdivseq import (IntMatrix, MonicIntPolynomial, det_bareiss, factorint, linalg, mat_add,
+                       mat_mul, mat_pow)
 
 
 def det_cofactor(rows):
@@ -326,3 +331,41 @@ def table_json(doc, entries, factors, column: str) -> str:
             }
         payload["entries"].append(item)
     return json.dumps(payload, indent=2)
+
+
+def lucas_split_per_prime(n: int, v: int) -> int | None:
+    """``factorint._lucas_split(n, v)`` with a ladder and a gcd per stage-1 prime."""
+    steps, plan = factorint._stage_plan()[:2]
+    _lucas_v, _D = factorint._lucas_v, factorint._D
+    for p in steps:
+        w = _lucas_v(v, p, n)
+        g = gcd(w - 2, n)
+        if g == n:
+            return None
+        if g > 1:
+            return g
+        v = w
+    v2 = (v * v - 2) % n
+    baby = [v, (v * v2 - v) % n]  # V_j for odd j: V_(j+2) = V_j V_2 - V_(j-2)
+    while len(baby) < _D // 4:
+        baby.append((baby[-1] * v2 - baby[-2]) % n)
+    vd = _lucas_v(v, _D, n)
+    k, prev, cur = 0, vd, 2  # V_((k-1)D), V_kD at k = 0: V_-D = V_D as Q = 1
+    acc = 1
+    for target, js in plan:
+        while k < target:
+            prev, cur = cur, (cur * vd - prev) % n
+            k += 1
+        for i in js:
+            acc = acc * (cur - baby[i]) % n
+        g = gcd(acc, n)
+        if g == 1:
+            continue
+        if g < n:
+            return g
+        for i in js:
+            g = gcd(cur - baby[i], n)
+            if 1 < g < n:
+                return g
+        return None
+    return None

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import prod
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 import matdivseq
 from golden_tables import X4
+from helpers import lucas_split_per_prime
 from matdivseq import Factorization, factor_table, factorize, generate_sequence, is_prime
 from matdivseq import factorint
 
@@ -68,6 +70,66 @@ def test_is_prime_large_values():
     # Beyond the deterministic bound: a Mersenne prime and its neighbor.
     assert is_prime(2 ** 89 - 1)
     assert not is_prime(2 ** 89 + 1)
+
+
+def _strong_probable_prime(n, bases):
+    """Miller-Rabin on odd n > 41 to each of ``bases``, written out afresh."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases. is_prime's
+# base count steps up at psi_4, psi_7, psi_9, psi_12 and psi_13; the others
+# lie inside its tiers.
+_PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+        6: 3474749660383, 7: 341550071728321, 8: 341550071728321,
+        9: 3825123056546413051, 10: 3825123056546413051, 11: 3825123056546413051,
+        12: 318665857834031151167461, 13: 3317044064679887385961981}
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_is_prime_rejects_each_psi_k():
+    # Each psi_k passes its first k bases, so a tier that reached it with k
+    # bases, or fewer than it holds, would call it prime.
+    for k, psi in _PSI.items():
+        assert _strong_probable_prime(psi, _PRIME_BASES[:k]), k
+        assert not is_prime(psi), k
+
+
+def test_is_prime_tiers_agree_with_all_13_bases():
+    rng = random.Random(163)
+    sample = [n for psi in _PSI.values() for n in range(psi - 40, min(psi + 40, _PSI[13]))]
+    for digits in range(3, 25):
+        sample += [rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(40)]
+    # Carmichael numbers: the classic small ones, and Chernick's (6k+1)(12k+1)(18k+1)
+    # with all three factors prime.
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    ks = [*range(1, 500), *(rng.randrange(10 ** 3, 10 ** 7) for _ in range(20000))]
+    for k in ks:
+        fs = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(is_prime(f) for f in fs):
+            carmichael.append(prod(fs))
+    assert len(carmichael) > 40 and max(carmichael) < _PSI[13]
+    sample += carmichael
+    primes = 0
+    for n in sample:
+        want = (n in _PRIME_BASES or (all(n % p for p in _PRIME_BASES)
+                                      and _strong_probable_prime(n, _PRIME_BASES)))
+        assert is_prime(n) == want, n
+        primes += want
+    assert primes > 30 and not any(is_prime(n) for n in carmichael)
 
 
 def test_is_prime_rejects_nonpositive():
@@ -148,6 +210,32 @@ def test_import_builds_no_prime_table():
     assert out.split() == ["0", "1"]
 
 
+def test_multiplicities_of_high_powers():
+    # The count of each trial prime is found by doubling powers: 3^56000
+    # factors in milliseconds, where dividing once per power took seconds.
+    factorize(2)
+    start = time.process_time()
+    assert factorize(3 ** 56000).factors == ((3, 56000),)
+    assert time.process_time() - start < 0.5
+    assert factorize(3 ** 14000).factors == ((3, 14000),)
+    assert factorize(3 ** 28000).factors == ((3, 28000),)
+    assert factorize(3 ** 56000 * 7).factors == ((3, 56000), (7, 1))
+    assert factorize(999983 ** 3000 * 7).factors == ((7, 1), (999983, 3000))
+    rng = random.Random(167)
+    for _ in range(60):
+        a, b, c = (rng.choice([0, 1, 2, 3, rng.randrange(4, 300)]) for _ in range(3))
+        n = 2 ** a * 3 ** b * 999983 ** c
+        want = tuple((p, e) for p, e in ((2, a), (3, b), (999983, c)) if e)
+        assert factorize(n).factors == want, (a, b, c)
+
+
+def test_divide_out_counts_every_power():
+    for q in (3, 7, 999983):
+        for k in range(1, 70):
+            for rest in (1, 2, 5, 11 * 13 * 999979):
+                assert factorint._divide_out(q ** k * rest, q) == (rest, k), (q, k, rest)
+
+
 def test_factorize_perfect_powers():
     f = factorize((10 ** 12 + 39) ** 3)
     assert f.factors == ((10 ** 12 + 39, 3),)
@@ -175,6 +263,8 @@ def test_perfect_power_search_tries_only_roots_above_the_trial_limit(monkeypatch
         assert (f.sign, f.factors, f.cofactor) == (-1 if n < 0 else 1, factors, None), n
         assert tried, n
         assert all(k <= m.bit_length() // 19 for m, k in tried), n
+        # A composite k is never tried: its smallest prime factor finds the power first.
+        assert all(is_prime(k) for _m, k in tried), n
 
 
 def test_trial_division_stops_at_a_proven_prime(monkeypatch):
@@ -394,7 +484,7 @@ def test_lucas_split_replays_a_stage_2_giant_step(monkeypatch):
     n = 1000117 * 1000121
     gcds = _record_gcds(monkeypatch)
     assert factorint._lucas_split(n, _seed(10, 3, n)) == 1000121
-    stage_1 = len(factorint._stage_plan()[0])
+    stage_1 = len(factorint._stage_plan()[3])  # one gcd per stage-1 chunk
     assert gcds[stage_1] == n and n not in gcds[stage_1 + 1:]
     assert gcds[-1] == 1000121
 
@@ -415,3 +505,65 @@ def test_trial_division_alone_finishes_values_below_the_trial_limit(monkeypatch)
         sign, factors = _trial_division(n)
         assert factorize(n) == Factorization(sign=sign, factors=tuple(factors)), n
         assert set(tested) <= {n}, n
+
+
+# The composites factor_table passes to _lucas_split for X4 at n <= 20
+# (the 39-digit one twice: the p-1 seed fails on it).
+_X4_SPLITS = (37378551270772621757, 70931585488408111, 5877944700413743,
+              341019527855583793199506522952353579007, 17547243001818921581872482443,
+              466437473756534208909477095939609617703)
+
+
+def test_lucas_split_matches_the_per_prime_stage_1():
+    cases = [
+        _SMOOTH_P_MINUS_1 * _ROUGH[0], _SMOOTH_P_PLUS_1 * _ROUGH[0], _ROUGH[0] * _ROUGH[1],
+        1000033 * 1007609,  # the stage-1 gcd is n
+        1000117 * 1000121,  # the stage-2 replay
+        # gcd(V_E - 2, n) is 1000033^2, as (3^E - 1)^2 has 1000033^2 and 3^E - 1 only 1000033.
+        1000033 ** 2 * 10001659,
+        # 3 has an order dividing E at the 81st stage-1 prime power mod 1000037 and at
+        # the 96th mod 1000453, in one chunk: the gcd grows from 1000037 to n inside it.
+        1000037 * 1000453,
+        *_X4_SPLITS,
+    ]
+    for n in cases:
+        for a, b in factorint._SEEDS:
+            v = _seed(a, b, n)
+            assert factorint._lucas_split(n, v) == lucas_split_per_prime(n, v), (n, a, b)
+    n = 1000033 ** 2 * 10001659
+    assert factorint._lucas_split(n, _seed(10, 3, n)) == 1000033 ** 2
+    n = 1000037 * 1000453
+    assert factorint._lucas_split(n, _seed(10, 3, n)) == 1000037
+
+
+def test_x4_split_inside_a_stage_1_chunk(monkeypatch):
+    # The p-1 split of one of X4's values stops at the 90th stage-1 prime power,
+    # inside a chunk: the chunk's gcd is the factor, and its replay from the
+    # chunk's start finds it again at that prime.
+    n, p = 37378551270772621757, 7282397
+    gcds = _record_gcds(monkeypatch)
+    assert factorint._lucas_split(n, _seed(10, 3, n)) == p
+    chunk = factorint._CHUNK
+    assert 89 % chunk and gcds == [1] * (89 // chunk) + [p] + [1] * (89 % chunk) + [p]
+
+
+def test_p_minus_1_stage_1_runs_no_lucas_ladder(monkeypatch):
+    ladders = []
+    lucas_v = factorint._lucas_v
+
+    def counted(v, k, n):
+        ladders.append(k)
+        return lucas_v(v, k, n)
+
+    monkeypatch.setattr(factorint, "_lucas_v", counted)
+    n = _ROUGH[0] * _ROUGH[1]
+    assert factorint._lucas_split(n, _seed(10, 3, n)) is None
+    assert ladders == [factorint._D]  # stage 2's V_D alone
+    ladders.clear()
+    assert factorint._lucas_split(n, _seed(2, 7, n)) is None
+    assert ladders == [*factorint._stage_plan()[3], factorint._D]  # a ladder per chunk
+
+
+def test_stage_charge_is_unchanged():
+    # The budget is charged this nominal count per seed run, whatever stage 1's shape.
+    assert factorint._stage_plan()[2] == 39846
