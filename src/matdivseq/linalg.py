@@ -226,22 +226,22 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
     exactly when I, X, ..., X^(s-1) are independent; then, by rank-nullity,
     phi maps the symmetric matrices onto the skew ones, and
     det J_n = det(L_n on W) * det(Skew_n)^2 = n^s det(R)^(n-1) det(Skew_n)^2,
-    R being S -> XS on W. :func:`_w_determinant` takes det(R) once per
-    call, and returns None when dim W > s (X derogatory: the zero and
-    scalar matrices, diag(2, 2, 3), the all-ones matrix); then
-    det J_n = det(Sym_n) * det(Skew_n) instead, Sym_n being L_n on the
-    basis E_pp, E_pq + E_qp (p < q).
+    R being S -> XS on W, with det(R) = det(X). :func:`_cyclic` decides
+    that guard once per call, from the Gram determinant of I, X, ...,
+    X^(s-1), and det(X) is then taken once from X's rows. When X is
+    derogatory (dim W > s: the zero and scalar matrices, diag(2, 2, 3), the
+    all-ones matrix), det J_n = det(Sym_n) * det(Skew_n) instead, Sym_n
+    being L_n on the basis E_pp, E_pq + E_qp (p < q).
 
     The trade-off: that L_n is n X^(n-1) on W, and that det(R) = det(X), are
-    theorems, so the W factor is checked once per call, through det(R), and
-    is not stepped per n. Skew_n, which carries u_n, is stepped through every
-    n by :func:`_compound_steps`, independently of the characteristic
-    polynomial.
+    theorems, so the W factor is taken once per call, as det(X), and is not
+    stepped per n. Skew_n, which carries u_n, is stepped through every n by
+    :func:`_compound_steps`, independently of the characteristic polynomial.
 
     An image's coordinate (p, q) is its entry (p, q). At s = 1 the Skew
     block is 0 x 0, with determinant 1. Every block is an integer matrix,
-    eliminated as in :func:`det_bareiss`; a division in
-    :func:`_w_determinant` that is not exact raises ``AssertionError``.
+    eliminated as in :func:`det_bareiss`: a division that is not exact
+    raises ``AssertionError``.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -249,72 +249,40 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
 
 
 def _block_determinants(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[int]:
-    """det J_1, ..., det J_(n_max): det(R) once, then Skew_n (or Sym_n and Skew_n) for each n.
+    """det J_1, ..., det J_(n_max): the route once, then Skew_n (Sym_n as well if derogatory) per n.
 
-    For a nonderogatory X, det J_n = n^s det(R)^(n-1) det(Skew_n)^2, with
-    det(R) from :func:`_w_determinant`, taken once, before the first n. A
-    derogatory X, for which it returns None, steps Sym_n beside Skew_n, both
-    by :func:`_compound_steps`, and det J_n = det(Sym_n) * det(Skew_n).
+    For a cyclic X, det J_n = n^s det(X)^(n-1) det(Skew_n)^2, with det(X)
+    taken once, before the first n. A derogatory X, for which
+    :func:`_cyclic` is False, steps Sym_n beside Skew_n, both by
+    :func:`_compound_steps`, and det J_n = det(Sym_n) * det(Skew_n).
     """
     s = len(x)
-    det_r = _w_determinant(x)
     skew = _compound_steps(x, -1, n_max)
-    if det_r is None:  # X is derogatory: phi does not map Sym onto Skew
+    if not _cyclic(x):  # X is derogatory: phi does not map Sym onto Skew
         for (sym, unpack_sym), (rows, unpack) in zip(_compound_steps(x, 1, n_max), skew):
             yield _det_rows(list(map(unpack_sym, sym))) * _det_rows(list(map(unpack, rows)))
         return
-    power = 1  # det(R)^(n-1)
+    det_x = _det_rows([list(row) for row in x])
+    power = 1  # det(X)^(n-1)
     for n, (rows, unpack) in enumerate(skew, 1):
         yield n ** s * power * _det_rows(list(map(unpack, rows))) ** 2
-        power *= det_r
+        power *= det_x
 
 
-def _w_determinant(x: Sequence[Sequence[int]]) -> int | None:
-    """det(R), R being S -> XS on W = {S symmetric : XS = SX^T}; None when dim W > s.
+def _cyclic(x: Sequence[Sequence[int]]) -> bool:
+    """Whether I, X, ..., X^(s-1) are independent, X being cyclic (not derogatory).
 
-    A symmetric S has the coordinates S_pq, p <= q, ordered by q, then p, so
-    S_pq is coordinate q(q+1)/2 + p; phi(S) = XS - SX^T is skew and is read
-    at its entries (a, b), a < b. Fraction-free Gauss-Jordan elimination of
-    phi (a nonzero remainder raises ``AssertionError``) leaves D * I on its
-    pivot columns, D the last pivot (1 when phi = 0). Its free columns F
-    number dim W. When there are more than s, X is derogatory. Otherwise the
-    kernel vector of free column f, D at f and, at the pivot column of row i,
-    minus row i's entry in column f, makes an integer basis B of W with
-    B_F = D * I, and det(R) = det((XB)_F) / D^s, a division that must be exact.
+    They are exactly when their s x s Gram matrix, of the inner products of
+    the vectors vec(X^k), is nonsingular: s - 1 products of s x s matrices
+    and s^2 inner products of length s^2, about s^4 work.
     """
     s = len(x)
-    pairs = [(p, q) for q in range(s) for p in range(q + 1)]
-    # S = E_pq + E_qp (E_pp when p = q): (XS)_ab sums X_ac over its cells (c, b), and
-    # (SX^T)_ab sums X_bd over its cells (a, d).
-    m = [[sum(x[a][c] * (d == b) - x[b][d] * (c == a) for c, d in {(p, q), (q, p)})
-          for p, q in pairs] for a, b in pairs if a < b]
-    pivots, prev = [], 1
-    for c in range(len(pairs)):
-        r = len(pivots)
-        i = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if i is None:
-            continue
-        m[r], m[i] = m[i], m[r]
-        row_r = m[r]
-        pivot = row_r[c]
-        for i, row in enumerate(m):
-            if i != r:
-                m[i] = [_exact(pivot * v - row[c] * v_r, prev) for v, v_r in zip(row, row_r)]
-        prev = pivot
-        pivots.append(c)
-    free = [c for c in range(len(pairs)) if c not in pivots]
-    if len(free) > s:
-        return None
-    at = [[max(c, q) * (max(c, q) + 1) // 2 + min(c, q) for q in range(s)] for c in range(s)]
-    xb_f = []  # row j: the coordinates F of X S_j, S_j the j-th matrix of B
-    for f in free:
-        b = [0] * len(pairs)
-        b[f] = prev
-        for row, c in zip(m, pivots):
-            b[c] = -row[f]
-        xb_f.append([sum(x[p][c] * b[at[c][q]] for c in range(s))
-                     for p, q in map(pairs.__getitem__, free)])
-    return _exact(_det_rows(xb_f), prev ** s)
+    cols = tuple(zip(*x))
+    powers = [[[int(i == j) for j in range(s)] for i in range(s)]]
+    for _ in range(s - 1):
+        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
+    flat = [[v for row in p for v in row] for p in powers]
+    return _det_rows([[sum(map(mul, u, v)) for v in flat] for u in flat]) != 0
 
 
 def _exact(a: int, b: int) -> int:

@@ -7,10 +7,14 @@ Newton's identities and their inverse, power polynomials (the n-th
 powers of the roots), discriminants as Hankel determinants of power sums,
 and Sylvester resultants. With distinct roots u_n^2 is the discriminant
 ratio ``discriminant(power_polynomial(f, n)) // discriminant(f)``.
-``derogatory`` tells whether I, X, ..., X^(s-1) are dependent, and
-``sym_block`` is the block of M_n = sum_k X^k (x) X^(n-1-k) on symmetric
-matrices that the Jacobian oracle eliminates only for such X. None of
-this runs in the package's routes. ``record_det_rows`` records the
+``gram_determinant`` is the Gram determinant of I, X, ..., X^(s-1),
+``derogatory`` tells whether they are dependent, and ``sym_block`` is the
+block of M_n = sum_k X^k (x) X^(n-1-k) on symmetric matrices that the
+Jacobian oracle eliminates only for such X. ``_w_determinant`` eliminates
+phi(S) = XS - SX^T on the symmetric matrices: it is the oracle of
+"dim W = s exactly when X is cyclic" and of det(R) = det(X), the two
+theorems by which the Jacobian oracle takes its W factor as det(X). None
+of this runs in the package's routes. ``record_det_rows`` records the
 determinants a module takes, and ``check_oracle_blocks`` states the ones
 the Jacobian oracle must take.
 
@@ -32,8 +36,9 @@ from math import gcd
 from typing import Sequence
 from unittest import mock
 
-from matdivseq import (IntMatrix, MonicIntPolynomial, det_bareiss, factorint, linalg, mat_add,
-                       mat_mul, mat_pow)
+from matdivseq import (IntMatrix, MonicIntPolynomial, det_bareiss, factorint, mat_add, mat_mul,
+                       mat_pow)
+from matdivseq.linalg import _det_rows, _exact
 
 
 def det_cofactor(rows):
@@ -79,11 +84,64 @@ def det_fraction(rows):
     return det.numerator
 
 
-def derogatory(x: IntMatrix) -> bool:
-    """Whether I, X, ..., X^(s-1) are linearly dependent: their Gram matrix is singular."""
+def gram_determinant(x: IntMatrix) -> int:
+    """The determinant of the Gram matrix of vec(I), vec(X), ..., vec(X^(s-1))."""
     powers = [mat_pow(x, k).entries for k in range(x.dim)]
     flat = [[v for row in p for v in row] for p in powers]
-    return det_fraction([[sum(map(mul, u, v)) for v in flat] for u in flat]) == 0
+    return det_fraction([[sum(map(mul, u, v)) for v in flat] for u in flat])
+
+
+def derogatory(x: IntMatrix) -> bool:
+    """Whether I, X, ..., X^(s-1) are linearly dependent: their Gram matrix is singular."""
+    return gram_determinant(x) == 0
+
+
+def _w_determinant(x: Sequence[Sequence[int]]) -> int | None:
+    """det(R), R being S -> XS on W = {S symmetric : XS = SX^T}; None when dim W > s.
+
+    A symmetric S has the coordinates S_pq, p <= q, ordered by q, then p, so
+    S_pq is coordinate q(q+1)/2 + p; phi(S) = XS - SX^T is skew and is read
+    at its entries (a, b), a < b. Fraction-free Gauss-Jordan elimination of
+    phi (a nonzero remainder raises ``AssertionError``) leaves D * I on its
+    pivot columns, D the last pivot (1 when phi = 0). Its free columns F
+    number dim W. When there are more than s, X is derogatory. Otherwise the
+    kernel vector of free column f, D at f and, at the pivot column of row i,
+    minus row i's entry in column f, makes an integer basis B of W with
+    B_F = D * I, and det(R) = det((XB)_F) / D^s, a division that must be exact.
+    """
+    s = len(x)
+    pairs = [(p, q) for q in range(s) for p in range(q + 1)]
+    # S = E_pq + E_qp (E_pp when p = q): (XS)_ab sums X_ac over its cells (c, b), and
+    # (SX^T)_ab sums X_bd over its cells (a, d).
+    m = [[sum(x[a][c] * (d == b) - x[b][d] * (c == a) for c, d in {(p, q), (q, p)})
+          for p, q in pairs] for a, b in pairs if a < b]
+    pivots, prev = [], 1
+    for c in range(len(pairs)):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        row_r = m[r]
+        pivot = row_r[c]
+        for i, row in enumerate(m):
+            if i != r:
+                m[i] = [_exact(pivot * v - row[c] * v_r, prev) for v, v_r in zip(row, row_r)]
+        prev = pivot
+        pivots.append(c)
+    free = [c for c in range(len(pairs)) if c not in pivots]
+    if len(free) > s:
+        return None
+    at = [[max(c, q) * (max(c, q) + 1) // 2 + min(c, q) for q in range(s)] for c in range(s)]
+    xb_f = []  # row j: the coordinates F of X S_j, S_j the j-th matrix of B
+    for f in free:
+        b = [0] * len(pairs)
+        b[f] = prev
+        for row, c in zip(m, pivots):
+            b[c] = -row[f]
+        xb_f.append([sum(x[p][c] * b[at[c][q]] for c in range(s))
+                     for p, q in map(pairs.__getitem__, free)])
+    return _exact(_det_rows(xb_f), prev ** s)
 
 
 def sym_block(x: IntMatrix, n: int) -> list[list[int]]:
@@ -123,21 +181,20 @@ def record_det_rows(module):
 
 def check_oracle_blocks(dets, x: IntMatrix, det_x: int, us: Sequence[int]) -> None:
     """``dets``, the (size, value) of each determinant ``linalg.jacobian_determinants(x,
-    len(us))`` took, given det(X) and u_1, u_2, ..., must be: first an s x s block, once per
-    call, inside ``_w_determinant``, which returns det(X), then Skew_n for each n, with value
-    u_n (0 x 0 at s = 1); or for a derogatory X the Sym block of each n, with value
+    len(us))`` took, given det(X) and u_1, u_2, ..., must be: first the s x s Gram matrix of
+    I, X, ..., X^(s-1), once per call, singular exactly when X is derogatory. Then, for a
+    cyclic X, X itself, with value det(X), once per call, and Skew_n for each n, with value
+    u_n (0 x 0 at s = 1); or, for a derogatory X, the Sym block of each n, with value
     n^s det(X)^(n-1) u_n, before its Skew_n.
     """
     s = x.dim
     skew = s * (s - 1) // 2
-    if derogatory(x):
-        assert dets == [block for n, u in enumerate(us, 1) for block in (
+    gram = (s, gram_determinant(x))
+    if gram[1] == 0:
+        assert dets == [gram] + [block for n, u in enumerate(us, 1) for block in (
             (s * (s + 1) // 2, n ** s * det_x ** (n - 1) * u), (skew, u))], x.fingerprint()
         return
-    # The s x s block's value is D^s det(X), D a pivot inside _w_determinant.
-    assert dets == [(s, mock.ANY)] + [(skew, u) for u in us], x.fingerprint()
-    # Last: under record_det_rows this call appends a block to ``dets``.
-    assert linalg._w_determinant(x.entries) == det_x, x.fingerprint()
+    assert dets == [gram, (s, det_x)] + [(skew, u) for u in us], x.fingerprint()
 
 
 def random_matrix(rng, dim, lo=-5, hi=5):

@@ -5,11 +5,12 @@ import pytest
 
 from matdivseq import linalg
 from matdivseq import (IntMatrix, char_poly, det_bareiss, generalized_lucas, jacobian_power_map,
-                       kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec)
+                       kronecker, mat_add, mat_mul, mat_pow, mat_vec, power_map_derivative, vec,
+                       verify_closed_form)
 
 from golden_tables import X3, X4
-from helpers import (check_oracle_blocks, det_cofactor, det_fraction, derogatory, random_matrix,
-                     record_det_rows, sym_block, unimodular_pair)
+from helpers import (_w_determinant, check_oracle_blocks, det_cofactor, det_fraction, derogatory,
+                     random_matrix, record_det_rows, sym_block, unimodular_pair)
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 I2 = IntMatrix.identity(2)
@@ -367,35 +368,58 @@ def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor():
 
 def test_derogatory_x_needs_the_sym_block(monkeypatch):
     # With dim W > s, phi maps Sym onto less than Skew, and W gives no s x s block whose
-    # determinant is det(X), so _w_determinant returns None. d_n = n^s det(X)^(n-1) u_n^2
-    # still holds for every X, so a planted det(X) gives every d_n through Skew_n alone; but
-    # R on all of W has another determinant. On diag(2, 2, 3), W is the symmetric matrices
-    # that commute with X, spanned by E_11, E_12 + E_21 and E_22, where R is 2, and E_33,
-    # where it is 3: det(R) = 24, not 12. On J_2(2) (+) J_2(2), dim W = 6 and R has the
-    # single eigenvalue 2: det(R) = 64, not 16. (On the all-ones ones4 plus I, R has the
-    # eigenvalues 5 and six times 1, so det(R) = 5 = det(X). The all-ones ones4 cannot show
-    # this either: it is singular with a double eigenvalue 0, so d_n = 0 = det(Skew) for
-    # every n >= 2.)
+    # determinant is det(X): _w_determinant returns None, and the Gram test must send each
+    # such X to the Sym route. On diag(2, 2, 3), W is the symmetric matrices that commute
+    # with X, spanned by E_11, E_12 + E_21 and E_22, where R is 2, and E_33, where it is 3:
+    # det(R) = 24, not 12. On J_2(2) (+) J_2(2), dim W = 6 and R has the single eigenvalue
+    # 2: det(R) = 64, not 16. (On the all-ones ones4 plus I, R has the eigenvalues 5 and six
+    # times 1, so det(R) = 5 = det(X). The all-ones ones4 cannot show this either: it is
+    # singular with a double eigenvalue 0, so d_n = 0 = det(Skew) for every n >= 2.)
+    # d_n = n^s det(X)^(n-1) u_n^2 still holds for every X, a polynomial identity in X's
+    # entries, so the det(X) route, forced on these X, gives the brute force too: only the
+    # route spies (see check_oracle_blocks) tell the two routes apart.
     ones4 = IntMatrix([[1] * 4] * 4)
     diag223 = IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
     ones_plus_i = mat_add(ones4, IntMatrix.identity(4))
     jordan22 = IntMatrix([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]])
     for x in (ones4, diag223, ones_plus_i, jordan22, IntMatrix([[0] * 3] * 3),
               IntMatrix.identity(2)):
-        assert linalg._w_determinant(x.entries) is None, x.fingerprint()
-    want = {x: [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 7)]
-            for x in (diag223, ones_plus_i, jordan22)}
-    for x, det_r in ((diag223, 12), (ones_plus_i, 5), (jordan22, 16), (diag223, 24),
-                     (jordan22, 64)):
-        assert list(linalg.jacobian_determinants(x, 6)) == want[x]
+        assert _w_determinant(x.entries) is None, x.fingerprint()
+        assert not linalg._cyclic(x.entries), x.fingerprint()
+        want = [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 7)]
+        assert list(linalg.jacobian_determinants(x, 6)) == want, x.fingerprint()
         with monkeypatch.context() as m:
-            m.setattr(linalg, "_w_determinant", lambda _x: det_r)
-            forced = list(linalg.jacobian_determinants(x, 6))
-        if det_r == det_bareiss(x):
-            assert forced == want[x], x.fingerprint()
-        else:
-            assert forced[0] == want[x][0] == 1
-            assert all(a != b for a, b in zip(forced[1:], want[x][1:])), x.fingerprint()
+            m.setattr(linalg, "_cyclic", lambda _x: True)
+            assert list(linalg.jacobian_determinants(x, 6)) == want, x.fingerprint()
+
+
+@pytest.mark.parametrize("x, cyclic", [
+    (IntMatrix([[-3]]), True),
+    (IntMatrix([[0]]), True),
+    (IntMatrix([[0] * 3] * 3), False),
+    (IntMatrix([[5, 0], [0, 5]]), False),
+    (IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]), False),
+    (IntMatrix([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]), False),
+    (IntMatrix([[-1, 0, -1], [0, -1, -1], [0, 0, -1]]), False),  # (X + I)^2 = 0
+    (IntMatrix([[1] * 4] * 4), False),
+    (mat_add(IntMatrix([[1] * 4] * 4), IntMatrix.identity(4)), False),
+    (X3, True),
+    (X4, True),
+    (IntMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 3]]), True),  # J_2(2) (+) 3
+], ids=["1x1", "1x1-zero", "zero3", "scalar2", "diag223", "jordan22", "v3-28", "ones4",
+        "ones4+I", "X3", "X4", "jordan2+3"])
+def test_cyclic_agrees_with_the_dimension_of_w(x, cyclic):
+    assert linalg._cyclic(x.entries) is cyclic
+    assert (_w_determinant(x.entries) is not None) is cyclic
+
+
+def test_random_12x12_takes_gram_det_x_and_skew_1_only():
+    # The set-up of the oracle on a cyclic X is one s x s Gram determinant and det(X).
+    rng = random.Random(12)
+    x = random_matrix(rng, 12, -3, 3)
+    with record_det_rows(linalg) as dets:
+        assert len(list(linalg.jacobian_determinants(x, 1))) == 1
+    assert [size for size, _v in dets] == [12, 12, 66]
 
 
 def test_exact_divides_or_raises():
@@ -466,15 +490,19 @@ def _compound_block(m_n, s, sign):
             for a, b in pairs]
 
 
-def test_jacobian_determinants_check_the_division_by_det_b_f(monkeypatch):
-    # The first determinant taken is the s x s block (XB)_F inside _w_determinant, with value
-    # D^s det(X), D being -2, 4 and -36 here. Planted off by one, it is no longer a multiple
-    # of D^s, and the division must raise.
+def test_verify_catches_a_det_x_off_by_one(monkeypatch):
+    # det(X) is taken once per call from X's rows, apart from the characteristic polynomial
+    # whose constant term gives the closed form's det(X). Planted off by one, it changes
+    # det(X)^(n-1) at every n >= 2, and u_n != 0 there on each of these X.
     det = linalg._det_rows
-    monkeypatch.setattr(linalg, "_det_rows", lambda rows: det(rows) + 1)
     for x in (X3, X4, JORDAN_CONJUGATE_4):
-        with pytest.raises(AssertionError, match="exact division is guaranteed"):
-            next(linalg.jacobian_determinants(x, 4))
+        rows = [list(row) for row in x.entries]
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_det_rows", lambda m_rows: (m_rows == rows) + det(m_rows))
+            report = verify_closed_form(x, 8)
+        assert [line.split(":")[0] for line in report.mismatches] == [
+            f"n={n}" for n in range(2, 9)], x.fingerprint()
+        assert not verify_closed_form(x, 8).mismatches
 
 
 def test_jacobian_transpose_invariance():

@@ -21,7 +21,9 @@ property checks that dim W >= s, with equality exactly when
 I, X, ..., X^(s-1) are independent, and that Sym keeps its determinant
 n^s det(X)^(n-1) u_n either way; another, that S -> XS on W has
 determinant det(X) when dim W = s, which is why the oracle takes that
-factor once per call.
+factor once per call, as det(X); a third, that the oracle's Gram test of
+I, X, ..., X^(s-1) picks the route that dim W, eliminated in full by
+``helpers._w_determinant``, calls for.
 """
 
 from functools import reduce
@@ -39,7 +41,8 @@ from matdivseq import linalg
 from matdivseq.linalg import jacobian_determinants
 from matdivseq.sequences import COLUMNS
 
-from helpers import check_oracle_blocks, det_fraction, derogatory, record_det_rows, sym_block
+from helpers import (_w_determinant, check_oracle_blocks, det_fraction, derogatory, record_det_rows,
+                     sym_block)
 
 ENTRY = st.integers(-3, 3)
 DIM = st.integers(1, 4)
@@ -173,19 +176,26 @@ def test_jacobian_blocks_are_u_and_its_cofactor(x, n_max):
 @given(MATRICES)
 def test_the_invariant_symmetric_matrices_have_dimension_s_exactly_when_x_is_cyclic(x):
     # W = {S symmetric : XS = SX^T} has dim W >= s, with equality exactly when I, X, ...,
-    # X^(s-1) are independent: the guard of the s x s block of the Jacobian oracle, which
+    # X^(s-1) are independent: the guard of the det(X) route of the Jacobian oracle, which
     # _w_determinant signals by returning None.
-    assert (linalg._w_determinant(x.entries) is None) == derogatory(x)
+    assert (_w_determinant(x.entries) is None) == derogatory(x)
+
+
+@PROPERTY
+@given(MATRICES)
+def test_the_gram_test_takes_the_det_x_route_exactly_when_dim_w_is_s(x):
+    # The oracle's route test against the full elimination of phi(S) = XS - SX^T.
+    assert linalg._cyclic(x.entries) == (_w_determinant(x.entries) is not None)
 
 
 @PROPERTY
 @given(MATRICES)
 def test_x_on_the_invariant_symmetric_matrices_has_determinant_det_x(x):
     # For a nonderogatory X, R: S -> XS on W has det(R) = det(X): the theorem that lets the
-    # Jacobian oracle check the W factor of det J_n once per call instead of stepping it at
-    # every n.
+    # Jacobian oracle take the W factor of det J_n once per call, as det(X), instead of
+    # stepping it at every n.
     assume(not derogatory(x))
-    assert linalg._w_determinant(x.entries) == det_bareiss(x)
+    assert _w_determinant(x.entries) == det_bareiss(x)
 
 
 @PROPERTY
