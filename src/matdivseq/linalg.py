@@ -218,26 +218,17 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
     transformation between a matrix and its transpose", Pacific J. Math. 9
     (1959)), so J_n = sum_k (X^T)^k (x) X^(n-1-k) is similar to
     M_n = sum_k X^k (x) X^(n-1-k), the map L_n: E -> sum_k X^(n-1-k) E (X^T)^k.
-    L_n takes skew matrices to skew ones: Skew_n is L_n on the basis
-    E_pq - E_qp (p < q), and det(Skew_n) = u_n. It takes symmetric matrices
-    to symmetric ones, and keeps W = {S symmetric : XS = SX^T}, where it is
-    S -> n X^(n-1) S. phi(S) = XS - SX^T maps symmetric matrices to skew
-    ones, commutes with L_n and has kernel W. dim W >= s, with equality
-    exactly when I, X, ..., X^(s-1) are independent; then, by rank-nullity,
-    phi maps the symmetric matrices onto the skew ones, and
-    det J_n = det(L_n on W) * det(Skew_n)^2 = n^s det(R)^(n-1) det(Skew_n)^2,
-    R being S -> XS on W, with det(R) = det(X). :func:`_cyclic` decides
-    that guard once per call, from the Gram determinant of I, X, ...,
-    X^(s-1), and det(X) is then taken once from X's rows. When X is
-    derogatory (dim W > s: the zero and scalar matrices, diag(2, 2, 3), the
-    all-ones matrix), det J_n = det(Sym_n) * det(Skew_n) instead, Sym_n
-    being L_n on the basis E_pp, E_pq + E_qp (p < q).
+    L_n takes symmetric matrices to symmetric ones and skew to skew. Over
+    the eigenvalues a_1, ..., a_s of X, its eigenvalues there are
+    q_n(a_i, a_j), q_n(a, b) = (a^n - b^n)/(a - b), over i <= j and over
+    i < j, and q_n(a, a) = n a^(n-1). So Skew_n, L_n on the basis
+    E_pq - E_qp (p < q), has det(Skew_n) = u_n, L_n on the symmetric
+    matrices has determinant n^s det(X)^(n-1) det(Skew_n), and
+    det J_n = n^s det(X)^(n-1) det(Skew_n)^2 for every integer X.
 
-    The trade-off: that L_n is n X^(n-1) on W, and that det(R) = det(X), are
-    theorems, so the W factor is taken once per call, as det(X), and is not
-    stepped per n. Skew_n, which carries u_n, is stepped through every n by
+    J_1 = I, so det J_1 = 1. det(X) is taken once per call from X's rows,
+    and Skew_n, which carries u_n, is stepped through every n by
     :func:`_compound_steps`, independently of the characteristic polynomial.
-
     An image's coordinate (p, q) is its entry (p, q). At s = 1 the Skew
     block is 0 x 0, with determinant 1. Every block is an integer matrix,
     eliminated as in :func:`det_bareiss`: a division that is not exact
@@ -249,40 +240,16 @@ def jacobian_determinants(x: IntMatrix, n_max: int) -> Iterator[int]:
 
 
 def _block_determinants(x: tuple[tuple[int, ...], ...], n_max: int) -> Iterator[int]:
-    """det J_1, ..., det J_(n_max): the route once, then Skew_n (Sym_n as well if derogatory) per n.
-
-    For a cyclic X, det J_n = n^s det(X)^(n-1) det(Skew_n)^2, with det(X)
-    taken once, before the first n. A derogatory X, for which
-    :func:`_cyclic` is False, steps Sym_n beside Skew_n, both by
-    :func:`_compound_steps`, and det J_n = det(Sym_n) * det(Skew_n).
-    """
+    """det J_1 = 1, then n^s det(X)^(n-1) det(Skew_n)^2 for n = 2..n_max, det(X) taken once."""
     s = len(x)
     skew = _compound_steps(x, -1, n_max)
-    if not _cyclic(x):  # X is derogatory: phi does not map Sym onto Skew
-        for (sym, unpack_sym), (rows, unpack) in zip(_compound_steps(x, 1, n_max), skew):
-            yield _det_rows(list(map(unpack_sym, sym))) * _det_rows(list(map(unpack, rows)))
-        return
+    next(skew)  # Skew_1 = I
+    yield 1
     det_x = _det_rows([list(row) for row in x])
     power = 1  # det(X)^(n-1)
-    for n, (rows, unpack) in enumerate(skew, 1):
-        yield n ** s * power * _det_rows(list(map(unpack, rows))) ** 2
+    for n, (rows, unpack) in enumerate(skew, 2):
         power *= det_x
-
-
-def _cyclic(x: Sequence[Sequence[int]]) -> bool:
-    """Whether I, X, ..., X^(s-1) are independent, X being cyclic (not derogatory).
-
-    They are exactly when their s x s Gram matrix, of the inner products of
-    the vectors vec(X^k), is nonsingular: s - 1 products of s x s matrices
-    and s^2 inner products of length s^2, about s^4 work.
-    """
-    s = len(x)
-    cols = tuple(zip(*x))
-    powers = [[[int(i == j) for j in range(s)] for i in range(s)]]
-    for _ in range(s - 1):
-        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
-    flat = [[v for row in p for v in row] for p in powers]
-    return _det_rows([[sum(map(mul, u, v)) for v in flat] for u in flat]) != 0
+        yield n ** s * power * _det_rows(list(map(unpack, rows))) ** 2
 
 
 def _exact(a: int, b: int) -> int:
@@ -294,17 +261,16 @@ def _exact(a: int, b: int) -> int:
 
 def _compound_steps(x: Sequence[Sequence[int]], sign: int,
                     n_max: int) -> Iterator[tuple[list[int], Callable]]:
-    """Rows of L_n on skew (``sign`` -1), symmetric (+1) or all (0) matrices, n = 1..n_max, packed.
+    """Rows of L_n on skew (``sign`` -1) or all (0) matrices, n = 1..n_max, packed.
 
     L_n(E) = sum_k X^(n-1-k) E (X^T)^k. Its coordinates are the pairs
-    (p, q), ordered by q, then p: p < q on skew, p <= q on symmetric, and
-    every p on all matrices. Column (p, q) is the image of E_pq + sign E_qp
-    (of E_pp when p = q), and row (a, b) reads its entry (a, b). With sign 0
-    coordinate (p, q) is q s + p, the column-stacking ``vec`` index, and L_n
-    is M_n = sum_k X^k (x) X^(n-1-k). L_1 = I, and
-    L_(n+1)(E) = X L_n(E) + E (X^T)^n. L_n(E) is skew or symmetric with E,
-    so its entry (c, b) is sign times its entry (b, c), and 0 on a skew
-    diagonal. Row (a, b) of L_(n+1) is thus x_ac times row (c, b) of L_n,
+    (p, q), ordered by q, then p: p < q on skew, and every p on all
+    matrices. Column (p, q) is the image of E_pq + sign E_qp, and row (a, b)
+    reads its entry (a, b). With sign 0 coordinate (p, q) is q s + p, the
+    column-stacking ``vec`` index, and L_n is M_n = sum_k X^k (x) X^(n-1-k).
+    L_1 = I, and L_(n+1)(E) = X L_n(E) + E (X^T)^n. L_n(E) is skew with E,
+    so its entry (c, b) is minus its entry (b, c), and 0 on the diagonal.
+    Row (a, b) of L_(n+1) is thus x_ac times row (c, b) of L_n,
     read through that mirror, summed over c, plus (X^n)_b . U[a] (see
     :func:`_units`), the packed row (a, b) of E (X^T)^n: on all matrices,
     M_(n+1) = (I (x) X) M_n + X^n (x) I, s + s products per row.
@@ -320,7 +286,7 @@ def _compound_steps(x: Sequence[Sequence[int]], sign: int,
     rows with the function that unpacks a row into its slot values.
     """
     s = len(x)
-    pairs = [(p, q) for q in range(s) for p in range(q + (sign > 0) if sign else s)]
+    pairs = [(p, q) for q in range(s) for p in range(q if sign else s)]
     slots = len(pairs)
     cells = [[None] * s for _ in range(s)]  # entry (a, c) of the basis: (coordinate, sign) or None
     for k, (p, q) in enumerate(pairs):
@@ -357,8 +323,8 @@ def _compound_steps(x: Sequence[Sequence[int]], sign: int,
 def _units(cells: list[list[tuple[int, int] | None]], w: int) -> list[list[int]]:
     """U[a][c]: entry (a, c) of each basis matrix of ``cells``, packed into a row of w-bit slots.
 
-    That is row (a, c) of L_1 = I, and on skew or symmetric matrices, for
-    a > c, its mirror times the sign; 0 on a skew diagonal.
+    That is row (a, c) of L_1 = I, and on skew matrices, for a > c, minus
+    its mirror; 0 on the diagonal.
     """
     return [[cell[1] << (w * cell[0]) if cell else 0 for cell in row] for row in cells]
 

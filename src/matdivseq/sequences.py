@@ -7,14 +7,10 @@ three ways and cross-checks them:
 
 * :func:`jacobian_determinant` takes the exact determinant of the
   s^2 x s^2 derivative matrix J_n. Brute force, valid for every integer X.
-  :func:`verify_closed_form` takes the same det J_n from the similar
-  matrix M_n = sum_k X^k (x) X^(n-1-k) (X^T is similar to X: Taussky and
-  Zassenhaus, Pacific J. Math. 9, 1959) as det(M_n on W) * det(Skew)^2:
-  n^s det(X)^(n-1) on W = {S symmetric : XS = SX^T}, with det(X) taken
-  once from X's rows, and the s(s-1)/2 block on skew matrices. When X is
-  derogatory (dim W > s, which a Gram determinant of I, X, ..., X^(s-1)
-  decides) it takes det(Sym) * det(Skew), Sym the s(s+1)/2 block on
-  symmetric matrices.
+  :func:`verify_closed_form` takes the same det J_n as
+  n^s det(X)^(n-1) det(Skew_n)^2, det(X) taken once from X's rows and
+  Skew_n the s(s-1)/2 block of the similar M_n on skew matrices (see
+  :func:`~matdivseq.linalg.jacobian_determinants`).
 * :func:`closed_form_entry` evaluates ``n^s * det(X)^(n-1) * u_n^2``, u_n
   the generalized Lucas number of the characteristic polynomial f. Valid
   for every integer X, repeated eigenvalues included: J_n equals
@@ -251,19 +247,10 @@ def verify_closed_form(x: IntMatrix, n_max: int) -> VerificationReport:
     """Check the entries of :func:`generate_sequence` against the Jacobian determinant.
 
     The oracle is det J_n, once per n, for every matrix, from
-    :func:`jacobian_determinants`, through the similar
-    M_n = sum_k X^k (x) X^(n-1-k), similar because X^T is similar to X
-    (Taussky and Zassenhaus, Pacific J. Math. 9, 1959). It is
-    n^s det(R)^(n-1) * det(Skew_n)^2: Skew_n, M_n's s(s-1)/2 block on skew
-    matrices, with determinant u_n, is stepped through every n by
-    L_(n+1)(E) = X L_n(E) + E (X^T)^n, which also builds J_n, and det(R),
-    R being S -> XS on W = {S symmetric : XS = SX^T}, is det(X), taken
-    once per call from X's rows. That M_n is n X^(n-1) on W, and that
-    det(R) = det(X), are theorems, so this factor is taken once, not per
-    n. A derogatory X, where dim W > s (a Gram determinant of I, X, ...,
-    X^(s-1) decides it, once per call), takes det(Sym_n) * det(Skew_n)
-    instead, stepping the s(s+1)/2 block on symmetric matrices beside
-    Skew_n. It never uses the characteristic polynomial or u_n.
+    :func:`jacobian_determinants`: n^s det(X)^(n-1) det(Skew_n)^2, det(X)
+    taken once from X's rows and Skew_n, with determinant u_n, stepped
+    through every n by the recurrence that also builds J_n. It never uses
+    the characteristic polynomial or u_n.
     A disagreement of the n^s form is a hard mismatch. For dimensions other
     than 2 the n^2 variant's disagreement is expected and recorded as an
     informational note. The report carries the checked entries.

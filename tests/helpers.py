@@ -7,16 +7,12 @@ Newton's identities and their inverse, power polynomials (the n-th
 powers of the roots), discriminants as Hankel determinants of power sums,
 and Sylvester resultants. With distinct roots u_n^2 is the discriminant
 ratio ``discriminant(power_polynomial(f, n)) // discriminant(f)``.
-``gram_determinant`` is the Gram determinant of I, X, ..., X^(s-1),
-``derogatory`` tells whether they are dependent, and ``sym_block`` is the
-block of M_n = sum_k X^k (x) X^(n-1-k) on symmetric matrices that the
-Jacobian oracle eliminates only for such X. ``_w_determinant`` eliminates
-phi(S) = XS - SX^T on the symmetric matrices: it is the oracle of
-"dim W = s exactly when X is cyclic" and of det(R) = det(X), the two
-theorems by which the Jacobian oracle takes its W factor as det(X). None
-of this runs in the package's routes. ``record_det_rows`` records the
-determinants a module takes, and ``check_oracle_blocks`` states the ones
-the Jacobian oracle must take.
+``derogatory`` tells whether I, X, ..., X^(s-1) are linearly dependent,
+``sym_block`` is the block of M_n = sum_k X^k (x) X^(n-1-k) on symmetric
+matrices, and ``_w_determinant`` is the determinant of S -> XS on the
+symmetric S with XS = SX^T. None of this runs in the package's routes.
+``record_det_rows`` records the determinants a module takes, and
+``check_oracle_blocks`` states the ones the Jacobian oracle must take.
 
 ``table_json`` is the oracle of ``table --format json``: the table's
 payload as a dict, written by ``json.dumps(payload, indent=2)``.
@@ -84,16 +80,10 @@ def det_fraction(rows):
     return det.numerator
 
 
-def gram_determinant(x: IntMatrix) -> int:
-    """The determinant of the Gram matrix of vec(I), vec(X), ..., vec(X^(s-1))."""
-    powers = [mat_pow(x, k).entries for k in range(x.dim)]
-    flat = [[v for row in p for v in row] for p in powers]
-    return det_fraction([[sum(map(mul, u, v)) for v in flat] for u in flat])
-
-
 def derogatory(x: IntMatrix) -> bool:
     """Whether I, X, ..., X^(s-1) are linearly dependent: their Gram matrix is singular."""
-    return gram_determinant(x) == 0
+    flat = [[v for row in mat_pow(x, k).entries for v in row] for k in range(x.dim)]
+    return det_fraction([[sum(map(mul, u, v)) for v in flat] for u in flat]) == 0
 
 
 def _w_determinant(x: Sequence[Sequence[int]]) -> int | None:
@@ -181,20 +171,12 @@ def record_det_rows(module):
 
 def check_oracle_blocks(dets, x: IntMatrix, det_x: int, us: Sequence[int]) -> None:
     """``dets``, the (size, value) of each determinant ``linalg.jacobian_determinants(x,
-    len(us))`` took, given det(X) and u_1, u_2, ..., must be: first the s x s Gram matrix of
-    I, X, ..., X^(s-1), once per call, singular exactly when X is derogatory. Then, for a
-    cyclic X, X itself, with value det(X), once per call, and Skew_n for each n, with value
-    u_n (0 x 0 at s = 1); or, for a derogatory X, the Sym block of each n, with value
-    n^s det(X)^(n-1) u_n, before its Skew_n.
+    len(us))`` took, given det(X) and u_1, u_2, ..., must be: X itself, with value det(X),
+    once per call, then Skew_n for each n >= 2, with value u_n (0 x 0 at s = 1). J_1 = I
+    takes none.
     """
-    s = x.dim
-    skew = s * (s - 1) // 2
-    gram = (s, gram_determinant(x))
-    if gram[1] == 0:
-        assert dets == [gram] + [block for n, u in enumerate(us, 1) for block in (
-            (s * (s + 1) // 2, n ** s * det_x ** (n - 1) * u), (skew, u))], x.fingerprint()
-        return
-    assert dets == [gram, (s, det_x)] + [(skew, u) for u in us], x.fingerprint()
+    skew = x.dim * (x.dim - 1) // 2
+    assert dets == [(x.dim, det_x)] + [(skew, u) for u in us[1:]], x.fingerprint()
 
 
 def random_matrix(rng, dim, lo=-5, hi=5):

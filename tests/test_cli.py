@@ -22,8 +22,7 @@ from matdivseq.cli import (MatrixDocument, MatrixParseError, main, parse_matrix,
                            run_charpoly, run_jacobian, run_table, run_verify)
 
 from golden_tables import X3, X4
-from helpers import (check_oracle_blocks, derogatory, random_matrix, record_det_rows,
-                     table_json)
+from helpers import check_oracle_blocks, random_matrix, record_det_rows, table_json
 
 X3_JSON = '{"matrix": [[1, -2, -6], [0, 1, 3], [-1, 0, 1]], "name": "X3"}'
 
@@ -671,12 +670,11 @@ def test_run_verify_evaluates_each_route_once_per_n(monkeypatch, x, per_n):
     assert code == 0
     assert [size for size, _v in lucas_u] == per_n * 6
     # The table's Jacobians come from one recurrence, not a Kronecker sum per n, and the
-    # oracle steps the compounds on skew matrices (and on symmetric ones only for a
-    # derogatory X), never on all s^2 matrices, as M_n.
+    # oracle steps the compound on skew matrices only, derogatory X included, never on all
+    # s^2 matrices, as M_n.
     assert "kronecker" not in building
     assert building.get("mat_mul", 0) == 0  # char_poly steps row lists
-    assert sorted(signs) == ([-1, 1] if derogatory(x) else [-1])
-    # After the mat_mul count: the check's derogatory(x) multiplies matrices.
+    assert signs == [-1]
     entries = generate_sequence(x, 6)
     check_oracle_blocks(oracle, x, entries[0].det_x, [e.u for e in entries])
 

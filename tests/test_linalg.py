@@ -342,9 +342,9 @@ def test_jacobian_determinants_match_det_of_each_jacobian():
 
 
 def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor():
-    # The oracle's blocks (see check_oracle_blocks) and d_n = n^s det(X)^(n-1) u_n^2, which a
-    # derogatory X gets as det(Sym) u_n. At s = 1 the Skew block is 0 x 0, with determinant
-    # 1 = u_n.
+    # The oracle's blocks (see check_oracle_blocks) and d_n = n^s det(X)^(n-1) u_n^2. The
+    # Sym block, which the oracle never eliminates, has determinant n^s det(X)^(n-1) u_n, on
+    # derogatory X as well. At s = 1 the Skew block is 0 x 0, with determinant 1 = u_n.
     rng = random.Random(191)
     kinds = set()
     with record_det_rows(linalg) as blocks:
@@ -359,38 +359,28 @@ def test_jacobian_determinant_blocks_are_u_n_and_its_cofactor():
                 kinds.add(derogatory(x))
                 check_oracle_blocks(blocks, x, det_x, us)
                 assert dets == [c * u * u for c, u in zip(cofactors, us)]
-                # The Sym block, which only a derogatory X eliminates, has the same
-                # determinant.
                 for n in (1, 2, 5):
                     assert det_fraction(sym_block(x, n)) == cofactors[n - 1] * us[n - 1]
     assert kinds == {False, True}
 
 
-def test_derogatory_x_needs_the_sym_block(monkeypatch):
-    # With dim W > s, phi maps Sym onto less than Skew, and W gives no s x s block whose
-    # determinant is det(X): _w_determinant returns None, and the Gram test must send each
-    # such X to the Sym route. On diag(2, 2, 3), W is the symmetric matrices that commute
-    # with X, spanned by E_11, E_12 + E_21 and E_22, where R is 2, and E_33, where it is 3:
-    # det(R) = 24, not 12. On J_2(2) (+) J_2(2), dim W = 6 and R has the single eigenvalue
-    # 2: det(R) = 64, not 16. (On the all-ones ones4 plus I, R has the eigenvalues 5 and six
-    # times 1, so det(R) = 5 = det(X). The all-ones ones4 cannot show this either: it is
-    # singular with a double eigenvalue 0, so d_n = 0 = det(Skew) for every n >= 2.)
-    # d_n = n^s det(X)^(n-1) u_n^2 still holds for every X, a polynomial identity in X's
-    # entries, so the det(X) route, forced on these X, gives the brute force too: only the
-    # route spies (see check_oracle_blocks) tell the two routes apart.
+def test_derogatory_x_takes_the_one_route():
+    # I, X, ..., X^(s-1) are dependent on each of these X, so the symmetric S with XS = SX^T
+    # span more than s dimensions: on diag(2, 2, 3), S -> XS there has determinant 24, not
+    # det(X) = 12; on J_2(2) (+) J_2(2), 64, not 16. The one route never uses them: its
+    # d_n = n^s det(X)^(n-1) det(Skew_n)^2 holds for every X. The all-ones ones4 is singular
+    # with a double eigenvalue 0, so d_n = 0 for every n >= 2; v3-28 has (X + I)^2 = 0. The
+    # 1 x 1 [[0]] and [[-3]], whose Skew_n is 0 x 0, close the list.
     ones4 = IntMatrix([[1] * 4] * 4)
-    diag223 = IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
-    ones_plus_i = mat_add(ones4, IntMatrix.identity(4))
-    jordan22 = IntMatrix([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]])
-    for x in (ones4, diag223, ones_plus_i, jordan22, IntMatrix([[0] * 3] * 3),
-              IntMatrix.identity(2)):
-        assert _w_determinant(x.entries) is None, x.fingerprint()
-        assert not linalg._cyclic(x.entries), x.fingerprint()
-        want = [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 7)]
-        assert list(linalg.jacobian_determinants(x, 6)) == want, x.fingerprint()
-        with monkeypatch.context() as m:
-            m.setattr(linalg, "_cyclic", lambda _x: True)
-            assert list(linalg.jacobian_determinants(x, 6)) == want, x.fingerprint()
+    cases = [ones4, IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]),
+             mat_add(ones4, IntMatrix.identity(4)),
+             IntMatrix([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]),
+             IntMatrix([[0] * 3] * 3), IntMatrix.identity(2),
+             IntMatrix([[-1, 0, -1], [0, -1, -1], [0, 0, -1]]), IntMatrix([[5, 0], [0, 5]])]
+    assert all(map(derogatory, cases))
+    for x in cases + [IntMatrix([[0]]), IntMatrix([[-3]])]:
+        want = [det_bareiss(jacobian_power_map(x, n)) for n in range(1, 13)]
+        assert list(linalg.jacobian_determinants(x, 12)) == want, x.fingerprint()
 
 
 @pytest.mark.parametrize("x, cyclic", [
@@ -409,17 +399,17 @@ def test_derogatory_x_needs_the_sym_block(monkeypatch):
 ], ids=["1x1", "1x1-zero", "zero3", "scalar2", "diag223", "jordan22", "v3-28", "ones4",
         "ones4+I", "X3", "X4", "jordan2+3"])
 def test_cyclic_agrees_with_the_dimension_of_w(x, cyclic):
-    assert linalg._cyclic(x.entries) is cyclic
+    assert derogatory(x) is not cyclic
     assert (_w_determinant(x.entries) is not None) is cyclic
 
 
-def test_random_12x12_takes_gram_det_x_and_skew_1_only():
-    # The set-up of the oracle on a cyclic X is one s x s Gram determinant and det(X).
+def test_random_12x12_at_n_max_1_takes_det_x_only():
+    # J_1 = I: d_1 = 1 needs no elimination, and the set-up is det(X) alone.
     rng = random.Random(12)
     x = random_matrix(rng, 12, -3, 3)
     with record_det_rows(linalg) as dets:
-        assert len(list(linalg.jacobian_determinants(x, 1))) == 1
-    assert [size for size, _v in dets] == [12, 12, 66]
+        assert list(linalg.jacobian_determinants(x, 1)) == [1]
+    assert [size for size, _v in dets] == [12]
 
 
 def test_exact_divides_or_raises():
@@ -457,7 +447,7 @@ def test_compound_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths)
     """Every n <= 40 unpacks exactly, however far the row-sum bound outruns the values.
 
     That holds for L_n on all matrices, which is M_n and is shuffled into J_n, and for L_n
-    on skew and on symmetric matrices, which the oracle steps in their own coordinates:
+    on skew matrices, which the oracle steps in their own coordinates:
     values near 10^(30 n) for 1e30, and below 2^35 for jordan4, whose row-sum bound passes
     19^39.
     """
@@ -472,7 +462,7 @@ def test_compound_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths)
         # J_n is M_n with its first Kronecker factor transposed, entry by entry.
         assert all(j.entries[i * s + p][k * s + q] == m_n[k * s + p][i * s + q]
                    for i in range(s) for p in range(s) for k in range(s) for q in range(s)), n
-    for sign in (-1, 0, 1):
+    for sign in (-1, 0):
         steps = list(linalg._compound_steps(x.entries, sign, n_max))
         assert len({unpack for _rows, unpack in steps}) >= min_widths, sign
         for n, ((packed, unpack), m_n) in enumerate(zip(steps, m_sums), 1):
@@ -480,11 +470,11 @@ def test_compound_steps_match_the_kronecker_sum_as_slots_widen(rows, min_widths)
 
 
 def _compound_block(m_n, s, sign):
-    """M_n on the matrices E_pq + sign E_qp (p < q; also E_pp for sign 1; all (p, q) for
-    sign 0), read at their entries (a, b): L_n in the coordinates of ``_compound_steps``.
-    Entry (i, j) of a matrix is at column-stacking index j s + i."""
-    pairs = [(p, q) for q in range(s) for p in range(q + (sign > 0) if sign else s)]
-    columns = [[(q * s + p, 1)] + ([(p * s + q, sign)] if sign and p != q else [])
+    """M_n on the matrices E_pq + sign E_qp (p < q; all (p, q) for sign 0), read at their
+    entries (a, b): L_n in the coordinates of ``_compound_steps``. Entry (i, j) of a matrix
+    is at column-stacking index j s + i."""
+    pairs = [(p, q) for q in range(s) for p in range(q if sign else s)]
+    columns = [[(q * s + p, 1)] + ([(p * s + q, sign)] if sign else [])
                for p, q in pairs]
     return [[sum(m_n[b * s + a][r] * v for r, v in column) for column in columns]
             for a, b in pairs]

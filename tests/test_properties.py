@@ -14,16 +14,11 @@ fraction-free determinant against Gaussian elimination over the
 rationals. Three more check u_n, signed, against identities of the roots
 of the characteristic polynomial: the chain rule of the power maps, the
 Krylov determinant of the powers of x modulo the characteristic
-polynomial, and the blocks of the Jacobian oracle. That oracle takes
-det J_n = det(M_n on W) * det(Skew)^2, W the symmetric S with XS = SX^T,
-when dim W = s, and det(Sym) * det(Skew) when X is derogatory; one
-property checks that dim W >= s, with equality exactly when
-I, X, ..., X^(s-1) are independent, and that Sym keeps its determinant
-n^s det(X)^(n-1) u_n either way; another, that S -> XS on W has
-determinant det(X) when dim W = s, which is why the oracle takes that
-factor once per call, as det(X); a third, that the oracle's Gram test of
-I, X, ..., X^(s-1) picks the route that dim W, eliminated in full by
-``helpers._w_determinant``, calls for.
+polynomial, and the blocks of the Jacobian oracle, det(X) and Skew_n, with
+the block on symmetric matrices that it never eliminates. Two more check,
+through ``helpers._w_determinant``, that the symmetric S with XS = SX^T
+span s dimensions exactly when I, X, ..., X^(s-1) are independent, and
+that S -> XS on them then has determinant det(X).
 """
 
 from functools import reduce
@@ -176,24 +171,14 @@ def test_jacobian_blocks_are_u_and_its_cofactor(x, n_max):
 @given(MATRICES)
 def test_the_invariant_symmetric_matrices_have_dimension_s_exactly_when_x_is_cyclic(x):
     # W = {S symmetric : XS = SX^T} has dim W >= s, with equality exactly when I, X, ...,
-    # X^(s-1) are independent: the guard of the det(X) route of the Jacobian oracle, which
-    # _w_determinant signals by returning None.
+    # X^(s-1) are independent, which _w_determinant signals by returning None.
     assert (_w_determinant(x.entries) is None) == derogatory(x)
 
 
 @PROPERTY
 @given(MATRICES)
-def test_the_gram_test_takes_the_det_x_route_exactly_when_dim_w_is_s(x):
-    # The oracle's route test against the full elimination of phi(S) = XS - SX^T.
-    assert linalg._cyclic(x.entries) == (_w_determinant(x.entries) is not None)
-
-
-@PROPERTY
-@given(MATRICES)
 def test_x_on_the_invariant_symmetric_matrices_has_determinant_det_x(x):
-    # For a nonderogatory X, R: S -> XS on W has det(R) = det(X): the theorem that lets the
-    # Jacobian oracle take the W factor of det J_n once per call, as det(X), instead of
-    # stepping it at every n.
+    # For a nonderogatory X, R: S -> XS on W has det(R) = det(X).
     assume(not derogatory(x))
     assert _w_determinant(x.entries) == det_bareiss(x)
 

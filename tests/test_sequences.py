@@ -376,8 +376,8 @@ def test_closed_form_matches_stepped_jacobians_on_repeated_eigenvalues(monkeypat
         assert [e.jacobian_det for e in entries] == stepped, x.fingerprint()
         with record_det_rows(matdivseq.linalg) as dets:
             report = verify_closed_form(x, 20)
-        # det(R) once, then one block determinant per n; a derogatory X takes two per n and no
-        # det(R). Their values give the closed form.
+        # det(X) once, then one block determinant per n >= 2. Their values give the closed
+        # form.
         check_oracle_blocks(dets, x, entries[0].det_x, [e.u for e in entries])
         assert report.passed and not report.mismatches, x.fingerprint()
         assert report.entries == tuple(entries)
