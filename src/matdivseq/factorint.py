@@ -34,7 +34,7 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import compress, groupby, islice
+from itertools import chain, compress, groupby, islice
 from math import gcd, isqrt, prod
 
 
@@ -129,7 +129,7 @@ RHO_STEP_BUDGET = 1 << 22
 STAGE1_BOUND = 2000
 STAGE2_BOUND = 500_000
 
-# Odd primes per gcd screen in trial division.
+# Primes per gcd screen in trial division.
 _RUN = 128
 # Trial division tests what is left of a value above this for primality before
 # its first run and after each run that divides it: there the test costs less
@@ -184,7 +184,7 @@ def is_prime(n: int) -> bool:
 
 @cache
 def _prime_runs() -> tuple[array, list[int]]:
-    """Odd primes up to TRIAL_LIMIT and the product of each run of ``_RUN``.
+    """Primes up to TRIAL_LIMIT and the product of each run of ``_RUN``.
 
     Built on the first :func:`factorize` call, not at import: about 0.3 MB
     of primes and 0.2 MB of products.
@@ -197,7 +197,7 @@ def _prime_runs() -> tuple[array, list[int]]:
             p = 2 * i + 1
             first = p * p // 2
             sieve[first::p] = bytes(len(range(first, half, p)))
-    primes = array("I", (2 * i + 1 for i in compress(range(half), sieve)))
+    primes = array("I", chain((2,), (2 * i + 1 for i in compress(range(half), sieve))))
     products = [prod(primes[k:k + _RUN]) for k in range(0, len(primes), _RUN)]
     return primes, products
 
@@ -255,7 +255,7 @@ def _stage_plan() -> tuple[tuple[int, ...], tuple[tuple[int, array], ...], int,
     stop = bisect_right(primes, STAGE2_BOUND)
     split = bisect_right(primes, STAGE1_BOUND, hi=stop)
     steps = []
-    for p in (2, *primes[:split]):
+    for p in primes[:split]:
         q = p
         while q <= STAGE1_BOUND:
             steps.append(p)
@@ -376,7 +376,7 @@ def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int]) 
     # exceeds TRIAL_LIMIT^2 > 2^39, so 2 is always in range.
     primes = _prime_runs()[0]
     top = m.bit_length() // (TRIAL_LIMIT.bit_length() - 1)
-    for k in (2, *islice(primes, bisect_right(primes, top))):
+    for k in islice(primes, bisect_right(primes, top)):
         root = _exact_root(m, k)
         if root ** k == m:
             return _factor_rough(root, mult * k, counts, budget)
@@ -441,10 +441,6 @@ def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
     sign = -1 if n < 0 else 1
     m = abs(n)
     counts: dict[int, int] = {}
-    twos = (m & -m).bit_length() - 1
-    if twos:
-        counts[2] = twos
-        m >>= twos
     primes, products = _prime_runs()
     cofactor = 1
     untested = True  # no screen has run yet, or the last one divided m

@@ -180,11 +180,12 @@ def factor_table(entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
     Psi_k = prod_(i<j) Phi_k(a_i, a_j) multiplies homogeneous cyclotomic
     values of eigenvalue pairs. So det(X) and each nonzero |Psi_k| are
     factored once per table and merged; the "jacobian" column adds n^s.
-    |Psi_n| = |u_n| / prod_(k | n, 1 < k < n) |Psi_k|; a division that is
-    not exact, or |u_1| other than 1, raises ``ArithmeticError``, and
-    entries that disagree on det(X) or s raise ``ValueError``. A ``zero`` row
-    factors to 0, no entries to []. ``entries`` must hold every divisor of
-    each of their n, as the n = 1..n_max of :func:`generate_sequence` do.
+    |Psi_n| = |u_n| / prod_(k | n, 1 < k < n) |Psi_k|. ``entries`` must hold
+    every divisor of each of their n before that n, as the n = 1..n_max of
+    :func:`generate_sequence` do. A divisor missing or listed after n, a
+    division that is not exact, or |u_1| other than 1, raises
+    ``ArithmeticError``, and entries that disagree on det(X) or s raise
+    ``ValueError``. A ``zero`` row factors to 0, no entries to [].
     """
     _check_choice("column", column, COLUMNS)
     if not entries:
@@ -202,8 +203,11 @@ def factor_table(entries: list[SequenceEntry] | tuple[SequenceEntry, ...],
             out.append(Factorization(sign=0))
             continue
         parts = [k for k in range(2, n) if n % k == 0]
-        divisor = prod(psi.get(k, 0) for k in parts)
-        if divisor == 0 or e.u % divisor:
+        try:
+            divisor = prod(psi[k] for k in parts)
+        except KeyError as k:
+            raise ArithmeticError(f"n={n}: divisor {k} is missing or listed after n") from None
+        if e.u % divisor:
             raise ArithmeticError(f"n={n}: |u_n| / Psi is not an exact division")
         q = abs(e.u) // divisor
         if n > 1:

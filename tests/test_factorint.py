@@ -157,7 +157,8 @@ def test_factorize_spot_values():
 def test_factorize_reconstruction():
     rng = random.Random(151)
     samples = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(40)]
-    samples += [2 ** 64 + 1, 10 ** 18 + 9, -(3 ** 40), 4295229439 ** 2 * 17489 ** 2]
+    samples += [2 ** 64 + 1, 10 ** 18 + 9, -(3 ** 40), 4295229439 ** 2 * 17489 ** 2,
+                -(2 ** 4000) * (10 ** 12 + 39) ** 3]
     samples += [n for n, _factors in _BOUNDARY]
     for n in samples:
         f = factorize(n)
@@ -230,10 +231,26 @@ def test_multiplicities_of_high_powers():
 
 
 def test_divide_out_counts_every_power():
-    for q in (3, 7, 999983):
+    for q in (2, 3, 7, 999983):
         for k in range(1, 70):
             for rest in (1, 2, 5, 11 * 13 * 999979):
-                assert factorint._divide_out(q ** k * rest, q) == (rest, k), (q, k, rest)
+                if rest % q:  # q = 2 takes the odd rests only
+                    assert factorint._divide_out(q ** k * rest, q) == (rest, k), (q, k, rest)
+
+
+def test_trial_division_divides_out_2_like_every_trial_prime(monkeypatch):
+    # 2 heads the first run of trial primes, so its screen and _divide_out take it.
+    divided = []
+    divide_out = factorint._divide_out
+
+    def spy(m, q):
+        divided.append(q)
+        return divide_out(m, q)
+
+    monkeypatch.setattr(factorint, "_divide_out", spy)
+    f = factorize(2 ** 70 * 3 ** 5 * 999983)
+    assert f.factors == ((2, 70), (3, 5), (999983, 1))
+    assert divided == [2, 3]
 
 
 def test_factorize_perfect_powers():

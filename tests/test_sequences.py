@@ -497,11 +497,14 @@ def test_factor_table_raises_on_broken_identity():
     with pytest.raises(ArithmeticError):
         factor_table([replace(entries[0], u=2)])
     # u_4 = 3, but Psi_2 = 10 does not divide it.
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="not an exact division"):
         factor_table([*entries[:3], replace(entries[3], u=3)])
-    # A missing divisor cannot be recovered: n = 4 needs Psi_2.
-    with pytest.raises(ArithmeticError):
+    # A missing divisor cannot be recovered: n = 4 needs Psi_2. Nor can one
+    # listed after n: the reversed table reaches n = 6 before Psi_2.
+    with pytest.raises(ArithmeticError, match="n=4: divisor 2 is missing"):
         factor_table([entries[0], entries[3]])
+    with pytest.raises(ArithmeticError, match="n=6: divisor 2 is missing"):
+        factor_table(entries[::-1])
     # Entries of two matrices: diag(2, 3, 1) has s = 3 like X3 but det 6, not
     # det(X3) = 1, and X4 has det 1 like X3 but s = 4.
     for x in (IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 1]]), X4):
