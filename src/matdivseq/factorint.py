@@ -8,7 +8,11 @@ proven prime; then perfect-power reduction; then
 Pollard's p-1 method (1974) and Williams' p+1 method (1982), which split
 off a prime p whose p - 1 or p + 1 is smooth (every large prime of X4's
 primitive parts Psi_n seen so far is = +-1 mod n, so n divides one of
-them); then Brent's variant of Pollard rho. Every stage uses fixed
+them); then Brent's variant of Pollard rho. A p-1 stage whose stage 2
+splits a value continues on the cofactor where it stopped, as a restart
+on the cofactor would have found nothing before that point (P. L.
+Montgomery, "Speeding the Pollard and elliptic curve methods of
+factorization", Math. Comp. 48, 1987). Every stage uses fixed
 (non-random) parameters and draws on one budget of work. Values whose
 unfactored part survives the budget come back with a composite cofactor
 instead of hanging.
@@ -240,7 +244,7 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
 
 
 @cache
-def _stage_plan() -> tuple[tuple[int, ...], tuple[tuple[int, array], ...], int,
+def _stage_plan() -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...], int,
                            tuple[int, ...]]:
     """What one Lucas-sequence stage runs, from a slice of :func:`_prime_runs`.
 
@@ -250,6 +254,10 @@ def _stage_plan() -> tuple[tuple[int, ...], tuple[tuple[int, array], ...], int,
     (STAGE1_BOUND, STAGE2_BOUND]), the stage's nominal cost in modular
     multiplications, and the product of each run of ``_CHUNK`` consecutive
     multipliers. Built on the first stage run, not at import.
+
+    Each giant step's indices are a tuple of ints drawn from one list of
+    0..D/4 - 1, so stage 2 walks them without making an int per index (as
+    an ``array`` does above 256), and the plan holds each int once.
     """
     primes = _prime_runs()[0]
     stop = bisect_right(primes, STAGE2_BOUND)
@@ -261,7 +269,8 @@ def _stage_plan() -> tuple[tuple[int, ...], tuple[tuple[int, array], ...], int,
             steps.append(p)
             q *= p
     # For each k, the odd j < D/2 as baby-step indices j // 2, each pair once.
-    plan = tuple((k, array("H", sorted({abs(q - k * _D) >> 1 for q in qs})))
+    index = list(range(_D // 4))
+    plan = tuple((k, tuple(index[i] for i in sorted({abs(q - k * _D) >> 1 for q in qs})))
                  for k, qs in groupby(islice(primes, split, stop),
                                       key=lambda q: (q + _D // 2) // _D))
     # Nominal: two per bit of one ladder per multiplier, one per baby step, one
@@ -284,8 +293,14 @@ def _lucas_v(v: int, k: int, n: int) -> int:
     return x
 
 
-def _lucas_split(n: int, v: int) -> int | None:
-    """A nontrivial factor of ``n`` from the two-stage p-1/p+1 method, or None.
+# Stage 2 of _lucas_split before one giant step's terms: the step's index in
+# the plan; k, V_((k-1)D) and V_kD for the last k stepped to; V_D; the baby
+# steps V_j; and the accumulated product of the earlier steps' terms.
+_Stage2 = tuple[int, int, int, int, int, list[int], int]
+
+
+def _lucas_split(n: int, v: int) -> tuple[int | None, _Stage2 | None]:
+    """A nontrivial factor of ``n`` from the two-stage p-1/p+1 method, or None, and a stage.
 
     With V_1 = v = alpha + 1/alpha, a prime p of ``n`` divides V_E - 2 once
     the order of alpha, a divisor of p - 1 or p + 1, divides E. Stage 1 takes
@@ -295,13 +310,15 @@ def _lucas_split(n: int, v: int) -> int | None:
     replayed prime by prime from its start, and the first prime whose gcd
     is not 1 decides. The p-1 seed v = 3 + 1/3 has alpha = 3 in Z/n: its
     stage 1 raises 3 by the built-in pow and takes the gcd of
-    (alpha^E - 1)^2 = alpha^E (V_E - 2). Stage 2 then finds one more prime
-    q = kD +- j <= STAGE2_BOUND, since V_kD - V_j = 0 (mod p) when
-    alpha^(E(kD - j)) or alpha^(E(kD + j)) is 1 (baby-step giant-step, a
-    gcd per giant step). A stage-1 gcd equal to ``n`` gives up; a stage-2
-    one is replayed term by term first.
+    (alpha^E - 1)^2 = alpha^E (V_E - 2). Stage 2 (:func:`_stage_2`) then
+    finds one more prime q = kD +- j <= STAGE2_BOUND. A stage-1 gcd equal
+    to ``n`` gives up.
+
+    Returns the factor and, when a stage-2 giant step's gcd split ``n``,
+    the stage at that step, which :func:`_stage_2` continues on the
+    cofactor; else None.
     """
-    steps, plan, _cost, chunks = _stage_plan()
+    steps, _plan, _cost, chunks = _stage_plan()
     power = v == (3 + pow(3, -1, n)) % n
     if power:  # x is alpha^E
         x, step, test = 3, partial(pow, mod=n), lambda t: (t - 1) ** 2
@@ -316,34 +333,54 @@ def _lucas_split(n: int, v: int) -> int | None:
             x = step(x, p)
             g = gcd(test(x), n)
             if g == n:
-                return None
+                return None, None
             if g > 1:
-                return g
+                return g, None
     v = (x + pow(x, -1, n)) % n if power else x
     v2 = (v * v - 2) % n
     baby = [v, (v * v2 - v) % n]  # V_j for odd j: V_(j+2) = V_j V_2 - V_(j-2)
     while len(baby) < _D // 4:
         baby.append((baby[-1] * v2 - baby[-2]) % n)
     vd = _lucas_v(v, _D, n)
-    k, prev, cur = 0, vd, 2  # V_((k-1)D), V_kD at k = 0: V_-D = V_D as Q = 1
-    acc = 1
-    for target, js in plan:
+    # k = 0: V_-D = V_D as Q = 1, and V_0 = 2.
+    return _stage_2(n, (0, 0, vd, 2, vd, baby, 1))
+
+
+def _stage_2(n: int, stage: _Stage2) -> tuple[int | None, _Stage2 | None]:
+    """Stage 2 of :func:`_lucas_split` on ``n``, from the giant step ``stage`` is at.
+
+    V_kD - V_j = 0 (mod p) when alpha^(E(kD - j)) or alpha^(E(kD + j)) is 1
+    (baby-step giant-step), so each giant step multiplies the accumulator by
+    V_kD - V_j over its j and takes one gcd. A gcd equal to ``n`` is replayed
+    term by term. Returns the factor, or None, and with a factor split off at
+    a giant step's gcd the stage before that step.
+
+    A stage that split ``n`` continues on a divisor c of ``n`` with its
+    values reduced mod c: they are what a restart on c computes, and every
+    earlier gcd, 1 on ``n``, is 1 on c, so taking this step's gcd again on c
+    and going on gives what the restart gives.
+    """
+    plan = _stage_plan()[1]
+    first, k, prev, cur, vd, baby, acc = stage
+    for at in range(first, len(plan)):
+        target, js = plan[at]
         while k < target:
             prev, cur = cur, (cur * vd - prev) % n
             k += 1
+        before = acc
         for i in js:
             acc = acc * (cur - baby[i]) % n
         g = gcd(acc, n)
         if g == 1:
             continue
         if g < n:
-            return g
+            return g, (at, k, prev, cur, vd, baby, before)
         for i in js:
             g = gcd(cur - baby[i], n)
             if 1 < g < n:
-                return g
-        return None
-    return None
+                return g, None
+        return None, None
+    return None, None
 
 
 def _exact_root(n: int, k: int) -> int:
@@ -361,12 +398,18 @@ def _exact_root(n: int, k: int) -> int:
     return lo
 
 
-def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int]) -> int:
+def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int],
+                  resume: _Stage2 | None = None) -> int:
     """Factor ``m`` > 1, which has no prime factor <= TRIAL_LIMIT.
 
     Adds ``mult`` to ``counts`` per prime found and returns the product of
     the pieces the budget left unsplit, each to the power ``mult``: 1 when
     ``m`` is factored completely.
+
+    The p-1 seed's stage, when its stage 2 split a value, continues on the
+    cofactor ``m`` from ``resume`` in that seed's place and for the same
+    charge, instead of running again from the start; a prime ``m`` or a
+    perfect power drops it.
     """
     if is_prime(m):
         counts[m] = counts.get(m, 0) + mult
@@ -381,12 +424,17 @@ def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int]) 
         if root ** k == m:
             return _factor_rough(root, mult * k, counts, budget)
     cost = _stage_plan()[2]
-    d = None
-    for a, b in _SEEDS:
+    d = stage = None
+    for seed, (a, b) in enumerate(_SEEDS):
         if budget[0] < cost:
             break
         budget[0] -= cost
-        d = _lucas_split(m, a * pow(b, -1, m) % m)
+        if seed == 0 and resume is not None:
+            at, k, prev, cur, vd, baby, acc = resume
+            d, stage = _stage_2(m, (at, k, prev % m, cur % m, vd % m,
+                                    [w % m for w in baby], acc % m))
+        else:
+            d, stage = _lucas_split(m, a * pow(b, -1, m) % m)
         if d is not None:
             break
     if d is None:
@@ -394,7 +442,7 @@ def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int]) 
     if d is None:
         return m ** mult
     return (_factor_rough(d, mult, counts, budget)
-            * _factor_rough(m // d, mult, counts, budget))
+            * _factor_rough(m // d, mult, counts, budget, stage if seed == 0 else None))
 
 
 def _divide_out(m: int, q: int) -> tuple[int, int]:
@@ -430,7 +478,9 @@ def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
     the budget cannot pay it. That is a nominal count, one Lucas ladder per
     stage-1 prime power, kept although stage 1 now runs one ladder (or one
     built-in pow) per chunk of them, so that the budget and what it splits
-    do not move. A rho step counts one, and
+    do not move. The p-1 stage, when its stage 2 splits a piece, continues
+    on the cofactor in place of a new run there and is charged the same
+    39846 for it; it finds what the new run would. A rho step counts one, and
     rho starts a doubling block of steps while any budget remains, so its
     last block may overrun. When the budget is spent the product of the
     unsplit pieces is reported as a composite cofactor; ``rho_steps=0``
@@ -448,19 +498,23 @@ def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
         if primes[start] ** 2 > m:  # so m is 1 or a prime, as after the break below
             break
         # A proven prime ends the search here instead of after the runs up to
-        # its square root, which are all of them above TRIAL_LIMIT^2.
-        if untested and _PRIME_TEST_ABOVE < m < _DETERMINISTIC_BOUND and is_prime(m):
+        # its square root, which are all of them above TRIAL_LIMIT^2. An even m
+        # is left to the first run, which holds 2.
+        if (untested and m & 1 and _PRIME_TEST_ABOVE < m < _DETERMINISTIC_BOUND
+                and is_prime(m)):
             break
         g = gcd(m, product)
         untested = g > 1
         if g == 1:
             continue
         for q in primes[start:start + _RUN]:
+            if g < q * q:  # so g, free of primes below q, is 1 or a prime
+                if g > 1:
+                    m, counts[g] = _divide_out(m, g)
+                break
             if g % q == 0:
                 g //= q
                 m, counts[q] = _divide_out(m, q)
-                if g == 1:
-                    break
     else:
         # Every run was screened: below (TRIAL_LIMIT + 1)^2, m is 1 (the last
         # run divided it out) or a prime, which is_prime need not see.

@@ -20,6 +20,9 @@ payload as a dict, written by ``json.dumps(payload, indent=2)``.
 ``lucas_split_per_prime`` is the p-1/p+1 split with its stage 1 run one
 Lucas ladder and one gcd per stage-1 prime power, the reference the
 chunked stage 1 of ``factorint._lucas_split`` must agree with.
+``factor_rough_restarting`` is ``factorint._factor_rough`` with every
+split running the stages on both pieces from the start, the reference a
+stage continued on its cofactor must agree with.
 """
 
 import json
@@ -408,3 +411,35 @@ def lucas_split_per_prime(n: int, v: int) -> int | None:
                 return g
         return None
     return None
+
+
+def factor_rough_restarting(m: int, mult: int, counts: dict[int, int],
+                            budget: list[int]) -> int:
+    """``factorint._factor_rough(m, mult, counts, budget)``, each stage run from the start.
+
+    Every p-1/p+1 run is ``lucas_split_per_prime`` on the piece it splits, so no
+    stage continues on a cofactor; the charges, the seed order, rho and the
+    recursion are those of ``_factor_rough``.
+    """
+    if factorint.is_prime(m):
+        counts[m] = counts.get(m, 0) + mult
+        return 1
+    for k in range(2, m.bit_length() // 19 + 1):  # the least k is prime
+        root = factorint._exact_root(m, k)
+        if root ** k == m:
+            return factor_rough_restarting(root, mult * k, counts, budget)
+    cost = factorint._stage_plan()[2]
+    d = None
+    for a, b in factorint._SEEDS:
+        if budget[0] < cost:
+            break
+        budget[0] -= cost
+        d = lucas_split_per_prime(m, a * pow(b, -1, m) % m)
+        if d is not None:
+            break
+    if d is None:
+        d = factorint._brent_rho(m, budget)
+    if d is None:
+        return m ** mult
+    return (factor_rough_restarting(d, mult, counts, budget)
+            * factor_rough_restarting(m // d, mult, counts, budget))

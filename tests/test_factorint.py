@@ -10,7 +10,7 @@ import pytest
 
 import matdivseq
 from golden_tables import X4
-from helpers import lucas_split_per_prime
+from helpers import factor_rough_restarting, lucas_split_per_prime
 from matdivseq import Factorization, factor_table, factorize, generate_sequence, is_prime
 from matdivseq import factorint
 
@@ -179,6 +179,20 @@ def test_factorize_agrees_with_trial_division():
         sign, factors = _trial_division(n)
         got = factorize(n)
         assert got.sign == sign and list(got.factors) == factors, n
+    # Two to four primes of one run of trial primes, the largest near its end, where
+    # the run's scan stops at the square root of what is left of its gcd: 709 and
+    # 719 end run 0 (2 and the first 127 odd primes), 1613 and 1619 run 1.
+    primes = factorint._prime_runs()[0]
+    values = [2 * 3 * 709 * 719, 5 * 719 ** 2, 127 * 131 * 709, 3 ** 4 * 701 * 709 * 719,
+              2 * 719, 709 * 719, 727 * 1619, 1613 ** 2 * 1619 * 1000003]
+    for _ in range(300):
+        run = primes[rng.randrange(4) * factorint._RUN:][:factorint._RUN]
+        picked = rng.sample(run[:-4], rng.randint(1, 3)) + [rng.choice(run[-4:])]
+        powers = prod(q ** rng.randint(1, 3) for q in picked)
+        values.append(powers * rng.choice((1, 7, 1000003)))
+    for n in values:
+        sign, factors = _trial_division(n)
+        assert factorize(n) == Factorization(sign=sign, factors=tuple(factors)), n
 
 
 def test_factorize_budget_exhaustion_leaves_cofactor():
@@ -306,6 +320,18 @@ def test_trial_division_stops_at_a_proven_prime(monkeypatch):
     assert factorize(999983 * 1000003).factors == ((999983, 1), (1000003, 1))
 
 
+def test_trial_division_tests_no_even_value_for_primality(monkeypatch):
+    # 2 heads the first run, so an even value meets that screen before any test.
+    tested = []
+    monkeypatch.setattr(factorint, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert factorize(2 * (10 ** 12 + 39)).factors == ((2, 1), (10 ** 12 + 39, 1))
+    assert tested == [10 ** 12 + 39]
+    tested.clear()
+    assert factorize(2 ** 9 * 3 * 1465126030367).factors == (
+        (2, 9), (3, 1), (1465126030367, 1))
+    assert tested == [1465126030367]
+
+
 def test_rendering():
     assert str(factorize(193600)) == "2^6 5^2 11^2"
     assert str(factorize(-12)) == "-2^2 3"
@@ -400,7 +426,7 @@ def test_lucas_v_matches_the_recurrence():
 
 def test_p_minus_1_stage_splits_a_smooth_p_minus_1(monkeypatch):
     n = _SMOOTH_P_MINUS_1 * _ROUGH[0]
-    assert factorint._lucas_split(n, _seed(10, 3, n)) == _SMOOTH_P_MINUS_1
+    assert factorint._lucas_split(n, _seed(10, 3, n))[0] == _SMOOTH_P_MINUS_1
     _forbid_rho(monkeypatch)
     assert factorize(n).factors == ((_ROUGH[0], 1), (_SMOOTH_P_MINUS_1, 1))
 
@@ -409,8 +435,8 @@ def test_p_plus_1_stage_splits_a_smooth_p_plus_1(monkeypatch):
     n = _SMOOTH_P_PLUS_1 * _ROUGH[0]
     # p - 1 = 2^2 11 11936710277 is not smooth; p = 2 (mod 3) puts the 2/7
     # seed in the p + 1 group.
-    assert factorint._lucas_split(n, _seed(10, 3, n)) is None
-    assert factorint._lucas_split(n, _seed(2, 7, n)) == _SMOOTH_P_PLUS_1
+    assert factorint._lucas_split(n, _seed(10, 3, n))[0] is None
+    assert factorint._lucas_split(n, _seed(2, 7, n))[0] == _SMOOTH_P_PLUS_1
     _forbid_rho(monkeypatch)
     assert factorize(n).factors == ((_ROUGH[0], 1), (_SMOOTH_P_PLUS_1, 1))
 
@@ -418,7 +444,7 @@ def test_p_plus_1_stage_splits_a_smooth_p_plus_1(monkeypatch):
 def test_rho_splits_what_neither_stage_does(monkeypatch):
     n = _ROUGH[0] * _ROUGH[1]
     for a, b in factorint._SEEDS:
-        assert factorint._lucas_split(n, _seed(a, b, n)) is None
+        assert factorint._lucas_split(n, _seed(a, b, n))[0] is None
     calls = []
     rho = factorint._brent_rho
 
@@ -488,7 +514,7 @@ def test_lucas_split_gives_up_at_a_stage_1_gcd_of_n(monkeypatch):
     # the stage-1 step at 947 completes both orders at once.
     n = 1000033 * 1007609
     gcds = _record_gcds(monkeypatch)
-    assert factorint._lucas_split(n, _seed(10, 3, n)) is None
+    assert factorint._lucas_split(n, _seed(10, 3, n))[0] is None
     assert gcds[-1] == n and len(gcds) <= len(factorint._stage_plan()[0])
     monkeypatch.undo()
     assert factorize(n) == Factorization(sign=1, factors=((1000033, 1), (1007609, 1)))
@@ -500,7 +526,7 @@ def test_lucas_split_replays_a_stage_2_giant_step(monkeypatch):
     # is n and the term-by-term replay isolates 1000121.
     n = 1000117 * 1000121
     gcds = _record_gcds(monkeypatch)
-    assert factorint._lucas_split(n, _seed(10, 3, n)) == 1000121
+    assert factorint._lucas_split(n, _seed(10, 3, n)) == (1000121, None)  # no stage to resume
     stage_1 = len(factorint._stage_plan()[3])  # one gcd per stage-1 chunk
     assert gcds[stage_1] == n and n not in gcds[stage_1 + 1:]
     assert gcds[-1] == 1000121
@@ -524,33 +550,36 @@ def test_trial_division_alone_finishes_values_below_the_trial_limit(monkeypatch)
         assert set(tested) <= {n}, n
 
 
-# The composites factor_table passes to _lucas_split for X4 at n <= 20
-# (the 39-digit one twice: the p-1 seed fails on it).
+# The composites factor_table splits by p-1/p+1 for X4 at n <= 20: the 29-digit
+# one is Psi_17's cofactor, where the p-1 stage continues, and the last 39-digit
+# one takes two seeds, as the p-1 seed fails on it.
 _X4_SPLITS = (37378551270772621757, 70931585488408111, 5877944700413743,
               341019527855583793199506522952353579007, 17547243001818921581872482443,
               466437473756534208909477095939609617703)
 
 
+_LUCAS_SPLIT_CASES = (
+    _SMOOTH_P_MINUS_1 * _ROUGH[0], _SMOOTH_P_PLUS_1 * _ROUGH[0], _ROUGH[0] * _ROUGH[1],
+    1000033 * 1007609,  # the stage-1 gcd is n
+    1000117 * 1000121,  # the stage-2 replay
+    # gcd(V_E - 2, n) is 1000033^2, as (3^E - 1)^2 has 1000033^2 and 3^E - 1 only 1000033.
+    1000033 ** 2 * 10001659,
+    # 3 has an order dividing E at the 81st stage-1 prime power mod 1000037 and at
+    # the 96th mod 1000453, in one chunk: the gcd grows from 1000037 to n inside it.
+    1000037 * 1000453,
+    *_X4_SPLITS,
+)
+
+
 def test_lucas_split_matches_the_per_prime_stage_1():
-    cases = [
-        _SMOOTH_P_MINUS_1 * _ROUGH[0], _SMOOTH_P_PLUS_1 * _ROUGH[0], _ROUGH[0] * _ROUGH[1],
-        1000033 * 1007609,  # the stage-1 gcd is n
-        1000117 * 1000121,  # the stage-2 replay
-        # gcd(V_E - 2, n) is 1000033^2, as (3^E - 1)^2 has 1000033^2 and 3^E - 1 only 1000033.
-        1000033 ** 2 * 10001659,
-        # 3 has an order dividing E at the 81st stage-1 prime power mod 1000037 and at
-        # the 96th mod 1000453, in one chunk: the gcd grows from 1000037 to n inside it.
-        1000037 * 1000453,
-        *_X4_SPLITS,
-    ]
-    for n in cases:
+    for n in _LUCAS_SPLIT_CASES:
         for a, b in factorint._SEEDS:
             v = _seed(a, b, n)
-            assert factorint._lucas_split(n, v) == lucas_split_per_prime(n, v), (n, a, b)
+            assert factorint._lucas_split(n, v)[0] == lucas_split_per_prime(n, v), (n, a, b)
     n = 1000033 ** 2 * 10001659
-    assert factorint._lucas_split(n, _seed(10, 3, n)) == 1000033 ** 2
+    assert factorint._lucas_split(n, _seed(10, 3, n))[0] == 1000033 ** 2
     n = 1000037 * 1000453
-    assert factorint._lucas_split(n, _seed(10, 3, n)) == 1000037
+    assert factorint._lucas_split(n, _seed(10, 3, n))[0] == 1000037
 
 
 def test_x4_split_inside_a_stage_1_chunk(monkeypatch):
@@ -559,7 +588,7 @@ def test_x4_split_inside_a_stage_1_chunk(monkeypatch):
     # chunk's start finds it again at that prime.
     n, p = 37378551270772621757, 7282397
     gcds = _record_gcds(monkeypatch)
-    assert factorint._lucas_split(n, _seed(10, 3, n)) == p
+    assert factorint._lucas_split(n, _seed(10, 3, n))[0] == p
     chunk = factorint._CHUNK
     assert 89 % chunk and gcds == [1] * (89 // chunk) + [p] + [1] * (89 % chunk) + [p]
 
@@ -574,13 +603,94 @@ def test_p_minus_1_stage_1_runs_no_lucas_ladder(monkeypatch):
 
     monkeypatch.setattr(factorint, "_lucas_v", counted)
     n = _ROUGH[0] * _ROUGH[1]
-    assert factorint._lucas_split(n, _seed(10, 3, n)) is None
+    assert factorint._lucas_split(n, _seed(10, 3, n))[0] is None
     assert ladders == [factorint._D]  # stage 2's V_D alone
     ladders.clear()
-    assert factorint._lucas_split(n, _seed(2, 7, n)) is None
+    assert factorint._lucas_split(n, _seed(2, 7, n))[0] is None
     assert ladders == [*factorint._stage_plan()[3], factorint._D]  # a ladder per chunk
 
 
 def test_stage_charge_is_unchanged():
     # The budget is charged this nominal count per seed run, whatever stage 1's shape.
     assert factorint._stage_plan()[2] == 39846
+
+
+# X4's Psi_17. 19434365149 - 1 = 2^2 3 11^2 167 80147 and 52574490667 - 1 = 2 3^4 17 53 360193:
+# the p-1 seed's stage 2 splits off the first at the giant step k = 35 (80147 = 35D - 703),
+# and the second off the cofactor at k = 156 (360193 = 156D - 167).
+_PSI_17 = _X4_SPLITS[3]
+_PSI_17_PRIMES = (19434365149, 52574490667, 333759638547159329)
+
+
+def _gcd_moduli(monkeypatch):
+    moduli = []
+    gcd = factorint.gcd
+    monkeypatch.setattr(factorint, "gcd", lambda a, b: moduli.append(b) or gcd(a, b))
+    return moduli
+
+
+def test_psi_17_runs_the_p_minus_1_stage_1_once(monkeypatch):
+    # The cofactor continues the stage at k = 35, so the gcds on Psi_17 and its cofactor
+    # are one stage 1 and the giant steps through k = 156, with k = 35 taken on both.
+    moduli = _gcd_moduli(monkeypatch)
+    _forbid_rho(monkeypatch)
+    assert factorize(_PSI_17).factors == tuple((p, 1) for p in _PSI_17_PRIMES)
+    steps = [k for k, _js in factorint._stage_plan()[1]]
+    stage_1 = len(factorint._stage_plan()[3])
+    cofactor = _PSI_17 // _PSI_17_PRIMES[0]
+    assert stage_1 == 14
+    assert moduli.count(_PSI_17) + moduli.count(cofactor) == stage_1 + steps.index(156) + 2
+
+
+def test_psi_17_cofactor_starts_at_giant_step_35(monkeypatch):
+    starts = []
+    stage_2 = factorint._stage_2
+
+    def spy(n, stage):
+        starts.append((n, stage[1]))
+        return stage_2(n, stage)
+
+    monkeypatch.setattr(factorint, "_stage_2", spy)
+    moduli = _gcd_moduli(monkeypatch)
+    assert factorize(_PSI_17).factors == tuple((p, 1) for p in _PSI_17_PRIMES)
+    cofactor = _PSI_17 // _PSI_17_PRIMES[0]
+    steps = [k for k, _js in factorint._stage_plan()[1]]
+    assert starts == [(_PSI_17, 0), (cofactor, 35)]
+    assert moduli.count(cofactor) == steps.index(156) - steps.index(35) + 1
+
+
+def test_a_cofactor_that_cannot_pay_for_the_p_minus_1_stage_goes_to_rho(monkeypatch):
+    # Psi_17's first stage leaves 39845 < 39846: nothing resumes, and rho spends the rest.
+    split, rho = [], []
+    lucas_split, brent_rho = factorint._lucas_split, factorint._brent_rho
+    monkeypatch.setattr(factorint, "_lucas_split",
+                        lambda n, v: split.append(n) or lucas_split(n, v))
+    monkeypatch.setattr(factorint, "_brent_rho", lambda n, b: rho.append(n) or brent_rho(n, b))
+    steps = 2 * factorint._stage_plan()[2] - 1
+    cofactor = _PSI_17 // _PSI_17_PRIMES[0]
+    assert factorize(_PSI_17, steps) == Factorization(
+        sign=1, factors=((_PSI_17_PRIMES[0], 1),), cofactor=cofactor)
+    assert split == [_PSI_17] and rho == [cofactor]
+    monkeypatch.undo()
+    counts, budget = {}, [steps]
+    assert factor_rough_restarting(_PSI_17, 1, counts, budget) == cofactor
+    assert counts == {_PSI_17_PRIMES[0]: 1}
+
+
+def test_a_resumed_stage_finds_what_a_restart_on_the_cofactor_finds():
+    resumed = []
+    for n in _LUCAS_SPLIT_CASES:
+        for a, b in factorint._SEEDS:
+            v = _seed(a, b, n)
+            d, stage = factorint._lucas_split(n, v)
+            if stage is None:
+                continue
+            c = n // d
+            at, k, prev, cur, vd, baby, acc = stage
+            on_c = (at, k, prev % c, cur % c, vd % c, [w % c for w in baby], acc % c)
+            found = factorint._stage_2(c, on_c)[0]
+            assert found == lucas_split_per_prime(c, v % c), (n, a, b)
+            resumed.append(found)
+    # Fifteen splits; only Psi_17's cofactor is composite, and the seeds that run p-1 on
+    # 52574490667 = 1 (mod 3), 10/3 and 2/7, split it again.
+    assert len(resumed) == 15 and [d for d in resumed if d] == [_PSI_17_PRIMES[1]] * 2

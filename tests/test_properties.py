@@ -18,10 +18,14 @@ polynomial, and the blocks of the Jacobian oracle, det(X) and Skew_n, with
 the block on symmetric matrices that it never eliminates. Two more check,
 through ``helpers._w_determinant``, that the symmetric S with XS = SX^T
 span s dimensions exactly when I, X, ..., X^(s-1) are independent, and
-that S -> XS on them then has determinant det(X).
+that S -> XS on them then has determinant det(X). The last checks that
+``factorize``, whose p-1 stage continues on the cofactor it splits off,
+matches ``helpers.factor_rough_restarting``, which restarts on every piece.
 """
 
 from functools import reduce
+from math import prod
+from unittest import mock
 
 import pytest
 
@@ -29,15 +33,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from matdivseq import (IntMatrix, char_poly, det_bareiss, factor_table, factorize,
-                       generate_sequence, jacobian_determinant, jacobian_power_map, kronecker,
-                       lucas_2x2, mat_add, mat_pow, verify_divisibility)
+from matdivseq import (Factorization, IntMatrix, char_poly, det_bareiss, factor_table,
+                       factorint, factorize, generate_sequence, jacobian_determinant,
+                       jacobian_power_map, kronecker, lucas_2x2, mat_add, mat_pow,
+                       verify_divisibility)
 from matdivseq import linalg
 from matdivseq.linalg import jacobian_determinants
 from matdivseq.sequences import COLUMNS
 
-from helpers import (_w_determinant, check_oracle_blocks, det_fraction, derogatory, record_det_rows,
-                     sym_block)
+from helpers import (_w_determinant, check_oracle_blocks, det_fraction, derogatory,
+                     factor_rough_restarting, record_det_rows, sym_block)
 
 ENTRY = st.integers(-3, 3)
 DIM = st.integers(1, 4)
@@ -287,3 +292,39 @@ def test_one_by_one_gives_n_times_a_to_the_n_minus_1(a):
     assert [e.u for e in entries] == [1] * 10
     assert [e.jacobian_det for e in entries] == want
     assert list(jacobian_determinants(x, 10)) == want
+
+
+# Primes above 10^6 that a p-1 or p+1 stage splits off, from test_factorint's cases: the
+# primes of _X4_SPLITS whose p - 1 or p + 1 is STAGE2_BOUND-smooth, _SMOOTH_P_MINUS_1,
+# _SMOOTH_P_PLUS_1, the pairs whose stage-1 gcd or stage-2 giant step is n, and the
+# _ROUGH primes, which neither stage reaches and rho splits quickly. The p-1 seed's
+# stage 2 splits off the first four, so they are drawn twice as often.
+STAGE_PRIMES = st.sampled_from((19434365149, 52574490667, 20394769, 1000121) * 2 + (
+    7282397, 27205307, 2607270173, 288208447, 525215252189, 1000033, 1007609, 1000117,
+    1000037, 1000453, 10001659, 10002547))
+STAGE_COST = 39846
+# Budgets at and around multiples of the charge of a stage, and the default.
+RHO_STEPS = st.one_of(
+    st.tuples(st.integers(1, 6), st.sampled_from((-1, 0, 0, 1))).map(
+        lambda kd: kd[0] * STAGE_COST + kd[1]),
+    st.sampled_from((0, factorint.RHO_STEP_BUDGET)), st.integers(0, 6 * STAGE_COST))
+
+
+@PROPERTY
+@given(st.lists(STAGE_PRIMES, min_size=2, max_size=4), RHO_STEPS)
+def test_factorize_matches_a_restart_on_every_piece(primes, rho_steps):
+    n = prod(primes)
+    budgets = []
+    factor_rough = factorint._factor_rough
+
+    def spy(m, mult, counts, budget, *resume):
+        budgets.append(budget)
+        return factor_rough(m, mult, counts, budget, *resume)
+
+    with mock.patch.object(factorint, "_factor_rough", spy):
+        got = factorize(n, rho_steps)
+    counts, budget = {}, [rho_steps]
+    cofactor = factor_rough_restarting(n, 1, counts, budget)
+    assert got == Factorization(sign=1, factors=tuple(sorted(counts.items())),
+                                cofactor=cofactor if cofactor > 1 else None)
+    assert budgets[0] == budget
