@@ -8,9 +8,9 @@ proven prime; then perfect-power reduction; then
 Pollard's p-1 method (1974) and Williams' p+1 method (1982), which split
 off a prime p whose p - 1 or p + 1 is smooth (every large prime of X4's
 primitive parts Psi_n seen so far is = +-1 mod n, so n divides one of
-them); then Brent's variant of Pollard rho. A p-1 stage whose stage 2
-splits a value continues on the cofactor where it stopped, as a restart
-on the cofactor would have found nothing before that point (P. L.
+them); then Brent's variant of Pollard rho. A stage of any seed whose
+stage 2 splits a value continues on the cofactor where it stopped, as a
+restart on the cofactor would have found nothing before that point (P. L.
 Montgomery, "Speeding the Pollard and elliptic curve methods of
 factorization", Math. Comp. 48, 1987). Every stage uses fixed
 (non-random) parameters and draws on one budget of work. Values whose
@@ -294,29 +294,26 @@ def _lucas_v(v: int, k: int, n: int) -> int:
 
 
 # Stage 2 of _lucas_split before one giant step's terms: the step's index in
-# the plan; k, V_((k-1)D) and V_kD for the last k stepped to; V_D; the baby
-# steps V_j; and the accumulated product of the earlier steps' terms.
-_Stage2 = tuple[int, int, int, int, int, list[int], int]
+# the plan, V_E (stage 1's V) and the product of the earlier steps' terms.
+# The rest of stage 2's state is derived from V_E, so a stage carried to a
+# cofactor is these three numbers, reduced there.
+_Stage2 = tuple[int, int, int]
 
 
 def _lucas_split(n: int, v: int) -> tuple[int | None, _Stage2 | None]:
     """A nontrivial factor of ``n`` from the two-stage p-1/p+1 method, or None, and a stage.
 
     With V_1 = v = alpha + 1/alpha, a prime p of ``n`` divides V_E - 2 once
-    the order of alpha, a divisor of p - 1 or p + 1, divides E. Stage 1 takes
-    E over the prime powers up to STAGE1_BOUND, one ladder and gcd per chunk
-    of ``_CHUNK`` of them (V_ab = V_a(V_b)). The gcd only grows along a chunk,
-    as alpha^a - 1 divides alpha^(ab) - 1, so a chunk whose gcd is not 1 is
-    replayed prime by prime from its start, and the first prime whose gcd
-    is not 1 decides. The p-1 seed v = 3 + 1/3 has alpha = 3 in Z/n: its
-    stage 1 raises 3 by the built-in pow and takes the gcd of
-    (alpha^E - 1)^2 = alpha^E (V_E - 2). Stage 2 (:func:`_stage_2`) then
-    finds one more prime q = kD +- j <= STAGE2_BOUND. A stage-1 gcd equal
-    to ``n`` gives up.
-
-    Returns the factor and, when a stage-2 giant step's gcd split ``n``,
-    the stage at that step, which :func:`_stage_2` continues on the
-    cofactor; else None.
+    the order of alpha, a divisor of p - 1 or p + 1, divides E. This runs
+    stage 1, which takes E over the prime powers up to STAGE1_BOUND, one
+    ladder and gcd per chunk of ``_CHUNK`` of them (V_ab = V_a(V_b)). The gcd
+    only grows along a chunk, as alpha^a - 1 divides alpha^(ab) - 1, so a
+    chunk whose gcd is not 1 is replayed prime by prime from its start, and
+    the first prime whose gcd is not 1 decides. The p-1 seed v = 3 + 1/3 has
+    alpha = 3 in Z/n: its stage 1 raises 3 by the built-in pow and takes the
+    gcd of (alpha^E - 1)^2 = alpha^E (V_E - 2). A stage-1 gcd equal to ``n``
+    gives up; otherwise :func:`_stage_2` runs from its first giant step and
+    returns what it returns.
     """
     steps, _plan, _cost, chunks = _stage_plan()
     power = v == (3 + pow(3, -1, n)) % n
@@ -336,32 +333,35 @@ def _lucas_split(n: int, v: int) -> tuple[int | None, _Stage2 | None]:
                 return None, None
             if g > 1:
                 return g, None
-    v = (x + pow(x, -1, n)) % n if power else x
-    v2 = (v * v - 2) % n
-    baby = [v, (v * v2 - v) % n]  # V_j for odd j: V_(j+2) = V_j V_2 - V_(j-2)
-    while len(baby) < _D // 4:
-        baby.append((baby[-1] * v2 - baby[-2]) % n)
-    vd = _lucas_v(v, _D, n)
-    # k = 0: V_-D = V_D as Q = 1, and V_0 = 2.
-    return _stage_2(n, (0, 0, vd, 2, vd, baby, 1))
+    return _stage_2(n, (0, (x + pow(x, -1, n)) if power else x, 1))
 
 
 def _stage_2(n: int, stage: _Stage2) -> tuple[int | None, _Stage2 | None]:
     """Stage 2 of :func:`_lucas_split` on ``n``, from the giant step ``stage`` is at.
 
-    V_kD - V_j = 0 (mod p) when alpha^(E(kD - j)) or alpha^(E(kD + j)) is 1
-    (baby-step giant-step), so each giant step multiplies the accumulator by
-    V_kD - V_j over its j and takes one gcd. A gcd equal to ``n`` is replayed
-    term by term. Returns the factor, or None, and with a factor split off at
-    a giant step's gcd the stage before that step.
+    Finds one more prime q = kD +- j <= STAGE2_BOUND. V_kD - V_j = 0 (mod p)
+    when alpha^(E(kD - j)) or alpha^(E(kD + j)) is 1 (baby-step giant-step),
+    so each giant step multiplies the accumulator by V_kD - V_j over its j
+    and takes one gcd. A gcd equal to ``n`` is replayed term by term.
+    Returns the factor, or None, and with a factor split off at a giant
+    step's gcd the stage before that step.
 
-    A stage that split ``n`` continues on a divisor c of ``n`` with its
-    values reduced mod c: they are what a restart on c computes, and every
-    earlier gcd, 1 on ``n``, is 1 on c, so taking this step's gcd again on c
-    and going on gives what the restart gives.
+    The stage is reduced mod ``n``, and the baby steps V_j, V_D and V_kD up
+    to the first step are derived from V_E. So a stage that split a value
+    continues on a divisor c of it: mod c, V_E is what stage 1 on c
+    computes, everything derived from it is what a restart on c derives, and
+    every earlier gcd, 1 on the value, is 1 on c, so taking this step's gcd
+    again on c and going on gives what the restart gives.
     """
     plan = _stage_plan()[1]
-    first, k, prev, cur, vd, baby, acc = stage
+    first, v, acc = stage
+    v, acc = v % n, acc % n
+    v2 = (v * v - 2) % n
+    baby = [v, (v * v2 - v) % n]  # V_j for odd j: V_(j+2) = V_j V_2 - V_(j-2)
+    while len(baby) < _D // 4:
+        baby.append((baby[-1] * v2 - baby[-2]) % n)
+    vd = _lucas_v(v, _D, n)
+    k, prev, cur = 0, vd, 2  # V_((k-1)D), V_kD at k = 0: V_-D = V_D as Q = 1
     for at in range(first, len(plan)):
         target, js = plan[at]
         while k < target:
@@ -374,7 +374,7 @@ def _stage_2(n: int, stage: _Stage2) -> tuple[int | None, _Stage2 | None]:
         if g == 1:
             continue
         if g < n:
-            return g, (at, k, prev, cur, vd, baby, before)
+            return g, (at, v, before)
         for i in js:
             g = gcd(cur - baby[i], n)
             if 1 < g < n:
@@ -399,17 +399,17 @@ def _exact_root(n: int, k: int) -> int:
 
 
 def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int],
-                  resume: _Stage2 | None = None) -> int:
+                  resume: tuple[int, _Stage2] | None = None) -> int:
     """Factor ``m`` > 1, which has no prime factor <= TRIAL_LIMIT.
 
     Adds ``mult`` to ``counts`` per prime found and returns the product of
     the pieces the budget left unsplit, each to the power ``mult``: 1 when
     ``m`` is factored completely.
 
-    The p-1 seed's stage, when its stage 2 split a value, continues on the
-    cofactor ``m`` from ``resume`` in that seed's place and for the same
-    charge, instead of running again from the start; a prime ``m`` or a
-    perfect power drops it.
+    ``resume`` is ``(seed, stage)`` when that seed's stage 2 split a value
+    into a factor and the cofactor ``m``: the stage continues on ``m`` in
+    that seed's place and for the same charge, instead of running again
+    from the start. A prime ``m`` or a perfect power drops it.
     """
     if is_prime(m):
         counts[m] = counts.get(m, 0) + mult
@@ -429,10 +429,8 @@ def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int],
         if budget[0] < cost:
             break
         budget[0] -= cost
-        if seed == 0 and resume is not None:
-            at, k, prev, cur, vd, baby, acc = resume
-            d, stage = _stage_2(m, (at, k, prev % m, cur % m, vd % m,
-                                    [w % m for w in baby], acc % m))
+        if resume and resume[0] == seed:
+            d, stage = _stage_2(m, resume[1])
         else:
             d, stage = _lucas_split(m, a * pow(b, -1, m) % m)
         if d is not None:
@@ -442,7 +440,7 @@ def _factor_rough(m: int, mult: int, counts: dict[int, int], budget: list[int],
     if d is None:
         return m ** mult
     return (_factor_rough(d, mult, counts, budget)
-            * _factor_rough(m // d, mult, counts, budget, stage if seed == 0 else None))
+            * _factor_rough(m // d, mult, counts, budget, stage and (seed, stage)))
 
 
 def _divide_out(m: int, q: int) -> tuple[int, int]:
@@ -478,13 +476,13 @@ def factorize(n: int, rho_steps: int = RHO_STEP_BUDGET) -> Factorization:
     the budget cannot pay it. That is a nominal count, one Lucas ladder per
     stage-1 prime power, kept although stage 1 now runs one ladder (or one
     built-in pow) per chunk of them, so that the budget and what it splits
-    do not move. The p-1 stage, when its stage 2 splits a piece, continues
-    on the cofactor in place of a new run there and is charged the same
-    39846 for it; it finds what the new run would. A rho step counts one, and
-    rho starts a doubling block of steps while any budget remains, so its
-    last block may overrun. When the budget is spent the product of the
-    unsplit pieces is reported as a composite cofactor; ``rho_steps=0``
-    splits nothing.
+    do not move. A stage whose stage 2 splits a piece continues on the
+    cofactor in its seed's place, instead of a new run there, and is
+    charged the same 39846 per run or resume; it finds what the new run
+    would. A rho step counts one, and rho starts a doubling block of steps
+    while any budget remains, so its last block may overrun. When the
+    budget is spent the product of the unsplit pieces is reported as a
+    composite cofactor; ``rho_steps=0`` splits nothing.
     """
     if n == 0:
         return Factorization(sign=0)

@@ -647,7 +647,7 @@ def test_psi_17_cofactor_starts_at_giant_step_35(monkeypatch):
     stage_2 = factorint._stage_2
 
     def spy(n, stage):
-        starts.append((n, stage[1]))
+        starts.append((n, stage[0]))
         return stage_2(n, stage)
 
     monkeypatch.setattr(factorint, "_stage_2", spy)
@@ -655,7 +655,7 @@ def test_psi_17_cofactor_starts_at_giant_step_35(monkeypatch):
     assert factorize(_PSI_17).factors == tuple((p, 1) for p in _PSI_17_PRIMES)
     cofactor = _PSI_17 // _PSI_17_PRIMES[0]
     steps = [k for k, _js in factorint._stage_plan()[1]]
-    assert starts == [(_PSI_17, 0), (cofactor, 35)]
+    assert starts == [(_PSI_17, 0), (cofactor, steps.index(35))]
     assert moduli.count(cofactor) == steps.index(156) - steps.index(35) + 1
 
 
@@ -686,11 +686,43 @@ def test_a_resumed_stage_finds_what_a_restart_on_the_cofactor_finds():
             if stage is None:
                 continue
             c = n // d
-            at, k, prev, cur, vd, baby, acc = stage
-            on_c = (at, k, prev % c, cur % c, vd % c, [w % c for w in baby], acc % c)
-            found = factorint._stage_2(c, on_c)[0]
+            found = factorint._stage_2(c, stage)[0]  # _stage_2 reduces the stage mod c
             assert found == lucas_split_per_prime(c, v % c), (n, a, b)
             resumed.append(found)
     # Fifteen splits; only Psi_17's cofactor is composite, and the seeds that run p-1 on
     # 52574490667 = 1 (mod 3), 10/3 and 2/7, split it again.
     assert len(resumed) == 15 and [d for d in resumed if d] == [_PSI_17_PRIMES[1]] * 2
+
+
+# Three primes p = 2 (mod 3), so the 2/7 seed runs p+1 on each, with p + 1
+# STAGE2_BOUND-smooth (largest primes 13687, 361219, 37243) and p - 1 not
+# (4345087, 5730047, 1907623): seed 2/7's stage 2 splits off the first at the
+# giant step k = 6 (13687 = 6D - 173), and the third off the cofactor at k = 16.
+_P_PLUS_1_PRIMES = (13104782393, 224067757889, 652048432877)
+
+
+def test_a_p_plus_1_split_resumes_in_its_own_slot(monkeypatch):
+    split, starts = [], []
+    lucas_split, stage_2 = factorint._lucas_split, factorint._stage_2
+    monkeypatch.setattr(factorint, "_lucas_split",
+                        lambda n, v: split.append(n) or lucas_split(n, v))
+
+    def spy(n, stage):
+        starts.append((n, stage[0]))
+        return stage_2(n, stage)
+
+    monkeypatch.setattr(factorint, "_stage_2", spy)
+    _forbid_rho(monkeypatch)
+    n = prod(_P_PLUS_1_PRIMES)
+    cofactor = n // _P_PLUS_1_PRIMES[0]
+    assert factorize(n).factors == tuple((p, 1) for p in _P_PLUS_1_PRIMES)
+    # The cofactor runs the p-1 seed from the start, then resumes 2/7 in its slot.
+    assert split == [n, n, cofactor]
+    steps = [k for k, _js in factorint._stage_plan()[1]]
+    assert starts == [(n, 0), (n, 0), (cofactor, 0), (cofactor, steps.index(6))]
+    monkeypatch.undo()
+    counts, budget = {}, [factorint.RHO_STEP_BUDGET]
+    got = factorint._factor_rough(n, 1, counts, budget)
+    want_counts, want_budget = {}, [factorint.RHO_STEP_BUDGET]
+    assert factor_rough_restarting(n, 1, want_counts, want_budget) == got == 1
+    assert counts == want_counts and budget == want_budget

@@ -19,7 +19,7 @@ the block on symmetric matrices that it never eliminates. Two more check,
 through ``helpers._w_determinant``, that the symmetric S with XS = SX^T
 span s dimensions exactly when I, X, ..., X^(s-1) are independent, and
 that S -> XS on them then has determinant det(X). The last checks that
-``factorize``, whose p-1 stage continues on the cofactor it splits off,
+``factorize``, whose p-1/p+1 stages continue on the cofactor they split off,
 matches ``helpers.factor_rough_restarting``, which restarts on every piece.
 """
 
@@ -298,10 +298,11 @@ def test_one_by_one_gives_n_times_a_to_the_n_minus_1(a):
 # primes of _X4_SPLITS whose p - 1 or p + 1 is STAGE2_BOUND-smooth, _SMOOTH_P_MINUS_1,
 # _SMOOTH_P_PLUS_1, the pairs whose stage-1 gcd or stage-2 giant step is n, and the
 # _ROUGH primes, which neither stage reaches and rho splits quickly. The p-1 seed's
-# stage 2 splits off the first four, so they are drawn twice as often.
+# stage 2 splits off the first four, so they are drawn twice as often; the 2/7 seed's
+# stage 2 splits off the three _P_PLUS_1_PRIMES, so their products resume it.
 STAGE_PRIMES = st.sampled_from((19434365149, 52574490667, 20394769, 1000121) * 2 + (
     7282397, 27205307, 2607270173, 288208447, 525215252189, 1000033, 1007609, 1000117,
-    1000037, 1000453, 10001659, 10002547))
+    1000037, 1000453, 10001659, 10002547, 13104782393, 224067757889, 652048432877))
 STAGE_COST = 39846
 # Budgets at and around multiples of the charge of a stage, and the default.
 RHO_STEPS = st.one_of(
